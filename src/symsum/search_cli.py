@@ -2,9 +2,8 @@
 class tables, exhaustive balanced-perturbation searches, and verification of
 the structural families.
 
-Exit codes: 0 on success, 1 when a verification or expectation fails, 2 on
-usage errors.  The environment variable SYMSUM_THREADS caps worker threads
-(default 1); output is byte-identical regardless of thread count.
+Exit codes: 0 on success, 1 when a verification or expectation fails or an
+internal check trips, 2 on usage errors.
 """
 
 from __future__ import annotations
@@ -15,7 +14,6 @@ import hashlib
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from math import comb
 from pathlib import Path
@@ -86,25 +84,6 @@ SPORADIC_WITNESSES_N9_X1X2 = {
     (2, 3, 5, 6, 8): (-1, 2, -1, -1, 2, -1, -1, 1),
     (2, 4, 5, 6, 8): (-1, 1, 0, 1, -2, 2, -2, 1),
 }
-
-
-def _thread_count() -> int:
-    raw = os.environ.get("SYMSUM_THREADS", "")
-    try:
-        t = int(raw)
-    except ValueError:
-        t = 1
-    return max(1, t)
-
-
-def _parallel_map(fn, items):
-    """Order-preserving map, fanned out when SYMSUM_THREADS allows."""
-    items = list(items)
-    t = min(_thread_count(), len(items)) if items else 1
-    if t <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=t) as ex:
-        return list(ex.map(fn, items))
 
 
 def _parse_range(text: str) -> list[int]:
@@ -199,6 +178,12 @@ class Campaign:
         lo = max(top_degree, 1)
         return [inner + j for inner in range(lo, self.n_max + 1)]
 
+    def top_degree(self, n_total: int, j: int) -> int:
+        """Largest top degree of a degree set scanned at this variable count."""
+        if self.n_convention == "total":
+            return min(self.k_max, n_total - 1)
+        return min(self.k_max, n_total - j)
+
 
 @dataclass(frozen=True)
 class FindingRecord:
@@ -238,23 +223,90 @@ class FindingRecord:
         )
 
 
-def _iter_degree_sets(k_max: int):
-    """All nonempty subsets of 1..k_max as ascending tuples, in lex order."""
+def _subset_masks(n: int) -> list[int]:
+    """masks[t] has bit k set exactly when k is a bit-subset of t, t <= n.
 
-    def rec(lo: int, prefix: tuple[int, ...]):
-        for k in range(lo, k_max + 1):
-            cur = prefix + (k,)
-            yield cur
-            yield from rec(k + 1, cur)
+    By Lucas' theorem that is when C(t, k) is odd.  The submasks of t are
+    those of t without its lowest bit p, together with the same shifted by p.
+    """
+    masks = [1]
+    for t in range(1, n + 1):
+        rest = masks[t & (t - 1)]
+        masks.append(rest | rest << (t & -t))
+    return masks
 
-    yield from rec(1, ())
 
+def _balanced_degree_sets(lead: int, top: int, values: tuple[int, ...],
+                          inner: int) -> list[tuple[int, ...]]:
+    """Degree sets with least degree ``lead`` and top degree at most ``top``
+    whose sign sum on ``inner + j`` variables, perturbed by the weight
+    profile ``values``, vanishes.
 
-def _parity_masks(k_max: int, width: int) -> list[int]:
-    """masks[k] has bit l set exactly when C(l, k) is odd, l < width."""
-    return [
-        sum(1 << l for l in range(width) if k & ~l == 0) for k in range(k_max + 1)
-    ]
+    The search runs over sign bits, not degree sets.  The sign at weight t is
+    (-1)**b_t with b_t = XOR of C(t, k) mod 2 over the degrees k (Lucas), and
+    the sign sum is S = sum_t (-1)**b_t * W_t, W_t = sum_m c_m * C(inner, t-m).
+    So S = 0 exactly when sum_t b_t * W_t = sum(W) / 2.
+
+    - The bits b_0..b_top are the GF(2) Moebius transform of the degree set,
+      and the transform is its own inverse: d_k = XOR of b_l over the
+      bit-subsets l of k.  Least degree ``lead`` fixes b_lead = 1 and zero
+      bits below it; b_{lead+1..top} are free, one pattern per degree set.
+    - Each bit above ``top`` is a GF(2)-linear form in the bits up to top.
+    - Meet in the middle (Horowitz-Sahni): the low half of the free bits is
+      indexed by its partial sum and its share of the dependent bits'
+      parities; every high-half pattern is joined against each parity
+      group.  Choosing the low half as about (free + dependent) / 2 bits
+      balances the table size against the number of lookups.
+    """
+    j = len(values) - 1
+    n_total = inner + j
+    row = [comb(inner, l) for l in range(inner + 1)]
+    weights = [0] * (n_total + 1)
+    for m, c in enumerate(values):
+        for l, x in enumerate(row):
+            weights[l + m] += c * x
+    total = sum(weights)
+    if total % 2:
+        return []
+    masks = _subset_masks(n_total)
+    # forms[i]: bit b_{top+1+i} is the parity of forms[i] & b
+    forms = []
+    for t in range(top + 1, n_total + 1):
+        form = 0
+        for k in range(lead, top + 1):
+            if masks[t] >> k & 1:
+                form ^= masks[k]
+        forms.append(form)
+    fixed = sum(1 << i for i, form in enumerate(forms) if form >> lead & 1)
+    dependent_weights = weights[top + 1:]
+    target = total // 2 - weights[lead]
+
+    def patterns(positions):
+        """(bits, partial sum, dependent parities) for every bit pattern."""
+        out = [(0, 0, 0)]
+        for t in positions:
+            column = sum(1 << i for i, form in enumerate(forms) if form >> t & 1)
+            out += [(bits | 1 << t, s + weights[t], p ^ column) for bits, s, p in out]
+        return out
+
+    free = top - lead
+    split = lead + 1 + min(free, (free + len(forms) + 1) // 2)
+    table: dict[int, dict[int, list[int]]] = {}
+    for bits, s, p in patterns(range(lead + 1, split)):
+        table.setdefault(p, {}).setdefault(s, []).append(bits)
+    hits = []
+    for high, s_high, p_high in patterns(range(split, top + 1)):
+        for p_low, by_sum in table.items():
+            dependent = fixed ^ p_low ^ p_high
+            rest = target - s_high - sum(
+                w for i, w in enumerate(dependent_weights) if dependent >> i & 1
+            )
+            for low in by_sum.get(rest, ()):
+                b = 1 << lead | low | high
+                hits.append(tuple(
+                    k for k in range(lead, top + 1) if (masks[k] & b).bit_count() & 1
+                ))
+    return hits
 
 
 @dataclass
@@ -274,71 +326,56 @@ class ScanCounters:
         self.sporadic += other.sporadic
 
 
-def _scan_degree_sets(campaign: Campaign, degree_sets) -> tuple[ScanCounters, list[FindingRecord]]:
-    """Evaluate the campaign over the given degree sets, in order."""
-    max_j = max(len(v) - 1 for _, v in campaign.perturbations)
-    inner_max = campaign.n_max
-    width = inner_max + max_j + 1
-    masks = _parity_masks(campaign.k_max, width)
-    rows = [[comb(n, l) for l in range(n + 1)] for n in range(inner_max + 1)]
+def _scan_leading_degree(campaign: Campaign, lead: int) -> tuple[ScanCounters, list[FindingRecord]]:
+    """Evaluate the campaign over the degree sets with least degree ``lead``.
+
+    Each (variable count, perturbation) cell covers the 2**(top - lead)
+    degree sets whose top degree that count admits.  Findings come in
+    (degree set, variable count, perturbation) order, the lex order of
+    degree sets that the output format fixes.
+    """
     counters = ScanCounters()
-    findings: list[FindingRecord] = []
-    profiles = [
-        (desc, values, len(values) - 1) for desc, values in campaign.perturbations
-    ]
-    for degs in degree_sets:
-        mask = 0
-        for k in degs:
-            mask ^= masks[k]
-        signs = [1 - 2 * ((mask >> l) & 1) for l in range(width)]
-        top = degs[-1]
-        deltas = {}
-        for desc, values, j in profiles:
-            deltas[desc] = [
-                sum(c * signs[l + m] for m, c in enumerate(values))
-                for l in range(inner_max + 1)
+    hits = []
+    for index, (_, values) in enumerate(campaign.perturbations):
+        j = len(values) - 1
+        for n_total in campaign.n_totals(lead, j):
+            top = campaign.top_degree(n_total, j)
+            counters.candidates += 1 << (top - lead)
+            hits += [
+                (degs, n_total, index)
+                for degs in _balanced_degree_sets(lead, top, values, n_total - j)
             ]
-        n_lists = {j: campaign.n_totals(top, j) for _, _, j in profiles}
-        n_all = sorted({n for lst in n_lists.values() for n in lst})
-        for n_total in n_all:
-            for desc, values, j in profiles:
-                if n_total not in n_lists[j] or n_total <= j:
-                    continue
-                counters.candidates += 1
-                inner = n_total - j
-                if inner > inner_max:
-                    continue
-                delta = deltas[desc]
-                row = rows[inner]
-                s = 0
-                for l in range(inner + 1):
-                    s += delta[l] * row[l]
-                if s != 0:
-                    continue
-                counters.balanced += 1
-                verdict = classify_profile(
-                    SymmetricSpec(degs), WeightProfile(j, values), n_total, desc
-                )
-                if verdict.sign_sum != 0:
-                    raise AssertionError("fast scan and classifier disagree")
-                if verdict.status is BalanceStatus.SPORADIC:
-                    counters.sporadic += 1
-                else:
-                    counters.trivial += 1
-                if campaign.sporadic_only and verdict.status is not BalanceStatus.SPORADIC:
-                    continue
-                findings.append(
-                    FindingRecord(
-                        n_total=n_total,
-                        degrees=degs,
-                        j=j,
-                        perturbation=desc,
-                        profile=values,
-                        status=verdict.status.value,
-                        witness=verdict.witness,
-                        key=verdict.key.to_json(),
-                    )
-                )
+    findings: list[FindingRecord] = []
+    for degs, n_total, index in sorted(hits):
+        desc, values = campaign.perturbations[index]
+        j = len(values) - 1
+        verdict = classify_profile(
+            SymmetricSpec(degs), WeightProfile(j, values), n_total, desc
+        )
+        if verdict.sign_sum != 0:
+            raise VerificationError(
+                f"census engine and classifier disagree on degrees {list(degs)} "
+                f"at n={n_total} ({desc}): S={verdict.sign_sum}"
+            )
+        counters.balanced += 1
+        if verdict.status is BalanceStatus.SPORADIC:
+            counters.sporadic += 1
+        else:
+            counters.trivial += 1
+        if campaign.sporadic_only and verdict.status is not BalanceStatus.SPORADIC:
+            continue
+        findings.append(
+            FindingRecord(
+                n_total=n_total,
+                degrees=degs,
+                j=j,
+                perturbation=desc,
+                profile=values,
+                status=verdict.status.value,
+                witness=verdict.witness,
+                key=verdict.key.to_json(),
+            )
+        )
     return counters, findings
 
 
@@ -347,18 +384,13 @@ def run_search(campaign: Campaign, out_path: Path | None = None,
                log=lambda s: None) -> tuple[ScanCounters, list[FindingRecord]]:
     """Run a campaign with deterministic output and optional checkpointing.
 
-    Degree sets are processed in lex order; with SYMSUM_THREADS > 1 they are
-    chunked by leading degree and merged in order, so results and output
-    bytes are identical to the serial run.  A checkpoint (protected by the
-    campaign digest) is refreshed after at least 10**6 candidates since the
-    previous write; resuming skips the recorded number of finished chunks.
+    Degree sets are processed in chunks by leading degree, in order, so
+    findings come in lex order of degree sets.  A checkpoint (protected by
+    the campaign digest) is refreshed after a chunk once at least
+    CHECKPOINT_EVERY candidates were scanned since the previous write, and
+    at the end; resuming skips the recorded number of finished chunks.
     """
     digest = campaign.digest()
-    all_sets = list(_iter_degree_sets(campaign.k_max))
-    chunks = [
-        [t for t in all_sets if t[0] == lead] for lead in range(1, campaign.k_max + 1)
-    ]
-
     start_chunk = 0
     counters = ScanCounters()
     findings: list[FindingRecord] = []
@@ -386,13 +418,12 @@ def run_search(campaign: Campaign, out_path: Path | None = None,
         log(f"resumed at chunk {start_chunk} with {counters.candidates} candidates done")
 
     last_checkpoint = counters.candidates
-    pending = chunks[start_chunk:]
-    results = _parallel_map(lambda ch: _scan_degree_sets(campaign, ch), pending)
     done = start_chunk
-    for res_counters, res_findings in results:
+    for lead in range(start_chunk + 1, campaign.k_max + 1):
+        res_counters, res_findings = _scan_leading_degree(campaign, lead)
         counters.add(res_counters)
         findings.extend(res_findings)
-        done += 1
+        done = lead
         if checkpoint_path is not None and counters.candidates - last_checkpoint >= CHECKPOINT_EVERY:
             _write_checkpoint(checkpoint_path, digest, done, counters, findings)
             last_checkpoint = counters.candidates
@@ -410,6 +441,8 @@ def run_search(campaign: Campaign, out_path: Path | None = None,
 
 def _write_checkpoint(path: Path, digest: str, chunks_done: int,
                       counters: ScanCounters, findings: list[FindingRecord]) -> None:
+    """Replace the checkpoint atomically: an interrupted write leaves the
+    previous checkpoint in place."""
     state = {
         "digest": digest,
         "chunks_done": chunks_done,
@@ -418,7 +451,12 @@ def _write_checkpoint(path: Path, digest: str, chunks_done: int,
             {**rec.to_json(), "profile": list(rec.profile)} for rec in findings
         ],
     }
-    path.write_text(json.dumps(state, sort_keys=True))
+    tmp = path.with_name(f".{path.name}.tmp")
+    with tmp.open("w") as fh:
+        fh.write(json.dumps(state, sort_keys=True))
+        fh.flush()
+        os.fsync(fh.fileno())
+    os.replace(tmp, path)
 
 
 # ---------------------------------------------------------------------------
@@ -482,16 +520,11 @@ def cmd_gamma(args) -> int:
     n_values = _parse_range(args.n)
     j_values = _parse_range(args.j)
     budget = args.budget
-
-    def cell(nj: tuple[int, int]) -> int | None:
-        n, j = nj
-        if direct_enumeration_metric(n, j) > budget:
-            return None
-        return count_solutions(n, j)
-
-    pairs = [(n, j) for j in j_values for n in n_values]
-    values = _parallel_map(cell, pairs)
-    cells = dict(zip(pairs, values))
+    cells = {
+        (n, j): None if direct_enumeration_metric(n, j) > budget else count_solutions(n, j)
+        for j in j_values
+        for n in n_values
+    }
     _print_grid("count", n_values, j_values, cells, args.csv)
     if args.cross_check:
         bad = 0
@@ -512,16 +545,11 @@ def cmd_omega(args) -> int:
     n_values = _parse_range(args.n)
     j_values = _parse_range(args.j)
     budget = args.budget
-
-    def cell(nj: tuple[int, int]) -> int | None:
-        n, j = nj
-        if class_enumeration_metric(n, j) > budget:
-            return None
-        return count_classes(n, j)
-
-    pairs = [(n, j) for j in j_values for n in n_values]
-    values = _parallel_map(cell, pairs)
-    cells = dict(zip(pairs, values))
+    cells = {
+        (n, j): None if class_enumeration_metric(n, j) > budget else count_classes(n, j)
+        for j in j_values
+        for n in n_values
+    }
     _print_grid("class", n_values, j_values, cells, args.csv)
     if args.classes_out:
         if len(n_values) != 1 or len(j_values) != 1:
@@ -588,14 +616,15 @@ def cmd_search(args) -> int:
 
 def _regenerate_witness_table(n_total: int, profile_values: tuple[int, ...]):
     """Sporadic degree sets and witnesses at one variable count, top degree
-    below the variable count."""
+    below the variable count; only the balanced degree sets are classified."""
     j = len(profile_values) - 1
     profile = WeightProfile(j, profile_values)
     out = {}
-    for degs in _iter_degree_sets(n_total - 1):
-        verdict = classify_profile(SymmetricSpec(degs), profile, n_total)
-        if verdict.status is BalanceStatus.SPORADIC:
-            out[degs] = verdict.witness
+    for lead in range(1, n_total):
+        for degs in _balanced_degree_sets(lead, n_total - 1, profile_values, n_total - j):
+            verdict = classify_profile(SymmetricSpec(degs), profile, n_total)
+            if verdict.status is BalanceStatus.SPORADIC:
+                out[degs] = verdict.witness
     return out
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import json
 import subprocess
@@ -19,6 +20,7 @@ from symsum import (
     classify_profile,
     weight_profile,
 )
+from symsum import search_cli
 from symsum.search_cli import Campaign, FindingRecord, main, run_search
 
 from conftest import brute_force_sign_sum
@@ -300,6 +302,61 @@ class TestSearch:
         assert json.loads(out.strip().splitlines()[-1]) == json.loads(
             out2.strip().splitlines()[-1]
         )
+
+    @pytest.mark.parametrize("chunks_before_crash", [1, 3, 5])
+    def test_interrupted_run_resumes_to_identical_output(
+        self, capsys, tmp_path, monkeypatch, chunks_before_crash
+    ):
+        argv = ["search", "--k-max", "6", "--n-max", "10", "--profile", "1,-1",
+                "--profile", "1,-2,1"]
+        full_out, full_ck = tmp_path / "full.jsonl", tmp_path / "full.json"
+        code, want_stdout, _ = run_main(
+            capsys, argv + ["--out", str(full_out), "--checkpoint", str(full_ck)]
+        )
+        assert code == 0
+
+        class Interrupted(Exception):
+            pass
+
+        scan = search_cli._scan_leading_degree
+
+        def scan_then_crash(campaign, lead):
+            if lead > chunks_before_crash:
+                raise Interrupted
+            return scan(campaign, lead)
+
+        out, ck = tmp_path / "run.jsonl", tmp_path / "run.json"
+        run_argv = argv + ["--out", str(out), "--checkpoint", str(ck)]
+        monkeypatch.setattr(search_cli, "CHECKPOINT_EVERY", 1)
+        monkeypatch.setattr(search_cli, "_scan_leading_degree", scan_then_crash)
+        with pytest.raises(Interrupted):
+            main(run_argv)
+        assert json.loads(ck.read_text())["chunks_done"] == chunks_before_crash
+        assert not out.exists()
+        # the checkpoint was replaced in place: no temporary file is left
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "full.json", "full.jsonl", "run.json"
+        ]
+
+        monkeypatch.setattr(search_cli, "_scan_leading_degree", scan)
+        code, stdout, err = run_main(capsys, run_argv + ["--resume"])
+        assert code == 0
+        assert f"resumed at chunk {chunks_before_crash}" in err
+        assert stdout == want_stdout
+        assert out.read_bytes() == full_out.read_bytes()
+        assert ck.read_bytes() == full_ck.read_bytes()
+
+    def test_engine_classifier_disagreement_exits_one(self, capsys, monkeypatch):
+        classify = search_cli.classify_profile
+
+        def disagreeing(*args):
+            return dataclasses.replace(classify(*args), sign_sum=2)
+
+        monkeypatch.setattr(search_cli, "classify_profile", disagreeing)
+        code, out, err = run_main(capsys, ["search", "--k-max", "4", "--n-max", "8"])
+        assert code == 1
+        assert out == ""
+        assert err.startswith("verification failed: census engine and classifier disagree")
 
     def test_resume_guards(self, capsys, tmp_path):
         ck = tmp_path / "ck.json"
