@@ -24,6 +24,7 @@ from .expsum import (
     SymmetricSpec,
     delta_vector,
     exp_sum_perturbation,
+    periodic_binomial_sums,
 )
 
 
@@ -112,6 +113,21 @@ def classify_profile(spec: SymmetricSpec, profile: WeightProfile, n_total: int,
     return verdict
 
 
+def classify_balanced(spec: SymmetricSpec, profile: WeightProfile, n_total: int) -> BalanceVerdict:
+    """Classify an index where a sign-sum sweep gave zero.
+
+    Raises VerificationError when the classifier's own sign sum is not zero:
+    the sweep and the classifier disagree, which is an internal fault.
+    """
+    verdict = classify_profile(spec, profile, n_total)
+    if not verdict.balanced:
+        raise VerificationError(
+            f"sign-sum sweep gives 0 at n_total={n_total} (degrees {list(spec.degrees)}, "
+            f"profile {list(profile.values)}) but the classifier finds {verdict.sign_sum}"
+        )
+    return verdict
+
+
 # ---------------------------------------------------------------------------
 # residue criterion for eventual balance
 # ---------------------------------------------------------------------------
@@ -176,32 +192,42 @@ class WindowEntry:
 
 def balance_window_report(spec: SymmetricSpec, profile: WeightProfile,
                           n_total_start: int, n_total_end: int) -> list[WindowEntry]:
-    """Classify every index in a window and compare with the residue criterion."""
+    """Classify every index in a window and compare with the residue criterion.
+
+    The sign sums come from one sweep over the window; only the indices where
+    the sweep gives zero are classified.
+    """
     if n_total_start <= profile.j:
         raise ValueError("window starts inside the perturbed block")
     reports = {
         res: eventual_balance(spec, profile, res) for res in range(spec.period)
     }
+    j = profile.j
+    sums = periodic_binomial_sums(
+        delta_vector(spec, profile).values, n_total_start - j, n_total_end - j
+    )
     out: list[WindowEntry] = []
-    for n_total in range(n_total_start, n_total_end + 1):
-        verdict = classify_profile(spec, profile, n_total)
-        res = (n_total - profile.j) % spec.period
+    for n_total, s in zip(range(n_total_start, n_total_end + 1), sums):
+        status = BalanceStatus.NOT_BALANCED
+        if s == 0:
+            status = classify_balanced(spec, profile, n_total).status
+        res = (n_total - j) % spec.period
         rep = reports[res]
-        if rep.holds and not verdict.balanced:
+        if rep.holds and s != 0:
             raise VerificationError(
-                f"residue criterion promises balance at n_total={n_total} but sign sum is {verdict.sign_sum}"
+                f"residue criterion promises balance at n_total={n_total} but sign sum is {s}"
             )
         out.append(
             WindowEntry(
                 n_total=n_total,
-                inner_n=n_total - profile.j,
+                inner_n=n_total - j,
                 residue=res,
-                sign_sum=verdict.sign_sum,
-                balanced=verdict.balanced,
-                status=verdict.status,
+                sign_sum=s,
+                balanced=s == 0,
+                status=status,
                 criterion_holds=rep.holds,
                 z=rep.z,
-                pre_threshold=verdict.balanced and not rep.holds,
+                pre_threshold=s == 0 and not rep.holds,
             )
         )
     return out
@@ -338,4 +364,8 @@ def singmaster_parameters(i: int) -> tuple[int, int]:
 def singmaster_gap(i: int) -> int:
     """Gap of C(n, k) + C(n, k+1) - C(n, k+2) at the i-th coincidence; zero."""
     n, k = singmaster_parameters(i)
-    return comb(n, k) + comb(n, k + 1) - comb(n, k + 2)
+    # One giant binomial; its neighbours follow by exact divisions.
+    c0 = comb(n, k)
+    c1 = c0 * (n - k) // (k + 1)
+    c2 = c1 * (n - k - 1) // (k + 2)
+    return c0 + c1 - c2

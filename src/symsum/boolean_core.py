@@ -374,18 +374,6 @@ def xor_functions(f: BooleanFunction, g: BooleanFunction) -> BooleanFunction:
     return BooleanFunction(f.j, f.table ^ g.table)
 
 
-def shift_variables(f: BooleanFunction, offset: int, total: int) -> BooleanFunction:
-    """Re-embed f so its variable x_i becomes x_(i+offset) among ``total`` variables."""
-    if offset < 0 or f.j + offset > total or total > MAX_VARIABLES:
-        raise ValueError("shifted function does not fit the requested variable count")
-    table = 0
-    mask = (1 << f.j) - 1
-    for x in range(1 << total):
-        v = (f.table >> ((x >> offset) & mask)) & 1
-        table |= v << x
-    return BooleanFunction(total, table)
-
-
 def all_functions(j: int):
     """Yield every Boolean function on j variables (use only for tiny j)."""
     if j > 4:

@@ -10,6 +10,8 @@ integer vector delta of that period:
     sign_sum(K on n+j variables, perturbed by F)
         = sum over l = 0..n of delta[l mod 2**r] * C(n, l).
 
+Every such sum goes through ``periodic_binomial_sums``, which folds the
+binomial row into its 2**r residue-class sums and walks n by Pascal's rule.
 All arithmetic is exact (Python integers).
 """
 
@@ -18,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from math import comb
+from operator import add, mul
 
 from .boolean_core import BooleanFunction, WeightProfile, weight_profile
 
@@ -86,13 +89,36 @@ class SymmetricSpec:
         return "[" + ",".join(str(k) for k in self.degrees) + "]"
 
 
+def periodic_binomial_sums(weights, n_lo: int, n_hi: int) -> list[int]:
+    """sum over l = 0..n of weights[l mod P] * C(n, l), for n = n_lo..n_hi.
+
+    P = len(weights).  The residue-class sums A_n[a] = sum over l = a mod P
+    of C(n, l) obey Pascal's rule A_(n+1)[a] = A_n[a] + A_n[a - 1 mod P], so
+    row n_lo is folded once (n_lo + 1 binomials) and every further n costs
+    P additions.  The list is empty when n_hi < n_lo.
+    """
+    if not weights:
+        raise ValueError("need at least one weight")
+    if n_lo < 0:
+        raise ValueError("variable count must be nonnegative")
+    if n_hi < n_lo:
+        return []
+    period = len(weights)
+    acc = [0] * period
+    for l in range(n_lo + 1):
+        acc[l % period] += comb(n_lo, l)
+    out = [sum(map(mul, weights, acc))]
+    for _ in range(n_lo, n_hi):
+        acc = list(map(add, acc, acc[-1:] + acc[:-1]))
+        out.append(sum(map(mul, weights, acc)))
+    return out
+
+
 def exp_sum_symmetric(n: int, spec: SymmetricSpec) -> int:
     """Sign sum of the degree set on n variables, n >= 1."""
     if n < 1:
         raise ValueError("need at least one variable")
-    row = spec.sign_row
-    mask = spec.period - 1
-    return sum(row[l & mask] * comb(n, l) for l in range(n + 1))
+    return periodic_binomial_sums(spec.sign_row, n, n)[0]
 
 
 @dataclass(frozen=True)
@@ -156,10 +182,7 @@ def exp_sum_profile(spec: SymmetricSpec, profile: WeightProfile, inner_n: int) -
     beyond the perturbed block (inner_n >= 0)."""
     if inner_n < 0:
         raise ValueError("inner variable count must be nonnegative")
-    dv = delta_vector(spec, profile)
-    mask = dv.period - 1
-    vals = dv.values
-    return sum(vals[l & mask] * comb(inner_n, l) for l in range(inner_n + 1))
+    return periodic_binomial_sums(delta_vector(spec, profile).values, inner_n, inner_n)[0]
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,7 @@ from fractions import Fraction
 from math import comb, gcd
 
 from .boolean_core import WeightProfile
-from .expsum import SymmetricSpec, delta_vector, exp_sum_symmetric
+from .expsum import SymmetricSpec, delta_vector, periodic_binomial_sums
 
 
 # ---------------------------------------------------------------------------
@@ -236,7 +236,7 @@ def minimality_certificate(k: int, horizon: int) -> bool:
     if horizon < 2 * poly.degree + 4:
         raise ValueError(f"horizon must be at least {2 * poly.degree + 4}")
     spec = SymmetricSpec((k,))
-    seq = [exp_sum_symmetric(n, spec) for n in range(1, horizon + 1)]
+    seq = periodic_binomial_sums(spec.sign_row, 1, horizon)
     if not satisfies(seq, poly, start=1):
         return False
     factors = min_char_factors(k)

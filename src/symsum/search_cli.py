@@ -21,6 +21,7 @@ from pathlib import Path
 from .balance import (
     BalanceStatus,
     VerificationError,
+    classify_balanced,
     classify_profile,
     luca_szalay_gap,
     periodic_propagation,
@@ -40,7 +41,7 @@ from .diophantine import (
     enumerate_classes,
     gamma_via_integral,
 )
-from .expsum import PerturbedSpec, SymmetricSpec, exp_sum_symmetric
+from .expsum import PerturbedSpec, SymmetricSpec, delta_vector, periodic_binomial_sums
 
 DEFAULT_GAMMA_BUDGET = 3.2e8
 DEFAULT_OMEGA_BUDGET = 1.5e8
@@ -466,13 +467,13 @@ def _write_checkpoint(path: Path, digest: str, chunks_done: int,
 def cmd_expsum(args) -> int:
     spec = _parse_degrees(args.degrees)
     desc, profile = _perturbation_from_args(args)
-    for n_total in _parse_range(args.n):
-        if n_total <= profile.j:
-            raise SystemExit2(f"n={n_total} does not exceed the perturbed block j={profile.j}")
-        if profile.j == 0 and desc == "f=0":
-            s = exp_sum_symmetric(n_total, spec)
-        else:
-            s = classify_profile(spec, profile, n_total).sign_sum
+    n_values = _parse_range(args.n)  # ascending, so the first is the smallest
+    if n_values[0] <= profile.j:
+        raise SystemExit2(f"n={n_values[0]} does not exceed the perturbed block j={profile.j}")
+    sums = periodic_binomial_sums(
+        delta_vector(spec, profile).values, n_values[0] - profile.j, n_values[-1] - profile.j
+    )
+    for n_total, s in zip(n_values, sums):
         if args.json:
             print(json.dumps({"n": n_total, "degrees": list(spec.degrees),
                               "perturbation": desc, "S": s}, sort_keys=True))
@@ -755,14 +756,15 @@ def cmd_verify_families(args) -> int:
 def cmd_conjecture_scan(args) -> int:
     rows = []
     off_residue = 0
+    profile = WeightProfile(1, X1_PROFILE)
     for k in range(args.k_min, args.k_max + 1):
         spec = SymmetricSpec((k,))
-        profile = WeightProfile(1, X1_PROFILE)
         residue = (k - 1) % spec.period
-        for n_total in range(2, args.n_max + 1):
-            verdict = classify_profile(spec, profile, n_total)
-            if not verdict.balanced:
+        sums = periodic_binomial_sums(delta_vector(spec, profile).values, 1, args.n_max - 1)
+        for n_total, s in zip(range(2, args.n_max + 1), sums):
+            if s != 0:
                 continue
+            verdict = classify_balanced(spec, profile, n_total)
             on_residue = n_total % spec.period == residue
             if not on_residue:
                 off_residue += 1

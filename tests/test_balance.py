@@ -32,6 +32,7 @@ from symsum import (
     verify_even_linear_family,
     verify_x1_family,
 )
+from symsum import balance
 
 from conftest import random_profile, random_spec
 
@@ -201,6 +202,14 @@ class TestBalanceWindow:
         assert all(e.balanced for e in win)
         assert all(e.criterion_holds for e in win)
         assert all(e.status is BalanceStatus.TRIVIAL for e in win)
+
+    def test_sweep_classifier_disagreement_raises(self, monkeypatch):
+        def false_zeros(weights, n_lo, n_hi):
+            return [0] * (n_hi - n_lo + 1)
+
+        monkeypatch.setattr(balance, "periodic_binomial_sums", false_zeros)
+        with pytest.raises(VerificationError, match="sign-sum sweep gives 0 at n_total=4"):
+            balance_window_report(SymmetricSpec.of(4), X1, 4, 40)
 
     def test_window_start_validation(self):
         with pytest.raises(ValueError):

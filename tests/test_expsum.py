@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from symsum import (
+    BooleanFunction,
     DeltaVector,
     PerturbedSpec,
     SymmetricSpec,
@@ -23,6 +24,7 @@ from symsum import (
     exp_sum_perturbation_decomposed,
     exp_sum_profile,
     exp_sum_symmetric,
+    periodic_binomial_sums,
     shifted_identity_gap,
     weight_profile,
 )
@@ -73,6 +75,66 @@ class TestBinomParity:
         for l in range(64):
             for k in range(64):
                 assert binom_parity(l, k) == (comb(l, k) % 2 if k <= l else 0)
+
+
+# ---------------------------------------------------------------------------
+# the Pascal sweep against the per-l formula
+# ---------------------------------------------------------------------------
+
+def oracle_periodic_sum(weights, n: int) -> int:
+    """sum over l = 0..n of weights[l mod P] * C(n, l), one binomial per l.
+
+    The direct formula, kept as the reference for periodic_binomial_sums.
+    """
+    mask = len(weights) - 1
+    return sum(weights[l & mask] * comb(n, l) for l in range(n + 1))
+
+
+class TestPeriodicBinomialSums:
+    def test_single_index(self):
+        weights = SymmetricSpec((3, 6)).sign_row
+        for n in (0, 1, 7, 8, 9, 40):
+            assert periodic_binomial_sums(weights, n, n) == [oracle_periodic_sum(weights, n)]
+
+    def test_range_from_zero(self):
+        weights = delta_vector(SymmetricSpec.of(14), X1X2).values
+        got = periodic_binomial_sums(weights, 0, 60)
+        assert got == [oracle_periodic_sum(weights, n) for n in range(61)]
+        assert got[0] == weights[0]
+
+    def test_period_two(self):
+        # degree 1: every function on n >= 1 variables is balanced
+        assert periodic_binomial_sums(SymmetricSpec.of(1).sign_row, 0, 20) == [1] + [0] * 20
+        # twice the even-weight count, 2**n for n >= 1
+        assert periodic_binomial_sums((2, 0), 0, 20) == [2] + [1 << n for n in range(1, 21)]
+
+    def test_empty_and_invalid(self):
+        assert periodic_binomial_sums((1, -1), 5, 4) == []
+        with pytest.raises(ValueError):
+            periodic_binomial_sums((1, -1), -1, 3)
+        with pytest.raises(ValueError):
+            periodic_binomial_sums((), 0, 3)
+
+
+@given(
+    top=st.integers(1, 70),
+    lower=st.sets(st.integers(1, 69), max_size=4),
+    j=st.integers(0, 4),
+    table=st.integers(0, (1 << 16) - 1),
+    bounds=st.tuples(st.integers(0, 150), st.integers(0, 150)).map(sorted),
+)
+@settings(max_examples=100, deadline=None)
+def test_sweep_matches_oracle_and_decomposition(top, lower, j, table, bounds):
+    spec = SymmetricSpec(tuple(sorted({k for k in lower if k < top} | {top})))
+    f = BooleanFunction(j, table % (1 << (1 << j))) if j else None
+    prof = weight_profile(f) if f else UNPERTURBED
+    weights = delta_vector(spec, prof).values
+    n_lo, n_hi = bounds
+    got = periodic_binomial_sums(weights, n_lo, n_hi)
+    assert got == [oracle_periodic_sum(weights, n) for n in range(n_lo, n_hi + 1)]
+    for n, s in zip(range(n_lo, n_hi + 1), got):
+        if n >= 1:
+            assert exp_sum_perturbation_decomposed(PerturbedSpec(spec, f, n + j)) == s
 
 
 # ---------------------------------------------------------------------------

@@ -417,6 +417,37 @@ class TestVerificationCommands:
             n = int(line.split()[1].split("=")[1])
             assert k == 1 or n < k - 1
 
+    def test_conjecture_scan_matches_per_index_classification(self, capsys):
+        code, out, _ = run_main(capsys, ["conjecture-scan", "--k-max", "8", "--n-max", "120"])
+        assert code == 0
+        lines, off = [], 0
+        for k in range(1, 9):
+            spec = SymmetricSpec((k,))
+            for n in range(2, 121):
+                verdict = classify_profile(spec, WeightProfile(1, (1, -1)), n)
+                if not verdict.balanced:
+                    continue
+                on = n % spec.period == (k - 1) % spec.period
+                off += not on
+                lines.append(f"k={k} n={n} status={verdict.status.value} "
+                             f"residue={'on' if on else 'off'}"
+                             + ("" if on else "  <-- OFF-RESIDUE"))
+        lines.append(f"balanced cases: {len(lines)}; off-residue: {off} "
+                     f"(degrees 1..8, n up to 120)")
+        assert out == "\n".join(lines) + "\n"
+
+    def test_conjecture_scan_sweep_classifier_disagreement_exits_one(self, capsys, monkeypatch):
+        def false_zeros(weights, n_lo, n_hi):
+            return [0] * (n_hi - n_lo + 1)
+
+        monkeypatch.setattr(search_cli, "periodic_binomial_sums", false_zeros)
+        code, out, err = run_main(
+            capsys, ["conjecture-scan", "--k-min", "2", "--k-max", "4", "--n-max", "20"]
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("verification failed: sign-sum sweep gives 0 at n_total=")
+
     def test_conjecture_scan_holds_on_meaningful_range(self, capsys):
         code, out, _ = run_main(
             capsys, ["conjecture-scan", "--k-min", "2", "--k-max", "10", "--n-max", "60"]
@@ -494,6 +525,19 @@ def test_installed_entry_point_smoke():
     )
     # console_entry reads sys.argv[1:]; -c leaves the flags there
     assert proc.returncode == 0
+    values = tuple(int(l.split()[1]) for l in proc.stdout.strip().splitlines())
+    assert values == DEGREE5_ROW
+
+
+def test_python_m_symsum_runs_without_warnings():
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "symsum", "expsum", "--degrees", "5", "--n", "1..10"],
+        capture_output=True,
+        text=True,
+        check=False,
+    )
+    assert proc.returncode == 0
+    assert proc.stderr == ""
     values = tuple(int(l.split()[1]) for l in proc.stdout.strip().splitlines())
     assert values == DEGREE5_ROW
 
