@@ -15,7 +15,7 @@ import itertools
 from collections import defaultdict
 from dataclasses import dataclass
 from enum import Enum
-from math import comb, gcd
+from math import comb, gcd, prod
 
 
 class BudgetExceeded(RuntimeError):
@@ -261,7 +261,7 @@ def split_enumeration_metric(n: int, j: int) -> int:
 
 
 def class_enumeration_metric(n: int, j: int) -> int:
-    """Size bound for the folded-space sweep behind class counting."""
+    """Size of the folded space behind class counting and enumeration."""
     folds = (1 << (j + 1)) + 1
     metric = folds ** ((n + 1) // 2)
     if n % 2 == 0:
@@ -274,32 +274,51 @@ def gamma_integral_metric(n: int, j: int) -> int:
     return ((1 << (j - 1)) + 1) ** (n + 1) if j >= 1 else 2 ** (n + 1)
 
 
+def _box_count(weights, sizes, target: int) -> int:
+    """Number of integer vectors t with 0 <= t_i < sizes[i] and sum of
+    t_i * weights[i] equal to target (weights >= 0, sizes >= 1).
+
+    Reads one coefficient of prod_i (1 + y_i + ... + y_i**(m_i - 1)) with
+    y_i = z**w_i, packed into a single int with K-bit slots, coefficient k in
+    slot k (Kronecker substitution).  Every coefficient of every partial
+    product counts vectors, so it lies in [0, prod m_i]; with K the bit length
+    of prod m_i no slot can carry into the next.  Each factor costs O(log m)
+    shift-adds through S_2a = S_a * (1 + y**a) and S_(a+1) = 1 + y * S_a, and
+    slots above the target are dropped as they appear: the weights are
+    nonnegative, so those terms never come back down.
+    """
+    if not 0 <= target <= sum((m - 1) * w for m, w in zip(sizes, weights)):
+        return 0
+    k = prod(sizes).bit_length()
+    mask = (1 << (k * (target + 1))) - 1
+    poly = 1
+    for w, m in zip(weights, sizes):
+        step = k * w
+        acc, a = poly, 1
+        for bit in bin(m)[3:]:
+            acc = (acc + (acc << step * a)) & mask
+            a *= 2
+            if bit == "1":
+                acc = poly + ((acc << step) & mask)
+                a += 1
+        poly = acc
+    return (poly >> k * target) & ((1 << k) - 1)
+
+
 def count_solutions(n: int, j: int) -> int:
     """Number of solutions with entries in the level-j alphabet.
 
-    Runs a forward convolution over the positions, pruning partial sums that
-    cannot return to zero; cost is bounded by the number of reachable partial
-    sums, not by the raw search space.
+    Shifts every entry into [0, 2b] (b the alphabet bound), or maps the
+    level-0 signs to {0, 1}, and reads the count as one box count: the
+    shifted equation asks for the weighted sum b * 2**n, or 2**(n-1).
     """
     if n < 1:
         raise ValueError("need n >= 1")
-    members = GammaAlphabet(j).members
-    big = max(abs(x) for x in members)
+    b = GammaAlphabet(j).bound
     weights = [comb(n, l) for l in range(n + 1)]
-    suffix = [0] * (n + 2)
-    for l in range(n, -1, -1):
-        suffix[l] = suffix[l + 1] + big * weights[l]
-    cur = {0: 1}
-    for l, w in enumerate(weights):
-        lim = suffix[l + 1]
-        nxt: dict[int, int] = defaultdict(int)
-        for s, c in cur.items():
-            for x in members:
-                s2 = s + x * w
-                if -lim <= s2 <= lim:
-                    nxt[s2] += c
-        cur = nxt
-    return cur.get(0, 0)
+    if j == 0:
+        return _box_count(weights, [2] * (n + 1), 1 << (n - 1))
+    return _box_count(weights, [2 * b + 1] * (n + 1), b << n)
 
 
 def enumerate_solutions(n: int, j: int, budget: float | None = None, method: str = "auto"):
@@ -369,6 +388,34 @@ def enumerate_solutions(n: int, j: int, budget: float | None = None, method: str
 # equivalence classes
 # ---------------------------------------------------------------------------
 
+def _check_class_cell(n: int, j: int, budget: float | None) -> None:
+    """Refuse class cells off the folded-box argument or over budget.
+
+    Level 0 is refused: over {-1, 1} the folded vectors do not fill a box of
+    integers (pair sums are even and the center is never zero), so neither
+    the folded sweep nor the Moebius count describes them.
+    """
+    if n < 1 or j < 1:
+        raise ValueError("need n >= 1 and j >= 1")
+    if budget is not None and class_enumeration_metric(n, j) > budget:
+        raise BudgetExceeded(
+            f"class metric {class_enumeration_metric(n, j)} exceeds budget {budget}"
+        )
+
+
+def _mobius(d: int) -> int:
+    """The Moebius function mu(d), by trial division."""
+    mu, p = 1, 2
+    while p * p <= d:
+        if d % p == 0:
+            d //= p
+            if d % p == 0:
+                return 0
+            mu = -mu
+        p += 1
+    return -mu if d > 1 else mu
+
+
 def enumerate_classes(n: int, j: int, budget: float | None = None) -> dict[FoldedKey, SolutionVector]:
     """Map each solution class to one realizable representative.
 
@@ -378,18 +425,13 @@ def enumerate_classes(n: int, j: int, budget: float | None = None) -> dict[Folde
     each pair sum into ceil/floor halves, so the sweep sees exactly the
     classes of actual solutions.
     """
-    if n < 1 or j < 0:
-        raise ValueError("need n >= 1 and j >= 0")
-    if budget is not None and class_enumeration_metric(n, j) > budget:
-        raise BudgetExceeded(
-            f"class metric {class_enumeration_metric(n, j)} exceeds budget {budget}"
-        )
+    _check_class_cell(n, j, budget)
     hl = (n + 1) // 2
     weights = [comb(n, l) for l in range(hl)]
     even = n % 2 == 0
     center_w = comb(n, n // 2) if even else 0
     fold_b = 1 << j
-    center_b = 1 << (j - 1) if j >= 1 else 1
+    center_b = 1 << (j - 1)
 
     # max_tail[i]: largest |contribution| still available from slots i.. plus
     # the center and the forced first entry.
@@ -442,8 +484,35 @@ def enumerate_classes(n: int, j: int, budget: float | None = None) -> dict[Folde
 
 
 def count_classes(n: int, j: int, budget: float | None = None) -> int:
-    """Number of solution classes over the level-j alphabet."""
-    return len(enumerate_classes(n, j, budget))
+    """Number of solution classes over the level-j alphabet.
+
+    A class is the zero class or a primitive folded solution up to sign.  The
+    folded box (pair sums within 2**j, center within 2**(j-1)) is symmetric
+    and convex, so a class is present exactly when its primitive vector lies
+    in the box.  Moebius inversion over a common divisor d counts those:
+    classes = 1 + (1/2) * sum over d <= 2**j of mu(d) * (Z_d - 1), where Z_d,
+    the number of folded solutions with every component divisible by d, is a
+    box count over the box with its bounds divided by d.
+    """
+    _check_class_cell(n, j, budget)
+    hl = (n + 1) // 2
+    weights = [comb(n, l) for l in range(hl)]
+    bounds = [1 << j] * hl
+    if n % 2 == 0:
+        weights.append(comb(n, n // 2))
+        bounds.append(1 << (j - 1))
+    primitive = 0
+    for d in range(1, (1 << j) + 1):
+        mu = _mobius(d)
+        if mu:
+            shrunk = [c // d for c in bounds]
+            z = _box_count(
+                weights,
+                [2 * c + 1 for c in shrunk],
+                sum(c * w for c, w in zip(shrunk, weights)),
+            )
+            primitive += mu * (z - 1)
+    return 1 + primitive // 2
 
 
 def gamma_via_integral(n: int, j: int, budget: float | None = None) -> int:

@@ -520,6 +520,8 @@ def _print_grid(title: str, n_values: list[int], j_values: list[int],
 def cmd_gamma(args) -> int:
     n_values = _parse_range(args.n)
     j_values = _parse_range(args.j)
+    if args.cross_check and min(j_values) < 1:
+        raise SystemExit2("--cross-check needs j >= 1")
     budget = args.budget
     cells = {
         (n, j): None if direct_enumeration_metric(n, j) > budget else count_solutions(n, j)
@@ -545,6 +547,10 @@ def cmd_gamma(args) -> int:
 def cmd_omega(args) -> int:
     n_values = _parse_range(args.n)
     j_values = _parse_range(args.j)
+    if min(j_values) < 1:
+        raise SystemExit2("classes need j >= 1")
+    if args.classes_out and (len(n_values) != 1 or len(j_values) != 1):
+        raise SystemExit2("--classes-out needs a single n and a single j")
     budget = args.budget
     cells = {
         (n, j): None if class_enumeration_metric(n, j) > budget else count_classes(n, j)
@@ -553,8 +559,6 @@ def cmd_omega(args) -> int:
     }
     _print_grid("class", n_values, j_values, cells, args.csv)
     if args.classes_out:
-        if len(n_values) != 1 or len(j_values) != 1:
-            raise SystemExit2("--classes-out needs a single n and a single j")
         n, j = n_values[0], j_values[0]
         with Path(args.classes_out).open("w") as fh:
             for key, rep in sorted(
@@ -784,6 +788,14 @@ def cmd_conjecture_scan(args) -> int:
 # argument parsing
 # ---------------------------------------------------------------------------
 
+def _budget(text: str) -> float:
+    """A search-space budget: a number >= 0 (inf allowed, NaN refused)."""
+    value = float(text)
+    if not value >= 0:
+        raise argparse.ArgumentTypeError(f"budget must be a number >= 0, got {text!r}")
+    return value
+
+
 def _add_perturbation_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--anf", help="perturbation as an expression, e.g. 'x1*x2 + x3'")
     p.add_argument("--profile", help="perturbation weight profile, e.g. '1,-2,1'")
@@ -814,7 +826,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gamma", help="solution-count table")
     p.add_argument("--n", required=True, help="range of n, e.g. '1..10'")
     p.add_argument("--j", required=True, help="range of alphabet levels, e.g. '1..7'")
-    p.add_argument("--budget", type=float, default=DEFAULT_GAMMA_BUDGET,
+    p.add_argument("--budget", type=_budget, default=DEFAULT_GAMMA_BUDGET,
                    help="cells with a larger search space print '*'")
     p.add_argument("--csv", action="store_true")
     p.add_argument("--cross-check", action="store_true",
@@ -824,7 +836,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("omega", help="solution-class table")
     p.add_argument("--n", required=True)
     p.add_argument("--j", required=True)
-    p.add_argument("--budget", type=float, default=DEFAULT_OMEGA_BUDGET)
+    p.add_argument("--budget", type=_budget, default=DEFAULT_OMEGA_BUDGET)
     p.add_argument("--csv", action="store_true")
     p.add_argument("--classes-out", help="write one class per line (single cell only)")
     p.set_defaults(func=cmd_omega)

@@ -3,9 +3,12 @@
 from __future__ import annotations
 
 import itertools
+from collections import defaultdict
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from symsum import (
     BudgetExceeded,
@@ -30,8 +33,45 @@ from symsum import (
     trivial_forms,
     zero_key,
 )
+from symsum.diophantine import _box_count
 
 EQUIVALENT_TO_ALTERNATING_N12 = (0, 0, 0, -2, 2, 0, 1, -2, 0, 0, 2, -2, 2)
+
+# gamma cells past the default budget, recorded by the partial-sum route
+RAISED_BUDGET_COUNTS = {
+    (11, 3): 61200135,
+    (12, 3): 231887971,
+    (13, 3): 1534852791,
+    (14, 3): 5180975087,
+    (11, 4): 60053145483,
+    (12, 4): 474595309685,
+    (13, 4): 4619271659225,
+}
+
+
+def oracle_count_solutions(n: int, j: int) -> int:
+    """Solution count by a forward convolution over the positions.
+
+    Keeps a dict of reachable partial sums, pruning those that cannot return
+    to zero; an independent route to the library's packed-polynomial count.
+    """
+    members = GammaAlphabet(j).members
+    big = max(abs(x) for x in members)
+    weights = [comb(n, l) for l in range(n + 1)]
+    suffix = [0] * (n + 2)
+    for l in range(n, -1, -1):
+        suffix[l] = suffix[l + 1] + big * weights[l]
+    cur = {0: 1}
+    for l, w in enumerate(weights):
+        lim = suffix[l + 1]
+        nxt: dict[int, int] = defaultdict(int)
+        for s, c in cur.items():
+            for x in members:
+                s2 = s + x * w
+                if -lim <= s2 <= lim:
+                    nxt[s2] += c
+        cur = nxt
+    return cur.get(0, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -249,6 +289,41 @@ class TestCountSolutions:
         assert count_solutions(2, 0) == 2
         assert count_solutions(3, 0) == 4
 
+    def test_matches_partial_sum_oracle(self):
+        cells = [(n, j) for n in range(1, 13) for j in range(1, 4)]
+        cells += [(n, 4) for n in range(1, 11)]
+        cells += [(n, 0) for n in range(1, 17)]
+        for n, j in cells:
+            assert count_solutions(n, j) == oracle_count_solutions(n, j), (n, j)
+
+    def test_raised_budget_block(self):
+        for (n, j), want in RAISED_BUDGET_COUNTS.items():
+            assert count_solutions(n, j) == want, (n, j)
+
+
+class TestBoxCount:
+    def test_small_values(self):
+        assert _box_count([1, 2], [3, 2], 2) == 2  # (2, 0) and (0, 1)
+        assert _box_count([], [], 0) == 1
+        assert _box_count([], [], 1) == 0
+        assert _box_count([0, 1], [4, 2], 1) == 4
+
+
+@given(
+    cells=st.lists(st.tuples(st.integers(0, 6), st.integers(1, 5)), max_size=5),
+    target=st.integers(-3, 40),
+)
+@settings(max_examples=200, deadline=None)
+def test_box_count_matches_product_scan(cells, target):
+    weights = [w for w, _ in cells]
+    sizes = [m for _, m in cells]
+    want = sum(
+        1
+        for t in itertools.product(*(range(m) for m in sizes))
+        if sum(x * w for x, w in zip(t, weights)) == target
+    )
+    assert _box_count(weights, sizes, target) == want
+
 
 class TestEnumerateSolutions:
     def test_small_exact_set(self):
@@ -313,6 +388,22 @@ class TestClasses:
     def test_budget_refusal(self):
         with pytest.raises(BudgetExceeded):
             enumerate_classes(10, 3, budget=10)
+        with pytest.raises(BudgetExceeded):
+            count_classes(10, 3, budget=10)
+
+    def test_count_matches_enumeration_off_the_pinned_grid(self):
+        cells = [(n, 1) for n in range(11, 14)] + [(11, 2), (12, 2)]
+        cells += [(n, j) for n in (1, 2) for j in range(1, 8)]
+        for n, j in cells:
+            assert count_classes(n, j) == len(enumerate_classes(n, j)), (n, j)
+
+    def test_level_zero_rejected(self):
+        # {-1, 1} has no zero: at n = 6 the only solutions are the two
+        # alternating vectors, which the folded sweep cannot see
+        with pytest.raises(ValueError, match="j >= 1"):
+            count_classes(6, 0)
+        with pytest.raises(ValueError, match="j >= 1"):
+            enumerate_classes(6, 0)
 
 
 class TestIntegralRecount:

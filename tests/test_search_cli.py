@@ -141,6 +141,14 @@ class TestGammaCommand:
         assert len(checks) == 10
         assert all(l.endswith("ok") for l in checks)
 
+    def test_cross_check_at_level_zero_is_refused_before_any_work(self, capsys):
+        code, out, err = run_main(
+            capsys, ["gamma", "--n", "1..3", "--j", "0..1", "--cross-check"]
+        )
+        assert code == 2
+        assert out == ""
+        assert "error:" in err
+
 
 class TestOmegaCommand:
     def test_small_grid_csv(self, capsys):
@@ -174,12 +182,47 @@ class TestOmegaCommand:
             assert canonical_key(v).to_json() == rec["key"]
 
     def test_classes_out_needs_single_cell(self, capsys, tmp_path):
-        code, _, err = run_main(
+        path = tmp_path / "x"
+        code, out, err = run_main(
             capsys,
-            ["omega", "--n", "1..4", "--j", "2", "--classes-out", str(tmp_path / "x")],
+            ["omega", "--n", "1..4", "--j", "2", "--classes-out", str(path)],
         )
         assert code == 2
         assert "error:" in err
+        assert out == ""
+        assert not path.exists()
+
+    def test_level_zero_is_a_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "x"
+        code, out, err = run_main(
+            capsys, ["omega", "--n", "6", "--j", "0", "--classes-out", str(path)]
+        )
+        assert code == 2
+        assert "error:" in err
+        assert out == ""
+        assert not path.exists()
+
+
+@pytest.mark.parametrize("command", ["gamma", "omega"])
+@pytest.mark.parametrize("budget", ["nan", "-1", "-inf"])
+def test_budget_must_be_nonnegative(capsys, command, budget):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--n", "9", "--j", "4", "--budget", budget])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("command, n", [("gamma", "9"), ("omega", "10")])
+def test_infinite_budget_computes_every_cell(capsys, command, n):
+    # the default budget refuses both cells
+    code, out, _ = run_main(capsys, [command, "--n", n, "--j", "4", "--csv"])
+    assert code == 0
+    assert "*" in out
+    code, out, _ = run_main(
+        capsys, [command, "--n", n, "--j", "4", "--csv", "--budget", "inf"]
+    )
+    assert code == 0
+    assert "*" not in out
 
 
 # ---------------------------------------------------------------------------
