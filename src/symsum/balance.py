@@ -18,7 +18,7 @@ from enum import Enum
 from math import comb
 
 from .boolean_core import BooleanFunction, WeightProfile
-from .diophantine import FoldedKey, SolutionVector, canonical_key, is_trivial_solution
+from .diophantine import FoldedKey, SolutionVector, _is_trivial_key, canonical_key
 from .expsum import (
     PerturbedSpec,
     SymmetricSpec,
@@ -85,7 +85,11 @@ class BalanceVerdict:
 
 
 def classify(p: PerturbedSpec) -> BalanceVerdict:
-    """Balance status of a perturbed symmetric function, with witness."""
+    """Balance status of a perturbed symmetric function, with witness.
+
+    Raises VerificationError when the witness of a zero sign sum fails its
+    binomial equation: both are the same sum, so that is an internal fault.
+    """
     s = exp_sum_perturbation(p)
     if s != 0:
         return BalanceVerdict(
@@ -93,11 +97,18 @@ def classify(p: PerturbedSpec) -> BalanceVerdict:
             BalanceStatus.NOT_BALANCED, None, None,
         )
     dv = delta_vector(p.spec, p.profile)
-    scale = 2 if p.j >= 1 else 1
-    entries = tuple(dv.at(l) // scale for l in range(p.inner_n + 1))
-    vec = SolutionVector(p.inner_n, entries)
-    key = canonical_key(vec)
-    status = BalanceStatus.TRIVIAL if is_trivial_solution(vec) else BalanceStatus.SPORADIC
+    cycle = dv.halved() if p.j >= 1 else dv.values
+    reps, rest = divmod(p.inner_n + 1, dv.period)
+    entries = cycle * reps + cycle[:rest]
+    try:
+        key = canonical_key(SolutionVector(p.inner_n, entries))
+        trivial = _is_trivial_key(key)
+    except ValueError as exc:
+        raise VerificationError(
+            f"witness of the zero sign sum at n_total={p.n_total} (inner n={p.inner_n}, "
+            f"degrees {list(p.spec.degrees)}) fails its equation: {exc}"
+        ) from exc
+    status = BalanceStatus.TRIVIAL if trivial else BalanceStatus.SPORADIC
     return BalanceVerdict(
         p.n_total, p.spec.degrees, p.j, p.describe(), 0, status, entries, key
     )
@@ -362,10 +373,15 @@ def singmaster_parameters(i: int) -> tuple[int, int]:
 
 
 def singmaster_gap(i: int) -> int:
-    """Gap of C(n, k) + C(n, k+1) - C(n, k+2) at the i-th coincidence; zero."""
+    """Gap of C(n, k) + C(n, k+1) - C(n, k+2) at the i-th coincidence; zero.
+
+    With C(n, k+1) = C(n, k) * (n-k) / (k+1) and C(n, k+2) = C(n, k+1) *
+    (n-k-1) / (k+2), the gap is C(n, k) * num / ((k+1)(k+2)) exactly, where
+    num = (k+1)(k+2) + (n-k)(k+2) - (n-k)(n-k-1).  So the identity is decided
+    by num alone, and the binomial is computed only for a nonzero gap.
+    """
     n, k = singmaster_parameters(i)
-    # One giant binomial; its neighbours follow by exact divisions.
-    c0 = comb(n, k)
-    c1 = c0 * (n - k) // (k + 1)
-    c2 = c1 * (n - k - 1) // (k + 2)
-    return c0 + c1 - c2
+    num = (k + 1) * (k + 2) + (n - k) * (k + 2) - (n - k) * (n - k - 1)
+    if num == 0:
+        return 0
+    return comb(n, k) * num // ((k + 1) * (k + 2))

@@ -16,6 +16,37 @@ from collections import defaultdict
 from dataclasses import dataclass
 from enum import Enum
 from math import comb, gcd, prod
+from operator import mul
+
+
+def _binomial_half_row(n: int) -> list[int]:
+    """C(n, 0), ..., C(n, n // 2), by one exact multiplicative pass.
+
+    C(n, l + 1) = C(n, l) * (n - l) / (l + 1) divides exactly at every step,
+    and C(n, l) = C(n, n - l) gives the other half.
+    """
+    row = [1]
+    c = 1
+    for l in range(n // 2):
+        c = c * (n - l) // (l + 1)
+        row.append(c)
+    return row
+
+
+def _binomial_row(n: int) -> list[int]:
+    """C(n, 0), ..., C(n, n): the half row and its mirror."""
+    half = _binomial_half_row(n)
+    return half + half[: n - n // 2][::-1]
+
+
+def _folded_sum(n: int, half, center: int | None) -> int:
+    """sum over l of x_l * C(n, l) for a vector given by its fold: pair sums
+    x_l + x_(n-l) for l < (n + 1) // 2 and, for even n, the center entry."""
+    row = _binomial_half_row(n)
+    acc = sum(map(mul, half, row))
+    if center is not None:
+        acc += center * row[-1]
+    return acc
 
 
 class BudgetExceeded(RuntimeError):
@@ -66,7 +97,7 @@ class SolutionVector:
             raise ValueError("need n >= 1")
         if len(entries) != self.n + 1:
             raise ValueError(f"expected {self.n + 1} entries, got {len(entries)}")
-        acc = sum(x * comb(self.n, l) for l, x in enumerate(entries))
+        acc = _folded_sum(self.n, *self.fold())
         if acc != 0:
             raise ValueError(f"not a solution: weighted sum is {acc}")
 
@@ -129,11 +160,11 @@ class FoldedKey:
             norm, _ = _normalize_components(comps)
             if norm != comps:
                 raise ValueError("components are not normalized")
-        acc = sum(c * comb(self.n, l) for l, c in enumerate(half))
-        if self.center is not None:
-            acc += self.center * comb(self.n, self.n // 2)
+        acc = _folded_sum(self.n, half, self.center)
         if acc != 0:
-            raise ValueError("folded components do not satisfy the equation")
+            raise ValueError(
+                f"folded components do not satisfy the equation: weighted sum is {acc}"
+            )
 
     def to_json(self) -> dict:
         return {
@@ -172,10 +203,14 @@ def is_trivial_solution(v: SolutionVector) -> bool:
     ((-1)**l * m).  A solution is trivial when its class key matches one of
     those; for odd n the alternating family folds into the antisymmetric one.
     """
-    key = canonical_key(v)
+    return _is_trivial_key(canonical_key(v))
+
+
+def _is_trivial_key(key: FoldedKey) -> bool:
+    """Whether a class key is the zero class or, for even n, the alternating one."""
     if key.is_zero:
         return True
-    return v.n % 2 == 0 and key == alternating_key(v.n)
+    return key.n % 2 == 0 and key == alternating_key(key.n)
 
 
 class TrivialForm(str, Enum):
@@ -315,7 +350,7 @@ def count_solutions(n: int, j: int) -> int:
     if n < 1:
         raise ValueError("need n >= 1")
     b = GammaAlphabet(j).bound
-    weights = [comb(n, l) for l in range(n + 1)]
+    weights = _binomial_row(n)
     if j == 0:
         return _box_count(weights, [2] * (n + 1), 1 << (n - 1))
     return _box_count(weights, [2 * b + 1] * (n + 1), b << n)
@@ -350,7 +385,7 @@ def enumerate_solutions(n: int, j: int, budget: float | None = None, method: str
             raise BudgetExceeded(f"{method} metric {metric} exceeds budget {budget}")
 
     members = GammaAlphabet(j).members
-    weights = [comb(n, l) for l in range(n + 1)]
+    weights = _binomial_row(n)
     big = max(abs(x) for x in members)
 
     if method == "direct":
@@ -427,9 +462,10 @@ def enumerate_classes(n: int, j: int, budget: float | None = None) -> dict[Folde
     """
     _check_class_cell(n, j, budget)
     hl = (n + 1) // 2
-    weights = [comb(n, l) for l in range(hl)]
+    row = _binomial_half_row(n)
+    weights = row[:hl]
     even = n % 2 == 0
-    center_w = comb(n, n // 2) if even else 0
+    center_w = row[-1] if even else 0
     fold_b = 1 << j
     center_b = 1 << (j - 1)
 
@@ -496,10 +532,9 @@ def count_classes(n: int, j: int, budget: float | None = None) -> int:
     """
     _check_class_cell(n, j, budget)
     hl = (n + 1) // 2
-    weights = [comb(n, l) for l in range(hl)]
+    weights = _binomial_half_row(n)
     bounds = [1 << j] * hl
     if n % 2 == 0:
-        weights.append(comb(n, n // 2))
         bounds.append(1 << (j - 1))
     primitive = 0
     for d in range(1, (1 << j) + 1):
@@ -530,6 +565,8 @@ def gamma_via_integral(n: int, j: int, budget: float | None = None) -> int:
             f"integral metric {gamma_integral_metric(n, j)} exceeds budget {budget}"
         )
     bound = 1 << (j - 1)
+    # math.comb, not the half-row kernel: this recount is the independent
+    # route that count_solutions is checked against.
     weights = [comb(n, i) for i in range(n + 1)]
     total = 0
     # Opposite sign patterns match the same value vectors, so fix the first

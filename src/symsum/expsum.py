@@ -23,6 +23,7 @@ from math import comb
 from operator import add, mul
 
 from .boolean_core import BooleanFunction, WeightProfile, weight_profile
+from .diophantine import _binomial_half_row
 
 
 def binomial(n: int, l: int) -> int:
@@ -94,8 +95,8 @@ def periodic_binomial_sums(weights, n_lo: int, n_hi: int) -> list[int]:
 
     P = len(weights).  The residue-class sums A_n[a] = sum over l = a mod P
     of C(n, l) obey Pascal's rule A_(n+1)[a] = A_n[a] + A_n[a - 1 mod P], so
-    row n_lo is folded once (n_lo + 1 binomials) and every further n costs
-    P additions.  The list is empty when n_hi < n_lo.
+    row n_lo is folded once (its half row, each entry added at l and n_lo - l)
+    and every further n costs P additions.  The list is empty when n_hi < n_lo.
     """
     if not weights:
         raise ValueError("need at least one weight")
@@ -105,8 +106,10 @@ def periodic_binomial_sums(weights, n_lo: int, n_hi: int) -> list[int]:
         return []
     period = len(weights)
     acc = [0] * period
-    for l in range(n_lo + 1):
-        acc[l % period] += comb(n_lo, l)
+    for l, c in enumerate(_binomial_half_row(n_lo)):
+        acc[l % period] += c
+        if 2 * l != n_lo:
+            acc[(n_lo - l) % period] += c
     out = [sum(map(mul, weights, acc))]
     for _ in range(n_lo, n_hi):
         acc = list(map(add, acc, acc[-1:] + acc[:-1]))

@@ -15,7 +15,6 @@ import json
 import os
 import sys
 from dataclasses import dataclass
-from math import comb
 from pathlib import Path
 
 from .balance import (
@@ -33,6 +32,7 @@ from .boolean_core import WeightProfile, anf_parse, anf_to_function, weight_prof
 from .diophantine import (
     BudgetExceeded,
     SolutionVector,
+    _binomial_row,
     canonical_key,
     class_enumeration_metric,
     count_classes,
@@ -261,7 +261,7 @@ def _balanced_degree_sets(lead: int, top: int, values: tuple[int, ...],
     """
     j = len(values) - 1
     n_total = inner + j
-    row = [comb(inner, l) for l in range(inner + 1)]
+    row = _binomial_row(inner)
     weights = [0] * (n_total + 1)
     for m, c in enumerate(values):
         for l, x in enumerate(row):

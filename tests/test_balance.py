@@ -19,12 +19,15 @@ from symsum import (
     canonical_key,
     classify,
     classify_profile,
+    delta_vector,
     eventual_balance,
     eventual_balance_at,
     exp_sum_profile,
     fibonacci,
+    is_trivial_solution,
     luca_szalay_gap,
     parity_function,
+    periodic_binomial_sums,
     periodic_propagation,
     singmaster_gap,
     singmaster_parameters,
@@ -32,13 +35,34 @@ from symsum import (
     verify_even_linear_family,
     verify_x1_family,
 )
-from symsum import balance
+from symsum import balance, diophantine
 
 from conftest import random_profile, random_spec
 
 X1 = WeightProfile(1, (1, -1))
 X1X2 = WeightProfile(2, (1, -2, 1))
 UNPERTURBED = WeightProfile(0, (1,))
+
+
+def oracle_classify(spec, profile, n_total):
+    """(status, witness, key) by the per-term route: the sign sum and the
+    witness entry by entry from the delta vector, every binomial from
+    math.comb."""
+    n = n_total - profile.j
+    dv = delta_vector(spec, profile)
+    s = sum(dv.at(l) * comb(n, l) for l in range(n + 1))
+    if s != 0:
+        return BalanceStatus.NOT_BALANCED, None, None
+    scale = 2 if profile.j >= 1 else 1
+    entries = tuple(dv.at(l) // scale for l in range(n + 1))
+    assert sum(x * comb(n, l) for l, x in enumerate(entries)) == 0
+    vec = SolutionVector(n, entries)
+    status = BalanceStatus.TRIVIAL if is_trivial_solution(vec) else BalanceStatus.SPORADIC
+    return status, entries, canonical_key(vec)
+
+
+def direct_adjacent_gap(n: int, k: int) -> int:
+    return comb(n, k) + comb(n, k + 1) - comb(n, k + 2)
 
 
 def check_witness(verdict) -> None:
@@ -127,6 +151,49 @@ class TestClassify:
             if v.balanced:
                 check_witness(v)
                 found += 1
+
+    def test_matches_per_term_oracle_on_the_conjecture_scan(self):
+        # every balanced (k, n) of conjecture-scan --k-max 16 --n-max 300
+        balanced = off_residue = sporadic = 0
+        for k in range(1, 17):
+            spec = SymmetricSpec.of(k)
+            sums = periodic_binomial_sums(delta_vector(spec, X1).values, 1, 299)
+            for n_total, s in zip(range(2, 301), sums):
+                if s:
+                    continue
+                v = classify_profile(spec, X1, n_total)
+                assert (v.status, v.witness, v.key) == oracle_classify(spec, X1, n_total), (
+                    k, n_total)
+                balanced += 1
+                off_residue += n_total % spec.period != (k - 1) % spec.period
+                sporadic += v.status is BalanceStatus.SPORADIC
+        # the totals pinned in perfbench/reference.json
+        assert (balanced, off_residue, sporadic) == (848, 240, 0)
+
+    def test_matches_per_term_oracle_on_random_cases(self, rng):
+        for _ in range(60):
+            spec = random_spec(rng, 7)
+            j = rng.randint(0, 3)
+            prof = random_profile(rng, j) if j else UNPERTURBED
+            n_total = rng.randint(j + 1, 40)
+            v = classify_profile(spec, prof, n_total)
+            assert (v.status, v.witness, v.key) == oracle_classify(spec, prof, n_total)
+
+    def test_rejected_witness_is_a_verification_error(self, monkeypatch):
+        # a fault in the witness check only: the sign sum stays zero
+        real = diophantine._binomial_half_row
+
+        def faulty(n):
+            row = real(n)
+            row[1] += 1
+            return row
+
+        monkeypatch.setattr(diophantine, "_binomial_half_row", faulty)
+        with pytest.raises(
+            VerificationError,
+            match=r"n_total=8 \(inner n=8, degrees \[1, 2, 3, 5, 7\]\).*weighted sum is -2$",
+        ):
+            classify_profile(SymmetricSpec((1, 2, 3, 5, 7)), UNPERTURBED, 8)
 
 
 # ---------------------------------------------------------------------------
@@ -314,3 +381,17 @@ class TestClassicalIdentities:
             assert singmaster_gap(i) == 0
         with pytest.raises(ValueError):
             singmaster_parameters(0)
+
+    def test_adjacent_entry_gap_matches_direct_binomials(self):
+        for i in range(1, 5):
+            assert singmaster_gap(i) == direct_adjacent_gap(*singmaster_parameters(i)) == 0
+
+    def test_adjacent_entry_gap_off_the_identity(self, monkeypatch):
+        # pairs next to a coincidence break it; the exact gap must show that
+        for i in range(1, 5):
+            n, k = singmaster_parameters(i)
+            for params in ((n, k + 1), (n + 1, k), (n - 1, k), (n, k - 1)):
+                monkeypatch.setattr(balance, "singmaster_parameters", lambda _, p=params: p)
+                gap = singmaster_gap(i)
+                assert gap != 0
+                assert gap == direct_adjacent_gap(*params)

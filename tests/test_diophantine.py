@@ -33,7 +33,12 @@ from symsum import (
     trivial_forms,
     zero_key,
 )
-from symsum.diophantine import _box_count
+from symsum.diophantine import (
+    _binomial_half_row,
+    _binomial_row,
+    _box_count,
+    _normalize_components,
+)
 
 EQUIVALENT_TO_ALTERNATING_N12 = (0, 0, 0, -2, 2, 0, 1, -2, 0, 0, 2, -2, 2)
 
@@ -171,6 +176,81 @@ class TestCanonicalKey:
     def test_to_json(self):
         key = canonical_key(SolutionVector(4, (1, 1, -1, 0, 1)))
         assert key.to_json() == {"n": 4, "half": [2, 1], "center": -1, "zero": False}
+
+
+# ---------------------------------------------------------------------------
+# the half binomial row behind every witness check
+# ---------------------------------------------------------------------------
+
+def test_half_row_matches_comb():
+    for n in range(501):
+        assert _binomial_half_row(n) == [comb(n, l) for l in range(n // 2 + 1)], n
+
+
+def test_full_row_is_the_mirrored_half_row():
+    for n in range(61):
+        assert _binomial_row(n) == [comb(n, l) for l in range(n + 1)], n
+
+
+def _vectors(length):
+    """(n, entries) with n in 1..80 and len(entries) == length(n)."""
+    return st.integers(1, 80).flatmap(
+        lambda n: st.tuples(
+            st.just(n), st.lists(st.integers(-9, 9), min_size=length(n), max_size=length(n))
+        )
+    )
+
+
+@given(
+    vec=_vectors(lambda n: n + 1),
+    mode=st.sampled_from(["raw", "solved", "nudged"]),
+    pos=st.integers(0, 80),
+    nudge=st.sampled_from([-1, 1]),
+)
+@settings(max_examples=200, deadline=None)
+def test_solution_check_matches_comb(vec, mode, pos, nudge):
+    n, entries = vec
+    if mode != "raw":
+        entries[0] = -sum(x * comb(n, l) for l, x in enumerate(entries) if l)
+    if mode == "nudged":
+        entries[pos % (n + 1)] += nudge
+    acc = sum(x * comb(n, l) for l, x in enumerate(entries))
+    if acc == 0:
+        assert SolutionVector(n, tuple(entries)).entries == tuple(entries)
+    else:
+        with pytest.raises(ValueError, match=rf"weighted sum is {acc}$"):
+            SolutionVector(n, tuple(entries))
+
+
+@given(vec=_vectors(lambda n: n // 2 + 1), solved=st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_folded_key_check_matches_comb(vec, solved):
+    # comps holds the pair sums for l < (n + 1) // 2, then the center when n
+    # is even: component l always weighs C(n, l)
+    n, comps = vec
+    if solved:
+        comps[0] = -sum(c * comb(n, l) for l, c in enumerate(comps) if l)
+    norm, zero = _normalize_components(tuple(comps))
+    hl = (n + 1) // 2
+    center = norm[hl] if n % 2 == 0 else None
+    acc = sum(c * comb(n, l) for l, c in enumerate(norm))
+    if acc == 0:
+        FoldedKey(n, norm[:hl], center, zero)
+    else:
+        with pytest.raises(ValueError, match=rf"weighted sum is {acc}$"):
+            FoldedKey(n, norm[:hl], center, zero)
+
+
+def test_nudged_alternating_vector_rejected_at_n_300():
+    n = 300
+    alternating = [(-1) ** l for l in range(n + 1)]
+    SolutionVector(n, tuple(alternating))
+    for l in (0, 1, 2, 77, 149, 150, 151, 298, 299, 300):
+        for nudge in (-1, 1):
+            entries = list(alternating)
+            entries[l] += nudge
+            with pytest.raises(ValueError, match=rf"weighted sum is {nudge * comb(n, l)}$"):
+                SolutionVector(n, tuple(entries))
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from symsum import (
     classify_profile,
     weight_profile,
 )
-from symsum import search_cli
+from symsum import diophantine, search_cli
 from symsum.search_cli import Campaign, FindingRecord, main, run_search
 
 from conftest import brute_force_sign_sum
@@ -105,6 +105,22 @@ class TestClassifyCommand:
         recs = [json.loads(line) for line in out.strip().splitlines()]
         assert [r["status"] for r in recs] == ["not_balanced", "sporadic", "not_balanced"]
         assert recs[0]["witness"] is None
+
+    def test_rejected_witness_exits_1(self, capsys, monkeypatch):
+        # an internal fault, not a usage error: the witness check alone is broken
+        real = diophantine._binomial_half_row
+
+        def faulty(n):
+            row = real(n)
+            row[1] += 1
+            return row
+
+        monkeypatch.setattr(diophantine, "_binomial_half_row", faulty)
+        code, out, err = run_main(capsys, ["classify", "--degrees", "1,2,3,5,7", "--n", "8"])
+        assert code == 1
+        assert out == ""
+        assert err.startswith("verification failed: ")
+        assert "weighted sum is -2" in err
 
 
 # ---------------------------------------------------------------------------
