@@ -17,13 +17,13 @@ from dataclasses import dataclass
 from enum import Enum
 from math import comb
 
+from . import expsum
 from .boolean_core import BooleanFunction, WeightProfile
 from .diophantine import FoldedKey, SolutionVector, _is_trivial_key, canonical_key
 from .expsum import (
     PerturbedSpec,
     SymmetricSpec,
     delta_vector,
-    exp_sum_perturbation,
     periodic_binomial_sums,
 )
 
@@ -90,13 +90,15 @@ def classify(p: PerturbedSpec) -> BalanceVerdict:
     Raises VerificationError when the witness of a zero sign sum fails its
     binomial equation: both are the same sum, so that is an internal fault.
     """
-    s = exp_sum_perturbation(p)
+    dv = delta_vector(p.spec, p.profile)
+    # Through the expsum module, not this module's binding of the kernel:
+    # classify_balanced checks the window sweep against this sum.
+    s = expsum.periodic_binomial_sums(dv.values, p.inner_n, p.inner_n)[0]
     if s != 0:
         return BalanceVerdict(
             p.n_total, p.spec.degrees, p.j, p.describe(), s,
             BalanceStatus.NOT_BALANCED, None, None,
         )
-    dv = delta_vector(p.spec, p.profile)
     cycle = dv.halved() if p.j >= 1 else dv.values
     reps, rest = divmod(p.inner_n + 1, dv.period)
     entries = cycle * reps + cycle[:rest]

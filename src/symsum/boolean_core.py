@@ -308,10 +308,6 @@ class WeightProfile:
         """Sign sum of the underlying function."""
         return sum(self.values)
 
-    @property
-    def is_balanced(self) -> bool:
-        return self.total == 0
-
     @classmethod
     def constant_zero(cls, j: int = 0) -> "WeightProfile":
         """Profile of the all-zero function on j variables."""

@@ -31,8 +31,10 @@ from .balance import (
 from .boolean_core import WeightProfile, anf_parse, anf_to_function, weight_profile
 from .diophantine import (
     BudgetExceeded,
+    FoldedKey,
     SolutionVector,
     _binomial_row,
+    _is_trivial_key,
     canonical_key,
     class_enumeration_metric,
     count_classes,
@@ -327,6 +329,40 @@ class ScanCounters:
         self.sporadic += other.sporadic
 
 
+def _classify_hit(masks: list[int], degs: tuple[int, ...], n_total: int,
+                  desc: str, values: tuple[int, ...]
+                  ) -> tuple[BalanceStatus, tuple[int, ...], FoldedKey]:
+    """Status, witness and class key of a census hit, read off its sign bits.
+
+    The sign at weight t is (-1)**parity(masks[t] & D) for the degree mask D,
+    and the witness is x_l = sum over m of c_m * sign(l + m), halved when
+    j >= 1 (the scale ``classify`` presents).  The signs are recomputed from
+    the degrees rather than taken from the engine's bit pattern, so the
+    SolutionVector check sum x_l * C(inner, l) = S / 2 (S at j = 0) stays
+    independent of the engine: a false hit fails it, and that is raised as a
+    VerificationError.
+    """
+    j = len(values) - 1
+    inner = n_total - j
+    degree_mask = sum(1 << k for k in degs)
+    signs = [1 - 2 * ((mask & degree_mask).bit_count() & 1) for mask in masks[:n_total + 1]]
+    witness = [0] * (inner + 1)
+    for m, c in enumerate(values):
+        witness = [x + c * s for x, s in zip(witness, signs[m:])]
+    if j:
+        witness = [x // 2 for x in witness]
+    try:
+        key = canonical_key(SolutionVector(inner, witness))
+        trivial = _is_trivial_key(key)
+    except ValueError as exc:
+        raise VerificationError(
+            f"census engine and classifier disagree on degrees {list(degs)} "
+            f"at n={n_total} ({desc}): {exc}"
+        ) from exc
+    status = BalanceStatus.TRIVIAL if trivial else BalanceStatus.SPORADIC
+    return status, tuple(witness), key
+
+
 def _scan_leading_degree(campaign: Campaign, lead: int) -> tuple[ScanCounters, list[FindingRecord]]:
     """Evaluate the campaign over the degree sets with least degree ``lead``.
 
@@ -347,34 +383,27 @@ def _scan_leading_degree(campaign: Campaign, lead: int) -> tuple[ScanCounters, l
                 for degs in _balanced_degree_sets(lead, top, values, n_total - j)
             ]
     findings: list[FindingRecord] = []
+    masks = _subset_masks(max((n_total for _, n_total, _ in hits), default=0))
     for degs, n_total, index in sorted(hits):
         desc, values = campaign.perturbations[index]
-        j = len(values) - 1
-        verdict = classify_profile(
-            SymmetricSpec(degs), WeightProfile(j, values), n_total, desc
-        )
-        if verdict.sign_sum != 0:
-            raise VerificationError(
-                f"census engine and classifier disagree on degrees {list(degs)} "
-                f"at n={n_total} ({desc}): S={verdict.sign_sum}"
-            )
+        status, witness, key = _classify_hit(masks, degs, n_total, desc, values)
         counters.balanced += 1
-        if verdict.status is BalanceStatus.SPORADIC:
+        if status is BalanceStatus.SPORADIC:
             counters.sporadic += 1
         else:
             counters.trivial += 1
-        if campaign.sporadic_only and verdict.status is not BalanceStatus.SPORADIC:
+        if campaign.sporadic_only and status is not BalanceStatus.SPORADIC:
             continue
         findings.append(
             FindingRecord(
                 n_total=n_total,
                 degrees=degs,
-                j=j,
+                j=len(values) - 1,
                 perturbation=desc,
                 profile=values,
-                status=verdict.status.value,
-                witness=verdict.witness,
-                key=verdict.key.to_json(),
+                status=status.value,
+                witness=witness,
+                key=key.to_json(),
             )
         )
     return counters, findings
@@ -621,15 +650,17 @@ def cmd_search(args) -> int:
 
 def _regenerate_witness_table(n_total: int, profile_values: tuple[int, ...]):
     """Sporadic degree sets and witnesses at one variable count, top degree
-    below the variable count; only the balanced degree sets are classified."""
-    j = len(profile_values) - 1
-    profile = WeightProfile(j, profile_values)
+    below the variable count; the engine's hits are classified as the
+    census classifies them."""
+    inner = n_total - (len(profile_values) - 1)
+    desc = f"profile:{','.join(map(str, profile_values))}"
+    masks = _subset_masks(n_total)
     out = {}
     for lead in range(1, n_total):
-        for degs in _balanced_degree_sets(lead, n_total - 1, profile_values, n_total - j):
-            verdict = classify_profile(SymmetricSpec(degs), profile, n_total)
-            if verdict.status is BalanceStatus.SPORADIC:
-                out[degs] = verdict.witness
+        for degs in _balanced_degree_sets(lead, n_total - 1, profile_values, inner):
+            status, witness, _ = _classify_hit(masks, degs, n_total, desc, profile_values)
+            if status is BalanceStatus.SPORADIC:
+                out[degs] = witness
     return out
 
 

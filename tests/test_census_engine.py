@@ -26,10 +26,17 @@ from symsum import (
     classify_profile,
     weight_profile,
 )
-from symsum.search_cli import Campaign, FindingRecord, ScanCounters, _scan_leading_degree
+from symsum.search_cli import (
+    Campaign,
+    FindingRecord,
+    ScanCounters,
+    _regenerate_witness_table,
+    _scan_leading_degree,
+)
 
 X1 = ("profile:1,-1", (1, -1))
 X1X2 = ("profile:1,-2,1", (1, -2, 1))
+UNPERTURBED = ("profile:1", (1,))
 
 
 def iter_degree_sets(k_max: int):
@@ -160,6 +167,12 @@ def total_oracle() -> OracleCensus:
 
 
 @pytest.fixture(scope="module")
+def unperturbed_oracle() -> OracleCensus:
+    # j = 0: the witness is the sign row itself, not halved
+    return OracleCensus(Campaign(13, 13, "total", (UNPERTURBED,)))
+
+
+@pytest.fixture(scope="module")
 def inner_oracle() -> OracleCensus:
     expr = anf_parse("x1*x3 + x2*x3 + x1")
     values = tuple(weight_profile(anf_to_function(expr, 3)).values)
@@ -202,6 +215,31 @@ def test_engine_agrees_with_oracle_total(total_oracle, k_max, n_max):
 )
 def test_engine_agrees_with_oracle_inner(inner_oracle, k_max, n_max):
     assert_engine_matches(inner_oracle, k_max, n_max)
+
+
+@pytest.mark.parametrize("k_max, n_max", [(13, 13), (13, 9), (6, 13), (1, 13)])
+def test_engine_agrees_with_oracle_unperturbed(unperturbed_oracle, k_max, n_max):
+    assert_engine_matches(unperturbed_oracle, k_max, n_max)
+
+
+def test_unperturbed_oracle_is_not_vacuous(unperturbed_oracle):
+    counters = unperturbed_oracle.counters.values()
+    assert sum(c.balanced for c in counters) == 142
+    assert sum(c.sporadic for c in counters) == 10
+
+
+@pytest.mark.parametrize("profile", [X1[1], X1X2[1]])
+@pytest.mark.parametrize("n_total", range(8, 13))
+def test_witness_table_matches_classify_profile(n_total, profile):
+    # tables classifies engine hits through the census path; classify_profile
+    # over every degree set below the variable count is the reference
+    weights = WeightProfile(len(profile) - 1, profile)
+    want = {}
+    for degs in iter_degree_sets(n_total - 1):
+        verdict = classify_profile(SymmetricSpec(degs), weights, n_total)
+        if verdict.status is BalanceStatus.SPORADIC:
+            want[degs] = verdict.witness
+    assert _regenerate_witness_table(n_total, profile) == want
 
 
 def test_oracle_is_not_vacuous(total_oracle, inner_oracle):

@@ -2,11 +2,11 @@
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 import json
 import subprocess
 import sys
+from math import comb
 
 import pytest
 
@@ -406,12 +406,36 @@ class TestSearch:
         assert ck.read_bytes() == full_ck.read_bytes()
 
     def test_engine_classifier_disagreement_exits_one(self, capsys, monkeypatch):
-        classify = search_cli.classify_profile
+        engine = search_cli._balanced_degree_sets
 
-        def disagreeing(*args):
-            return dataclasses.replace(classify(*args), sign_sum=2)
+        def with_false_hit(lead, top, values, inner):
+            hits = engine(lead, top, values, inner)
+            if (lead, inner) == (2, 7):
+                hits.append((2,))  # S = -16 on 8 variables perturbed by x1
+            return hits
 
-        monkeypatch.setattr(search_cli, "classify_profile", disagreeing)
+        monkeypatch.setattr(search_cli, "_balanced_degree_sets", with_false_hit)
+        code, out, err = run_main(capsys, ["search", "--k-max", "4", "--n-max", "8"])
+        assert code == 1
+        assert out == ""
+        assert err.startswith("verification failed: census engine and classifier disagree")
+        assert err.rstrip().endswith("degrees [2] at n=8 (profile:1,-1): "
+                                     "not a solution: weighted sum is -8")
+
+    def test_witness_check_fault_exits_one(self, capsys, monkeypatch):
+        # The engine's weights and the witness check share the half row, so
+        # the engine keeps exact rows here and only the check is faulted.
+        monkeypatch.setattr(
+            search_cli, "_binomial_row", lambda n: [comb(n, l) for l in range(n + 1)]
+        )
+        real = diophantine._binomial_half_row
+
+        def faulty(n):
+            row = real(n)
+            row[-1] += 1
+            return row
+
+        monkeypatch.setattr(diophantine, "_binomial_half_row", faulty)
         code, out, err = run_main(capsys, ["search", "--k-max", "4", "--n-max", "8"])
         assert code == 1
         assert out == ""
