@@ -102,18 +102,28 @@ def classify(p: PerturbedSpec) -> BalanceVerdict:
     cycle = dv.halved() if p.j >= 1 else dv.values
     reps, rest = divmod(p.inner_n + 1, dv.period)
     entries = cycle * reps + cycle[:rest]
-    try:
-        key = canonical_key(SolutionVector(p.inner_n, entries))
-        trivial = _is_trivial_key(key)
-    except ValueError as exc:
-        raise VerificationError(
-            f"witness of the zero sign sum at n_total={p.n_total} (inner n={p.inner_n}, "
-            f"degrees {list(p.spec.degrees)}) fails its equation: {exc}"
-        ) from exc
-    status = BalanceStatus.TRIVIAL if trivial else BalanceStatus.SPORADIC
+    status, key = witness_status(
+        p.inner_n, entries,
+        f"witness of the zero sign sum at n_total={p.n_total} (inner n={p.inner_n}, "
+        f"degrees {list(p.spec.degrees)}) fails its equation",
+    )
     return BalanceVerdict(
         p.n_total, p.spec.degrees, p.j, p.describe(), 0, status, entries, key
     )
+
+
+def witness_status(inner_n: int, entries, context: str) -> tuple[BalanceStatus, FoldedKey]:
+    """Trivial or sporadic status and class key of a zero sign sum's witness.
+
+    A witness that fails sum over l of x_l * C(inner_n, l) = 0 means the zero
+    sign sum is wrong: VerificationError "<context>: <reason>".
+    """
+    try:
+        key = canonical_key(SolutionVector(inner_n, entries))
+        trivial = _is_trivial_key(key)
+    except ValueError as exc:
+        raise VerificationError(f"{context}: {exc}") from exc
+    return (BalanceStatus.TRIVIAL if trivial else BalanceStatus.SPORADIC), key
 
 
 def classify_profile(spec: SymmetricSpec, profile: WeightProfile, n_total: int,

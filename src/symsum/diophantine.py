@@ -207,10 +207,16 @@ def is_trivial_solution(v: SolutionVector) -> bool:
 
 
 def _is_trivial_key(key: FoldedKey) -> bool:
-    """Whether a class key is the zero class or, for even n, the alternating one."""
+    """Whether a class key is the zero class or, for even n, the alternating one.
+
+    For even n the alternating vector folds to pair sums 2 * (-1)**l and the
+    center (-1)**(n/2), already normalized, so its key is read off directly.
+    """
     if key.is_zero:
         return True
-    return key.n % 2 == 0 and key == alternating_key(key.n)
+    half = key.n // 2
+    return (key.n % 2 == 0 and key.center == (-1) ** half
+            and key.half == ((2, -2) * half)[:half])
 
 
 class TrivialForm(str, Enum):

@@ -40,6 +40,26 @@ def binom_parity(l: int, k: int) -> int:
     return 1 if k & ~l == 0 else 0
 
 
+def _subset_masks(n: int) -> list[int]:
+    """masks[t] has bit k set exactly when k is a bit-subset of t, t <= n.
+
+    By Lucas' theorem that is when C(t, k) is odd.  The submasks of t are
+    those of t without its lowest bit p, together with the same shifted by p.
+    """
+    masks = [1]
+    for t in range(1, n + 1):
+        rest = masks[t & (t - 1)]
+        masks.append(rest | rest << (t & -t))
+    return masks
+
+
+def sign_row(masks: list[int], degrees) -> list[int]:
+    """The Lucas signs (-1)**parity(masks[t] & D), D the degree mask, at the
+    weights t of ``_subset_masks``: (-1) to the sum of C(t, k) over the degrees."""
+    degree_mask = sum(1 << k for k in degrees)
+    return [1 - 2 * ((mask & degree_mask).bit_count() & 1) for mask in masks]
+
+
 @dataclass(frozen=True)
 class SymmetricSpec:
     """A strictly increasing tuple of elementary symmetric degrees."""
@@ -74,17 +94,10 @@ class SymmetricSpec:
         """Period 2**r of the sign pattern."""
         return 1 << self.r
 
-    def sign(self, l: int) -> int:
-        """(-1) to the sum of C(l, k) over the degrees, for l >= 0."""
-        p = 0
-        for k in self.degrees:
-            p ^= binom_parity(l, k)
-        return -1 if p else 1
-
     @cached_property
     def sign_row(self) -> tuple[int, ...]:
         """One full period of the sign pattern, index 0 first."""
-        return tuple(self.sign(l) for l in range(self.period))
+        return tuple(sign_row(_subset_masks(self.period - 1), self.degrees))
 
     def __str__(self) -> str:
         return "[" + ",".join(str(k) for k in self.degrees) + "]"

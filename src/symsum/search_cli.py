@@ -15,6 +15,7 @@ import json
 import os
 import sys
 from dataclasses import dataclass
+from math import comb
 from pathlib import Path
 
 from .balance import (
@@ -27,14 +28,13 @@ from .balance import (
     singmaster_gap,
     verify_even_linear_family,
     verify_x1_family,
+    witness_status,
 )
 from .boolean_core import WeightProfile, anf_parse, anf_to_function, weight_profile
 from .diophantine import (
     BudgetExceeded,
     FoldedKey,
     SolutionVector,
-    _binomial_row,
-    _is_trivial_key,
     canonical_key,
     class_enumeration_metric,
     count_classes,
@@ -43,7 +43,14 @@ from .diophantine import (
     enumerate_classes,
     gamma_via_integral,
 )
-from .expsum import PerturbedSpec, SymmetricSpec, delta_vector, periodic_binomial_sums
+from .expsum import (
+    PerturbedSpec,
+    SymmetricSpec,
+    _subset_masks,
+    delta_vector,
+    periodic_binomial_sums,
+    sign_row,
+)
 
 DEFAULT_GAMMA_BUDGET = 3.2e8
 DEFAULT_OMEGA_BUDGET = 1.5e8
@@ -108,20 +115,27 @@ def _parse_profile(text: str) -> tuple[int, ...]:
     return tuple(int(p) for p in text.replace(" ", "").split(",") if p)
 
 
+def _perturbation(values: tuple[int, ...] | None, anf: str | None,
+                  j: int | None) -> tuple[str, tuple[int, ...]]:
+    """(descriptor, profile values) of a perturbation given by its profile
+    values, or else by an ANF on j variables (default: its largest index)."""
+    if values is not None:
+        return f"profile:{','.join(map(str, values))}", values
+    expr = anf_parse(anf)
+    j = j or expr.max_index
+    if j == 0:
+        raise SystemExit2("constant expressions carry no variables; use --profile")
+    return f"anf:{expr}", weight_profile(anf_to_function(expr, j)).values
+
+
 def _perturbation_from_args(args) -> tuple[str, WeightProfile]:
     """Build (descriptor, profile) from --anf/--profile flags; default empty."""
-    if getattr(args, "anf", None) and getattr(args, "profile", None):
+    if args.anf and args.profile:
         raise SystemExit2("give either --anf or --profile, not both")
-    if getattr(args, "anf", None):
-        expr = anf_parse(args.anf)
-        j = args.vars if getattr(args, "vars", None) else expr.max_index
-        if j == 0:
-            raise SystemExit2("constant expressions carry no variables; use --profile")
-        f = anf_to_function(expr, j)
-        return f"anf:{expr}", weight_profile(f)
-    if getattr(args, "profile", None):
-        values = _parse_profile(args.profile)
-        return f"profile:{','.join(str(v) for v in values)}", WeightProfile(len(values) - 1, values)
+    if args.anf or args.profile:
+        values = _parse_profile(args.profile) if args.profile else None
+        desc, values = _perturbation(values, args.anf, args.vars)
+        return desc, WeightProfile(len(values) - 1, values)
     return "f=0", WeightProfile(0, (1,))
 
 
@@ -226,19 +240,6 @@ class FindingRecord:
         )
 
 
-def _subset_masks(n: int) -> list[int]:
-    """masks[t] has bit k set exactly when k is a bit-subset of t, t <= n.
-
-    By Lucas' theorem that is when C(t, k) is odd.  The submasks of t are
-    those of t without its lowest bit p, together with the same shifted by p.
-    """
-    masks = [1]
-    for t in range(1, n + 1):
-        rest = masks[t & (t - 1)]
-        masks.append(rest | rest << (t & -t))
-    return masks
-
-
 def _balanced_degree_sets(lead: int, top: int, values: tuple[int, ...],
                           inner: int) -> list[tuple[int, ...]]:
     """Degree sets with least degree ``lead`` and top degree at most ``top``
@@ -263,7 +264,9 @@ def _balanced_degree_sets(lead: int, top: int, values: tuple[int, ...],
     """
     j = len(values) - 1
     n_total = inner + j
-    row = _binomial_row(inner)
+    # Exact rows from math.comb, not diophantine's half row: every hit's
+    # witness is checked on that half row, so the engine must not share it.
+    row = [comb(inner, l) for l in range(inner + 1)]
     weights = [0] * (n_total + 1)
     for m, c in enumerate(values):
         for l, x in enumerate(row):
@@ -334,32 +337,25 @@ def _classify_hit(masks: list[int], degs: tuple[int, ...], n_total: int,
                   ) -> tuple[BalanceStatus, tuple[int, ...], FoldedKey]:
     """Status, witness and class key of a census hit, read off its sign bits.
 
-    The sign at weight t is (-1)**parity(masks[t] & D) for the degree mask D,
-    and the witness is x_l = sum over m of c_m * sign(l + m), halved when
-    j >= 1 (the scale ``classify`` presents).  The signs are recomputed from
-    the degrees rather than taken from the engine's bit pattern, so the
-    SolutionVector check sum x_l * C(inner, l) = S / 2 (S at j = 0) stays
-    independent of the engine: a false hit fails it, and that is raised as a
-    VerificationError.
+    The signs come from ``expsum.sign_row`` and the witness is x_l = sum over
+    m of c_m * sign(l + m), halved when j >= 1 (the scale ``classify``
+    presents).  The signs are recomputed from the degrees rather than taken
+    from the engine's bit pattern, so the witness check sum x_l * C(inner, l)
+    = S / 2 (S at j = 0) stays independent of the engine: a false hit fails
+    it, and that is raised as a VerificationError.
     """
     j = len(values) - 1
     inner = n_total - j
-    degree_mask = sum(1 << k for k in degs)
-    signs = [1 - 2 * ((mask & degree_mask).bit_count() & 1) for mask in masks[:n_total + 1]]
+    signs = sign_row(masks[:n_total + 1], degs)
     witness = [0] * (inner + 1)
     for m, c in enumerate(values):
         witness = [x + c * s for x, s in zip(witness, signs[m:])]
     if j:
         witness = [x // 2 for x in witness]
-    try:
-        key = canonical_key(SolutionVector(inner, witness))
-        trivial = _is_trivial_key(key)
-    except ValueError as exc:
-        raise VerificationError(
-            f"census engine and classifier disagree on degrees {list(degs)} "
-            f"at n={n_total} ({desc}): {exc}"
-        ) from exc
-    status = BalanceStatus.TRIVIAL if trivial else BalanceStatus.SPORADIC
+    status, key = witness_status(
+        inner, witness,
+        f"census engine and classifier disagree on degrees {list(degs)} at n={n_total} ({desc})",
+    )
     return status, tuple(witness), key
 
 
@@ -524,26 +520,18 @@ def cmd_classify(args) -> int:
 
 def _print_grid(title: str, n_values: list[int], j_values: list[int],
                 cells: dict[tuple[int, int], int | None], csv: bool) -> None:
+    text = {cell: "*" if v is None else str(v) for cell, v in cells.items()}
     if csv:
         print("j\\n," + ",".join(str(n) for n in n_values))
         for j in j_values:
-            row = [
-                "*" if cells[(n, j)] is None else str(cells[(n, j)]) for n in n_values
-            ]
-            print(f"{j}," + ",".join(row))
+            print(f"{j}," + ",".join(text[(n, j)] for n in n_values))
         return
     widths = [
-        max(len(f"n={n}"), max(len("*" if cells[(n, j)] is None else str(cells[(n, j)]))
-                               for j in j_values)) + 2
-        for n in n_values
+        max(len(f"n={n}"), max(len(text[(n, j)]) for j in j_values)) + 2 for n in n_values
     ]
     print(title.ljust(6) + "".join(f"n={n}".rjust(w) for n, w in zip(n_values, widths)))
     for j in j_values:
-        row = [
-            ("*" if cells[(n, j)] is None else str(cells[(n, j)])).rjust(w)
-            for n, w in zip(n_values, widths)
-        ]
-        print(f"j={j}".ljust(6) + "".join(row))
+        print(f"j={j}".ljust(6) + "".join(text[(n, j)].rjust(w) for n, w in zip(n_values, widths)))
 
 
 def cmd_gamma(args) -> int:
@@ -604,14 +592,8 @@ def cmd_omega(args) -> int:
 
 
 def _campaign_from_args(args, convention: str) -> Campaign:
-    perturbations = []
-    for text in args.profile or []:
-        values = _parse_profile(text)
-        perturbations.append((f"profile:{','.join(map(str, values))}", values))
-    for text in args.anf or []:
-        expr = anf_parse(text)
-        f = anf_to_function(expr, expr.max_index)
-        perturbations.append((f"anf:{expr}", tuple(weight_profile(f).values)))
+    perturbations = [_perturbation(_parse_profile(text), None, None) for text in args.profile or []]
+    perturbations += [_perturbation(None, text, None) for text in args.anf or []]
     if not perturbations:
         perturbations.append(("profile:1,-1", X1_PROFILE))
     return Campaign(
@@ -650,18 +632,10 @@ def cmd_search(args) -> int:
 
 def _regenerate_witness_table(n_total: int, profile_values: tuple[int, ...]):
     """Sporadic degree sets and witnesses at one variable count, top degree
-    below the variable count; the engine's hits are classified as the
-    census classifies them."""
-    inner = n_total - (len(profile_values) - 1)
-    desc = f"profile:{','.join(map(str, profile_values))}"
-    masks = _subset_masks(n_total)
-    out = {}
-    for lead in range(1, n_total):
-        for degs in _balanced_degree_sets(lead, n_total - 1, profile_values, inner):
-            status, witness, _ = _classify_hit(masks, degs, n_total, desc, profile_values)
-            if status is BalanceStatus.SPORADIC:
-                out[degs] = witness
-    return out
+    below the variable count: the sporadic findings of a census campaign."""
+    perturbation = _perturbation(profile_values, None, None)
+    _, findings = run_search(Campaign(n_total - 1, n_total, "total", (perturbation,), True))
+    return {rec.degrees: rec.witness for rec in findings if rec.n_total == n_total}
 
 
 def cmd_tables(args) -> int:
@@ -958,13 +932,7 @@ def main(argv=None) -> int:
             argv = [argv[0]] + merged + argv[1:]
         args = build_parser().parse_args(argv)
         return args.func(args)
-    except SystemExit2 as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except BudgetExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, OSError) as exc:
+    except (SystemExit2, BudgetExceeded, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except VerificationError as exc:

@@ -37,6 +37,7 @@ from symsum.diophantine import (
     _binomial_half_row,
     _binomial_row,
     _box_count,
+    _is_trivial_key,
     _normalize_components,
 )
 
@@ -162,6 +163,16 @@ class TestCanonicalKey:
         assert alternating_key(4).half == (2, -2)
         assert alternating_key(4).center == 1
         assert alternating_key(3) == zero_key(3)
+
+    def test_trivial_key_is_zero_or_alternating(self):
+        alternating = 0
+        for n in range(1, 11):
+            for j in range(1, 4):
+                for key in enumerate_classes(n, j):
+                    want = key.is_zero or key == alternating_key(n)
+                    assert _is_trivial_key(key) == want, key
+                    alternating += want and not key.is_zero
+        assert alternating == 15  # even n in 2..10, each at j = 1, 2, 3
 
     def test_key_validation(self):
         with pytest.raises(ValueError):

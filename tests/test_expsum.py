@@ -205,15 +205,23 @@ class TestDeltaVector:
         )
 
     def test_periodicity_of_defining_formula(self):
-        spec = SymmetricSpec((2, 5))
-        prof = WeightProfile(2, (1, 0, -1))
-        dv = delta_vector(spec, prof)
-        for a in range(4 * dv.period):
-            direct = sum(
-                prof.values[m] * (-1) ** sum(binom_parity(a + m, k) for k in spec.degrees)
-                for m in range(prof.j + 1)
-            )
-            assert dv.at(a) == direct
+        # Past the first case the profile is longer than the period, so the
+        # sign row must be read at (a + m) mod P.
+        expr = anf_parse("x1*x2 + x3")
+        cases = [((2, 5), WeightProfile(2, (1, 0, -1)))] + [
+            ((k,), weight_profile(anf_to_function(expr, j)))
+            for k, js in ((1, (3,)), (2, (4, 5, 6)), (3, (4, 5, 6)))
+            for j in js
+        ]
+        for degrees, prof in cases:
+            spec = SymmetricSpec(degrees)
+            dv = delta_vector(spec, prof)
+            for a in range(4 * dv.period):
+                direct = sum(
+                    prof.values[m] * (-1) ** sum(binom_parity(a + m, k) for k in spec.degrees)
+                    for m in range(prof.j + 1)
+                )
+                assert dv.at(a) == direct, (degrees, prof.values, a)
 
     def test_invariants_enforced(self):
         with pytest.raises(ValueError):

@@ -6,7 +6,6 @@ import itertools
 import json
 import subprocess
 import sys
-from math import comb
 
 import pytest
 
@@ -423,11 +422,9 @@ class TestSearch:
                                      "not a solution: weighted sum is -8")
 
     def test_witness_check_fault_exits_one(self, capsys, monkeypatch):
-        # The engine's weights and the witness check share the half row, so
-        # the engine keeps exact rows here and only the check is faulted.
-        monkeypatch.setattr(
-            search_cli, "_binomial_row", lambda n: [comb(n, l) for l in range(n + 1)]
-        )
+        # The engine builds its weights from math.comb, not from the half row
+        # the witness check uses, so a fault in that row trips the check.  The
+        # unperturbed profile has no alternating key check to stop it instead.
         real = diophantine._binomial_half_row
 
         def faulty(n):
@@ -436,10 +433,13 @@ class TestSearch:
             return row
 
         monkeypatch.setattr(diophantine, "_binomial_half_row", faulty)
-        code, out, err = run_main(capsys, ["search", "--k-max", "4", "--n-max", "8"])
-        assert code == 1
-        assert out == ""
-        assert err.startswith("verification failed: census engine and classifier disagree")
+        for profile in ([], ["--profile", "1"]):
+            code, out, err = run_main(
+                capsys, ["search", "--k-max", "4", "--n-max", "8"] + profile
+            )
+            assert code == 1, profile
+            assert out == ""
+            assert err.startswith("verification failed: census engine and classifier disagree")
 
     def test_resume_guards(self, capsys, tmp_path):
         ck = tmp_path / "ck.json"
