@@ -17,13 +17,14 @@ from dataclasses import dataclass
 from enum import Enum
 from math import comb
 
-from . import expsum
 from .boolean_core import BooleanFunction, WeightProfile
 from .diophantine import FoldedKey, SolutionVector, _is_trivial_key, canonical_key
 from .expsum import (
     PerturbedSpec,
     SymmetricSpec,
+    delta_row,
     delta_vector,
+    exp_sum_profile,
     periodic_binomial_sums,
 )
 
@@ -90,40 +91,43 @@ def classify(p: PerturbedSpec) -> BalanceVerdict:
     Raises VerificationError when the witness of a zero sign sum fails its
     binomial equation: both are the same sum, so that is an internal fault.
     """
-    dv = delta_vector(p.spec, p.profile)
-    # Through the expsum module, not this module's binding of the kernel:
-    # classify_balanced checks the window sweep against this sum.
-    s = expsum.periodic_binomial_sums(dv.values, p.inner_n, p.inner_n)[0]
+    s = exp_sum_profile(p.spec, p.profile, p.inner_n)
     if s != 0:
         return BalanceVerdict(
             p.n_total, p.spec.degrees, p.j, p.describe(), s,
             BalanceStatus.NOT_BALANCED, None, None,
         )
-    cycle = dv.halved() if p.j >= 1 else dv.values
-    reps, rest = divmod(p.inner_n + 1, dv.period)
-    entries = cycle * reps + cycle[:rest]
-    status, key = witness_status(
-        p.inner_n, entries,
+    status, witness, key = classify_zero(
+        p.spec.degrees, p.profile.values, p.n_total,
         f"witness of the zero sign sum at n_total={p.n_total} (inner n={p.inner_n}, "
         f"degrees {list(p.spec.degrees)}) fails its equation",
     )
     return BalanceVerdict(
-        p.n_total, p.spec.degrees, p.j, p.describe(), 0, status, entries, key
+        p.n_total, p.spec.degrees, p.j, p.describe(), 0, status, witness, key
     )
 
 
-def witness_status(inner_n: int, entries, context: str) -> tuple[BalanceStatus, FoldedKey]:
-    """Trivial or sporadic status and class key of a zero sign sum's witness.
+def classify_zero(degrees, values, n_total: int, context: str
+                  ) -> tuple[BalanceStatus, tuple[int, ...], FoldedKey]:
+    """Status, witness and class key of a zero sign sum.
 
-    A witness that fails sum over l of x_l * C(inner_n, l) = 0 means the zero
-    sign sum is wrong: VerificationError "<context>: <reason>".
+    The witness is ``delta_row`` along indices 0..inner_n, halved when the
+    profile ``values`` perturbs j >= 1 variables.  Its equation sum over l of
+    x_l * C(inner_n, l) = 0 is the sign sum S / 2 (S itself at j = 0), so a
+    claimed zero that is false fails it: VerificationError "<context>: <reason>".
     """
+    j = len(values) - 1
+    inner_n = n_total - j
+    witness = delta_row(degrees, values, inner_n + 1)
+    if j:
+        witness = [x // 2 for x in witness]
     try:
-        key = canonical_key(SolutionVector(inner_n, entries))
+        key = canonical_key(SolutionVector(inner_n, witness))
         trivial = _is_trivial_key(key)
     except ValueError as exc:
         raise VerificationError(f"{context}: {exc}") from exc
-    return (BalanceStatus.TRIVIAL if trivial else BalanceStatus.SPORADIC), key
+    status = BalanceStatus.TRIVIAL if trivial else BalanceStatus.SPORADIC
+    return status, tuple(witness), key
 
 
 def classify_profile(spec: SymmetricSpec, profile: WeightProfile, n_total: int,
@@ -136,19 +140,17 @@ def classify_profile(spec: SymmetricSpec, profile: WeightProfile, n_total: int,
     return verdict
 
 
-def classify_balanced(spec: SymmetricSpec, profile: WeightProfile, n_total: int) -> BalanceVerdict:
-    """Classify an index where a sign-sum sweep gave zero.
+def classify_balanced(spec: SymmetricSpec, profile: WeightProfile, n_total: int) -> BalanceStatus:
+    """Trivial or sporadic status of an index where a sign-sum sweep gave zero.
 
-    Raises VerificationError when the classifier's own sign sum is not zero:
-    the sweep and the classifier disagree, which is an internal fault.
+    Raises VerificationError when the witness fails its equation: the sweep's
+    zero is false, which is an internal fault.
     """
-    verdict = classify_profile(spec, profile, n_total)
-    if not verdict.balanced:
-        raise VerificationError(
-            f"sign-sum sweep gives 0 at n_total={n_total} (degrees {list(spec.degrees)}, "
-            f"profile {list(profile.values)}) but the classifier finds {verdict.sign_sum}"
-        )
-    return verdict
+    return classify_zero(
+        spec.degrees, profile.values, n_total,
+        f"sign-sum sweep gives 0 at n_total={n_total} (degrees {list(spec.degrees)}, "
+        f"profile {list(profile.values)}) but its witness fails its equation",
+    )[0]
 
 
 # ---------------------------------------------------------------------------
@@ -233,7 +235,7 @@ def balance_window_report(spec: SymmetricSpec, profile: WeightProfile,
     for n_total, s in zip(range(n_total_start, n_total_end + 1), sums):
         status = BalanceStatus.NOT_BALANCED
         if s == 0:
-            status = classify_balanced(spec, profile, n_total).status
+            status = classify_balanced(spec, profile, n_total)
         res = (n_total - j) % spec.period
         rep = reports[res]
         if rep.holds and s != 0:

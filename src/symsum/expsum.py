@@ -181,16 +181,22 @@ class DeltaVector:
         return tuple(v // 2 for v in self.values)
 
 
+def delta_row(degrees, values, length: int) -> list[int]:
+    """sum over m of values[m] * sign(l + m) for l < length: the weights that
+    the perturbation with weight profile ``values`` lays on the binomial row.
+
+    This is the one place where a profile meets the Lucas signs.
+    """
+    row = [0] * length
+    signs = sign_row(_subset_masks(length + len(values) - 2), degrees)
+    for m, c in enumerate(values):
+        row = [x + c * s for x, s in zip(row, signs[m:])]
+    return row
+
+
 def delta_vector(spec: SymmetricSpec, profile: WeightProfile) -> DeltaVector:
     """Periodic weight vector of a perturbation given by its weight profile."""
-    period = spec.period
-    row = spec.sign_row
-    mask = period - 1
-    values = tuple(
-        sum(c * row[(a + m) & mask] for m, c in enumerate(profile.values))
-        for a in range(period)
-    )
-    return DeltaVector(profile.j, spec.r, values)
+    return DeltaVector(profile.j, spec.r, delta_row(spec.degrees, profile.values, spec.period))
 
 
 def exp_sum_profile(spec: SymmetricSpec, profile: WeightProfile, inner_n: int) -> int:

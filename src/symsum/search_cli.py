@@ -23,17 +23,16 @@ from .balance import (
     VerificationError,
     classify_balanced,
     classify_profile,
+    classify_zero,
     luca_szalay_gap,
     periodic_propagation,
     singmaster_gap,
     verify_even_linear_family,
     verify_x1_family,
-    witness_status,
 )
 from .boolean_core import WeightProfile, anf_parse, anf_to_function, weight_profile
 from .diophantine import (
     BudgetExceeded,
-    FoldedKey,
     SolutionVector,
     canonical_key,
     class_enumeration_metric,
@@ -49,7 +48,6 @@ from .expsum import (
     _subset_masks,
     delta_vector,
     periodic_binomial_sums,
-    sign_row,
 )
 
 DEFAULT_GAMMA_BUDGET = 3.2e8
@@ -332,33 +330,6 @@ class ScanCounters:
         self.sporadic += other.sporadic
 
 
-def _classify_hit(masks: list[int], degs: tuple[int, ...], n_total: int,
-                  desc: str, values: tuple[int, ...]
-                  ) -> tuple[BalanceStatus, tuple[int, ...], FoldedKey]:
-    """Status, witness and class key of a census hit, read off its sign bits.
-
-    The signs come from ``expsum.sign_row`` and the witness is x_l = sum over
-    m of c_m * sign(l + m), halved when j >= 1 (the scale ``classify``
-    presents).  The signs are recomputed from the degrees rather than taken
-    from the engine's bit pattern, so the witness check sum x_l * C(inner, l)
-    = S / 2 (S at j = 0) stays independent of the engine: a false hit fails
-    it, and that is raised as a VerificationError.
-    """
-    j = len(values) - 1
-    inner = n_total - j
-    signs = sign_row(masks[:n_total + 1], degs)
-    witness = [0] * (inner + 1)
-    for m, c in enumerate(values):
-        witness = [x + c * s for x, s in zip(witness, signs[m:])]
-    if j:
-        witness = [x // 2 for x in witness]
-    status, key = witness_status(
-        inner, witness,
-        f"census engine and classifier disagree on degrees {list(degs)} at n={n_total} ({desc})",
-    )
-    return status, tuple(witness), key
-
-
 def _scan_leading_degree(campaign: Campaign, lead: int) -> tuple[ScanCounters, list[FindingRecord]]:
     """Evaluate the campaign over the degree sets with least degree ``lead``.
 
@@ -379,10 +350,13 @@ def _scan_leading_degree(campaign: Campaign, lead: int) -> tuple[ScanCounters, l
                 for degs in _balanced_degree_sets(lead, top, values, n_total - j)
             ]
     findings: list[FindingRecord] = []
-    masks = _subset_masks(max((n_total for _, n_total, _ in hits), default=0))
     for degs, n_total, index in sorted(hits):
         desc, values = campaign.perturbations[index]
-        status, witness, key = _classify_hit(masks, degs, n_total, desc, values)
+        status, witness, key = classify_zero(
+            degs, values, n_total,
+            f"census engine and classifier disagree on degrees {list(degs)} "
+            f"at n={n_total} ({desc})",
+        )
         counters.balanced += 1
         if status is BalanceStatus.SPORADIC:
             counters.sporadic += 1
@@ -773,11 +747,11 @@ def cmd_conjecture_scan(args) -> int:
         for n_total, s in zip(range(2, args.n_max + 1), sums):
             if s != 0:
                 continue
-            verdict = classify_balanced(spec, profile, n_total)
+            status = classify_balanced(spec, profile, n_total).value
             on_residue = n_total % spec.period == residue
             if not on_residue:
                 off_residue += 1
-            rows.append((k, n_total, verdict.status.value, on_residue))
+            rows.append((k, n_total, status, on_residue))
     for k, n_total, status, on_residue in rows:
         marker = "" if on_residue else "  <-- OFF-RESIDUE"
         print(f"k={k} n={n_total} status={status} "
@@ -885,7 +859,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load_config(path: str) -> list[str]:
-    """Turn key=value lines into long flags (bare flags use true/false)."""
+    """Turn key=value lines into one --key=value token each (bare flags use
+    true/false), so a value starting with '-' is not read as a flag."""
     flags: list[str] = []
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), 1):
         line = raw.strip()
@@ -901,7 +876,7 @@ def _load_config(path: str) -> list[str]:
         elif value.lower() == "false":
             continue
         else:
-            flags.extend([flag, value])
+            flags.append(f"{flag}={value}")
     return flags
 
 
@@ -918,17 +893,7 @@ def main(argv=None) -> int:
             if not argv:
                 raise SystemExit2("--config needs a subcommand")
             explicit = {tok.split("=", 1)[0] for tok in argv[1:] if tok.startswith("--")}
-            merged: list[str] = []
-            skip_value = False
-            for i, tok in enumerate(config_flags):
-                if skip_value:
-                    skip_value = False
-                    continue
-                if tok in explicit:
-                    nxt = config_flags[i + 1] if i + 1 < len(config_flags) else ""
-                    skip_value = not nxt.startswith("--") and i + 1 < len(config_flags)
-                    continue
-                merged.append(tok)
+            merged = [tok for tok in config_flags if tok.split("=", 1)[0] not in explicit]
             argv = [argv[0]] + merged + argv[1:]
         args = build_parser().parse_args(argv)
         return args.func(args)

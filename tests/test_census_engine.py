@@ -99,6 +99,10 @@ def oracle_scan(campaign: Campaign, degree_sets) -> tuple[ScanCounters, list[Fin
                     SymmetricSpec(degs), WeightProfile(j, values), n_total, desc
                 )
                 assert verdict.sign_sum == 0
+                # the witness from this scan's own linear deltas, not from the
+                # delta_row kernel that classify_profile and the census classifier share
+                want = deltas[desc][:inner + 1]
+                assert verdict.witness == tuple(x // 2 if j else x for x in want)
                 if verdict.status is BalanceStatus.SPORADIC:
                     counters.sporadic += 1
                 else:

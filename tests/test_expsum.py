@@ -28,6 +28,7 @@ from symsum import (
     shifted_identity_gap,
     weight_profile,
 )
+from symsum.expsum import delta_row
 
 from conftest import (
     brute_force_sign_sum,
@@ -216,12 +217,15 @@ class TestDeltaVector:
         for degrees, prof in cases:
             spec = SymmetricSpec(degrees)
             dv = delta_vector(spec, prof)
+            row = delta_row(spec.degrees, prof.values, 4 * dv.period)
+            assert len(row) == 4 * dv.period
             for a in range(4 * dv.period):
                 direct = sum(
                     prof.values[m] * (-1) ** sum(binom_parity(a + m, k) for k in spec.degrees)
                     for m in range(prof.j + 1)
                 )
                 assert dv.at(a) == direct, (degrees, prof.values, a)
+                assert row[a] == direct, (degrees, prof.values, a)
 
     def test_invariants_enforced(self):
         with pytest.raises(ValueError):

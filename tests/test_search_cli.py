@@ -574,6 +574,18 @@ class TestConfig:
         values = tuple(int(l.split()[1]) for l in out.strip().splitlines())
         assert values == DEGREE5_ROW
 
+    def test_config_value_may_start_with_a_dash(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("degrees=4\nn=2..6\nprofile = -1,1\n")
+        code, out, err = run_main(capsys, ["--config", str(cfg), "expsum"])
+        assert (code, err) == (0, "")
+        assert out == run_main(capsys, ["expsum", "--degrees", "4", "--n", "2..6",
+                                        "--profile=-1,1"])[1]
+        _, flipped, _ = run_main(capsys, ["expsum", "--degrees", "4", "--n", "2..6",
+                                          "--profile", "1,-1"])
+        assert [int(l.split()[1]) for l in out.splitlines()] == \
+            [-int(l.split()[1]) for l in flipped.splitlines()]
+
     def test_config_errors(self, capsys, tmp_path):
         bad = tmp_path / "bad.cfg"
         bad.write_text("degrees 4\n")

@@ -27,3 +27,17 @@ def test_no_unused_imports(path):
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     unused = {name: line for name, line in imported.items() if name not in used}
     assert not unused, f"{path.name}: unused imports (name: line) {unused}"
+
+
+def test_every_private_function_is_referenced():
+    trees = [ast.parse(path.read_text()) for path in PACKAGE.glob("*.py")]
+    nodes = [node for tree in trees for node in ast.walk(tree)]
+    defined = {
+        node.name for node in nodes
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and node.name.startswith("_") and not node.name.endswith("__")
+    }
+    used = {node.id for node in nodes if isinstance(node, ast.Name)}
+    used |= {node.attr for node in nodes if isinstance(node, ast.Attribute)}
+    assert defined, "no private functions found"
+    assert not defined - used, f"private functions never referenced: {sorted(defined - used)}"
