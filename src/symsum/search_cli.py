@@ -20,6 +20,7 @@ from pathlib import Path
 
 from .balance import (
     BalanceStatus,
+    BalanceVerdict,
     VerificationError,
     classify_balanced,
     classify_profile,
@@ -120,18 +121,19 @@ def _perturbation(values: tuple[int, ...] | None, anf: str | None,
     if values is not None:
         return f"profile:{','.join(map(str, values))}", values
     expr = anf_parse(anf)
-    j = j or expr.max_index
-    if j == 0:
+    if j is None:
+        j = expr.max_index
+    if j == 0 and expr.max_index == 0:
         raise SystemExit2("constant expressions carry no variables; use --profile")
     return f"anf:{expr}", weight_profile(anf_to_function(expr, j)).values
 
 
 def _perturbation_from_args(args) -> tuple[str, WeightProfile]:
     """Build (descriptor, profile) from --anf/--profile flags; default empty."""
-    if args.anf and args.profile:
+    if args.anf is not None and args.profile is not None:
         raise SystemExit2("give either --anf or --profile, not both")
-    if args.anf or args.profile:
-        values = _parse_profile(args.profile) if args.profile else None
+    if args.anf is not None or args.profile is not None:
+        values = None if args.profile is None else _parse_profile(args.profile)
         desc, values = _perturbation(values, args.anf, args.vars)
         return desc, WeightProfile(len(values) - 1, values)
     return "f=0", WeightProfile(0, (1,))
@@ -198,44 +200,6 @@ class Campaign:
         if self.n_convention == "total":
             return min(self.k_max, n_total - 1)
         return min(self.k_max, n_total - j)
-
-
-@dataclass(frozen=True)
-class FindingRecord:
-    """One balanced case found by a campaign; re-checkable from its fields."""
-
-    n_total: int
-    degrees: tuple[int, ...]
-    j: int
-    perturbation: str
-    profile: tuple[int, ...]
-    status: str
-    witness: tuple[int, ...]
-    key: dict
-
-    def to_json(self) -> dict:
-        return {
-            "n_total": self.n_total,
-            "degrees": list(self.degrees),
-            "perturbation": self.perturbation,
-            "S": 0,
-            "status": self.status,
-            "witness": list(self.witness),
-            "key": self.key,
-        }
-
-    def verify(self) -> bool:
-        """Re-derive the classification from scratch and compare."""
-        verdict = classify_profile(
-            SymmetricSpec(self.degrees), WeightProfile(self.j, self.profile), self.n_total
-        )
-        return (
-            verdict.sign_sum == 0
-            and verdict.status.value == self.status
-            and verdict.witness == self.witness
-            and verdict.key is not None
-            and verdict.key.to_json() == self.key
-        )
 
 
 def _balanced_degree_sets(lead: int, top: int, values: tuple[int, ...],
@@ -330,7 +294,7 @@ class ScanCounters:
         self.sporadic += other.sporadic
 
 
-def _scan_leading_degree(campaign: Campaign, lead: int) -> tuple[ScanCounters, list[FindingRecord]]:
+def _scan_leading_degree(campaign: Campaign, lead: int) -> tuple[ScanCounters, list[BalanceVerdict]]:
     """Evaluate the campaign over the degree sets with least degree ``lead``.
 
     Each (variable count, perturbation) cell covers the 2**(top - lead)
@@ -349,7 +313,7 @@ def _scan_leading_degree(campaign: Campaign, lead: int) -> tuple[ScanCounters, l
                 (degs, n_total, index)
                 for degs in _balanced_degree_sets(lead, top, values, n_total - j)
             ]
-    findings: list[FindingRecord] = []
+    findings: list[BalanceVerdict] = []
     for degs, n_total, index in sorted(hits):
         desc, values = campaign.perturbations[index]
         status, witness, key = classify_zero(
@@ -365,23 +329,14 @@ def _scan_leading_degree(campaign: Campaign, lead: int) -> tuple[ScanCounters, l
         if campaign.sporadic_only and status is not BalanceStatus.SPORADIC:
             continue
         findings.append(
-            FindingRecord(
-                n_total=n_total,
-                degrees=degs,
-                j=len(values) - 1,
-                perturbation=desc,
-                profile=values,
-                status=status.value,
-                witness=witness,
-                key=key.to_json(),
-            )
+            BalanceVerdict(n_total, degs, len(values) - 1, desc, 0, status, witness, key)
         )
     return counters, findings
 
 
 def run_search(campaign: Campaign, out_path: Path | None = None,
                checkpoint_path: Path | None = None, resume: bool = False,
-               log=lambda s: None) -> tuple[ScanCounters, list[FindingRecord]]:
+               log=lambda s: None) -> tuple[ScanCounters, list[BalanceVerdict]]:
     """Run a campaign with deterministic output and optional checkpointing.
 
     Degree sets are processed in chunks by leading degree, in order, so
@@ -393,7 +348,7 @@ def run_search(campaign: Campaign, out_path: Path | None = None,
     digest = campaign.digest()
     start_chunk = 0
     counters = ScanCounters()
-    findings: list[FindingRecord] = []
+    findings: list[BalanceVerdict] = []
     if resume:
         if checkpoint_path is None or not checkpoint_path.exists():
             raise SystemExit2("--resume needs an existing --checkpoint file")
@@ -402,17 +357,9 @@ def run_search(campaign: Campaign, out_path: Path | None = None,
             raise SystemExit2("checkpoint belongs to a different campaign")
         start_chunk = state["chunks_done"]
         counters = ScanCounters(**state["counters"])
+        profiles = dict(campaign.perturbations)
         findings = [
-            FindingRecord(
-                n_total=rec["n_total"],
-                degrees=tuple(rec["degrees"]),
-                j=len(rec["profile"]) - 1,
-                perturbation=rec["perturbation"],
-                profile=tuple(rec["profile"]),
-                status=rec["status"],
-                witness=tuple(rec["witness"]),
-                key=rec["key"],
-            )
+            BalanceVerdict.from_record(rec, len(profiles[rec["perturbation"]]) - 1)
             for rec in state["findings"]
         ]
         log(f"resumed at chunk {start_chunk} with {counters.candidates} candidates done")
@@ -435,21 +382,19 @@ def run_search(campaign: Campaign, out_path: Path | None = None,
             header = {"type": "campaign", **campaign.to_json(), "digest": digest}
             fh.write(json.dumps(header, sort_keys=True) + "\n")
             for rec in findings:
-                fh.write(json.dumps(rec.to_json(), sort_keys=True) + "\n")
+                fh.write(json.dumps(rec.to_record(), sort_keys=True) + "\n")
     return counters, findings
 
 
 def _write_checkpoint(path: Path, digest: str, chunks_done: int,
-                      counters: ScanCounters, findings: list[FindingRecord]) -> None:
+                      counters: ScanCounters, findings: list[BalanceVerdict]) -> None:
     """Replace the checkpoint atomically: an interrupted write leaves the
     previous checkpoint in place."""
     state = {
         "digest": digest,
         "chunks_done": chunks_done,
         "counters": counters.to_json(),
-        "findings": [
-            {**rec.to_json(), "profile": list(rec.profile)} for rec in findings
-        ],
+        "findings": [rec.to_record() for rec in findings],
     }
     tmp = path.with_name(f".{path.name}.tmp")
     with tmp.open("w") as fh:
@@ -548,12 +493,16 @@ def cmd_omega(args) -> int:
         for j in j_values
         for n in n_values
     }
+    if args.classes_out:
+        # built before anything is printed or opened: an over-budget cell is
+        # a usage error that leaves neither output nor file
+        n, j = n_values[0], j_values[0]
+        classes = enumerate_classes(n, j, budget)
     _print_grid("class", n_values, j_values, cells, args.csv)
     if args.classes_out:
-        n, j = n_values[0], j_values[0]
         with Path(args.classes_out).open("w") as fh:
             for key, rep in sorted(
-                enumerate_classes(n, j, budget).items(),
+                classes.items(),
                 key=lambda kv: (kv[0].is_zero, kv[0].half, kv[0].center or 0),
             ):
                 fh.write(json.dumps({

@@ -305,7 +305,10 @@ def test_criterion_10_exhaustive_census():
         assert counters.balanced == counters.trivial + counters.sporadic
         assert len(findings) == want
         for rec in random.Random(0xCE25).sample(findings, 12):
-            assert rec.verify()
+            assert rec == classify_profile(
+                SymmetricSpec(rec.degrees), WeightProfile(rec.j, perturbation[1]),
+                rec.n_total, rec.perturbation,
+            )
     assert time.monotonic() - start < 1200.0
 
 

@@ -19,6 +19,7 @@ import pytest
 
 from symsum import (
     BalanceStatus,
+    BalanceVerdict,
     SymmetricSpec,
     WeightProfile,
     anf_parse,
@@ -28,7 +29,6 @@ from symsum import (
 )
 from symsum.search_cli import (
     Campaign,
-    FindingRecord,
     ScanCounters,
     _regenerate_witness_table,
     _scan_leading_degree,
@@ -58,7 +58,7 @@ def parity_masks(k_max: int, width: int) -> list[int]:
     ]
 
 
-def oracle_scan(campaign: Campaign, degree_sets) -> tuple[ScanCounters, list[FindingRecord]]:
+def oracle_scan(campaign: Campaign, degree_sets) -> tuple[ScanCounters, list[BalanceVerdict]]:
     """Evaluate the campaign over the given degree sets, in order."""
     max_j = max(len(v) - 1 for _, v in campaign.perturbations)
     inner_max = campaign.n_max
@@ -66,7 +66,7 @@ def oracle_scan(campaign: Campaign, degree_sets) -> tuple[ScanCounters, list[Fin
     masks = parity_masks(campaign.k_max, width)
     rows = [[comb(n, l) for l in range(n + 1)] for n in range(inner_max + 1)]
     counters = ScanCounters()
-    findings: list[FindingRecord] = []
+    findings: list[BalanceVerdict] = []
     profiles = [
         (desc, values, len(values) - 1) for desc, values in campaign.perturbations
     ]
@@ -109,18 +109,7 @@ def oracle_scan(campaign: Campaign, degree_sets) -> tuple[ScanCounters, list[Fin
                     counters.trivial += 1
                 if campaign.sporadic_only and verdict.status is not BalanceStatus.SPORADIC:
                     continue
-                findings.append(
-                    FindingRecord(
-                        n_total=n_total,
-                        degrees=degs,
-                        j=j,
-                        perturbation=desc,
-                        profile=values,
-                        status=verdict.status.value,
-                        witness=verdict.witness,
-                        key=verdict.key.to_json(),
-                    )
-                )
+                findings.append(verdict)
     return counters, findings
 
 
@@ -130,7 +119,7 @@ class OracleCensus:
 
     def __init__(self, campaign: Campaign) -> None:
         self.campaign = campaign
-        self.findings: dict[int, list[FindingRecord]] = {}
+        self.findings: dict[int, list[BalanceVerdict]] = {}
         self.counters: dict[int, ScanCounters] = {}
         self.degree_sets_by_top: Counter = Counter()
         sets = list(iter_degree_sets(campaign.k_max))
@@ -141,7 +130,7 @@ class OracleCensus:
             self.counters[lead] = counters
             self.findings[lead] = findings
 
-    def restricted(self, sub: Campaign, lead: int) -> tuple[ScanCounters, list[FindingRecord]]:
+    def restricted(self, sub: Campaign, lead: int) -> tuple[ScanCounters, list[BalanceVerdict]]:
         assert sub.n_convention == self.campaign.n_convention
         assert sub.perturbations == self.campaign.perturbations
         assert sub.k_max <= self.campaign.k_max and sub.n_max <= self.campaign.n_max

@@ -11,6 +11,7 @@ import pytest
 
 from symsum import (
     BalanceStatus,
+    BalanceVerdict,
     SolutionVector,
     SymmetricSpec,
     WeightProfile,
@@ -20,7 +21,7 @@ from symsum import (
     weight_profile,
 )
 from symsum import diophantine, search_cli
-from symsum.search_cli import Campaign, FindingRecord, main, run_search
+from symsum.search_cli import Campaign, main, run_search
 
 from conftest import brute_force_sign_sum
 
@@ -81,6 +82,41 @@ class TestExpsumCommand:
         code, _, err = run_main(capsys, ["expsum", "--degrees", "4", "--n", "9..2"])
         assert code == 2
         assert "error:" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["expsum", "--degrees", "3", "--n", "2..4"],
+        ["classify", "--degrees", "3", "--n", "2..4"],
+        ["search", "--k-max", "3", "--n-max", "4"],
+    ],
+    ids=["expsum", "classify", "search"],
+)
+@pytest.mark.parametrize(
+    "flag, message",
+    [("--profile", "variable count must be nonnegative"),
+     ("--anf", "empty expression (at position 0)")],
+)
+def test_empty_perturbation_is_a_usage_error(capsys, argv, flag, message):
+    # an empty value is a perturbation that fails to parse, not an absent flag
+    code, out, err = run_main(capsys, argv + [flag, ""])
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("command", ["expsum", "classify"])
+def test_anf_variable_count_zero_is_not_ignored(capsys, command):
+    argv = [command, "--degrees", "3", "--n", "2..4"]
+    code, out, err = run_main(capsys, argv + ["--anf", "x1", "--vars", "0"])
+    assert code == 2
+    assert out == ""
+    assert err == "error: expression uses x1 but only 0 variables given\n"
+    code, out, err = run_main(capsys, argv + ["--anf", "1"])
+    assert code == 2
+    assert out == ""
+    assert err == "error: constant expressions carry no variables; use --profile\n"
 
 
 class TestClassifyCommand:
@@ -207,6 +243,16 @@ class TestOmegaCommand:
         assert out == ""
         assert not path.exists()
 
+    def test_classes_out_over_budget_is_refused_before_any_output(self, capsys, tmp_path):
+        path = tmp_path / "x"
+        code, out, err = run_main(
+            capsys, ["omega", "--n", "10", "--j", "4", "--classes-out", str(path)]
+        )
+        assert code == 2
+        assert "exceeds budget" in err
+        assert out == ""
+        assert not path.exists()
+
     def test_level_zero_is_a_usage_error(self, capsys, tmp_path):
         path = tmp_path / "x"
         code, out, err = run_main(
@@ -259,7 +305,7 @@ class TestSearch:
         campaign = self.small_campaign()
         counters, findings = run_search(campaign)
         candidates = balanced = trivial = sporadic = 0
-        recount: list[FindingRecord] = []
+        recount: list[BalanceVerdict] = []
         for size in range(1, campaign.k_max + 1):
             for degs in itertools.combinations(range(1, campaign.k_max + 1), size):
                 for desc, values in campaign.perturbations:
@@ -283,10 +329,27 @@ class TestSearch:
         assert len(findings) == balanced
 
     def test_findings_reverify(self):
-        counters, findings = run_search(self.small_campaign())
+        campaign = self.small_campaign()
+        counters, findings = run_search(campaign)
         assert findings
+        profiles = dict(campaign.perturbations)
         for rec in findings:
-            assert rec.verify()
+            assert rec == classify_profile(
+                SymmetricSpec(rec.degrees), WeightProfile(rec.j, profiles[rec.perturbation]),
+                rec.n_total, rec.perturbation,
+            )
+
+    def test_finding_records_read_back(self):
+        # a record leaves out j; the campaign's perturbation fixes it
+        campaign = self.small_campaign(
+            perturbations=(("profile:1", (1,)),) + self.small_campaign().perturbations
+        )
+        _, findings = run_search(campaign)
+        assert {rec.j for rec in findings} == {0, 1, 2}
+        unbalanced = classify_profile(SymmetricSpec((14,)), WeightProfile(2, (1, -2, 1)), 23)
+        assert not unbalanced.balanced
+        for v in findings + [unbalanced]:
+            assert BalanceVerdict.from_record(v.to_record(), v.j) == v
 
     def test_sporadic_only_filters_findings_not_counters(self):
         full_counters, full_findings = run_search(self.small_campaign())
@@ -403,6 +466,47 @@ class TestSearch:
         assert stdout == want_stdout
         assert out.read_bytes() == full_out.read_bytes()
         assert ck.read_bytes() == full_ck.read_bytes()
+
+    @pytest.mark.parametrize("chunks_before_crash", [1, 3])
+    def test_resume_reads_checkpoints_that_carry_profiles(
+        self, tmp_path, monkeypatch, chunks_before_crash
+    ):
+        # Checkpoints used to store each finding's profile; the campaign digest
+        # fixes it, so resume takes j from the campaign and ignores the key.
+        campaign = self.small_campaign(
+            k_max=6, n_max=10,
+            perturbations=(("profile:1", (1,)),) + self.small_campaign().perturbations,
+        )
+        full_out = tmp_path / "full.jsonl"
+        want = run_search(campaign, full_out)
+
+        class Interrupted(Exception):
+            pass
+
+        scan = search_cli._scan_leading_degree
+
+        def scan_then_crash(campaign, lead):
+            if lead > chunks_before_crash:
+                raise Interrupted
+            return scan(campaign, lead)
+
+        out, ck = tmp_path / "run.jsonl", tmp_path / "run.json"
+        monkeypatch.setattr(search_cli, "CHECKPOINT_EVERY", 1)
+        monkeypatch.setattr(search_cli, "_scan_leading_degree", scan_then_crash)
+        with pytest.raises(Interrupted):
+            run_search(campaign, out, ck)
+        monkeypatch.setattr(search_cli, "_scan_leading_degree", scan)
+
+        state = json.loads(ck.read_text())
+        assert state["chunks_done"] == chunks_before_crash
+        profiles = dict(campaign.perturbations)
+        assert {rec["perturbation"] for rec in state["findings"]} == set(profiles)
+        for rec in state["findings"]:
+            rec["profile"] = list(profiles[rec["perturbation"]])
+        ck.write_text(json.dumps(state, sort_keys=True))
+
+        assert run_search(campaign, out, ck, resume=True) == want
+        assert out.read_bytes() == full_out.read_bytes()
 
     def test_engine_classifier_disagreement_exits_one(self, capsys, monkeypatch):
         engine = search_cli._balanced_degree_sets
