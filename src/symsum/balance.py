@@ -13,6 +13,7 @@ residue is balanced.
 from __future__ import annotations
 
 import dataclasses
+from collections.abc import Iterator
 from dataclasses import dataclass
 from enum import Enum
 from math import comb
@@ -24,7 +25,6 @@ from .expsum import (
     SymmetricSpec,
     delta_row,
     delta_vector,
-    exp_sum_profile,
     periodic_binomial_sums,
 )
 
@@ -97,30 +97,49 @@ class BalanceVerdict:
 
 
 def classify(p: PerturbedSpec) -> BalanceVerdict:
-    """Balance status of a perturbed symmetric function, with witness.
+    """Balance status of a perturbed symmetric function, with witness."""
+    return next(classify_range(p.spec, p.profile, p.n_total, p.n_total, p.describe()))
 
-    Raises VerificationError when the witness of a zero sign sum fails its
-    binomial equation: both are the same sum, so that is an internal fault.
+
+def classify_profile(spec: SymmetricSpec, profile: WeightProfile, n_total: int,
+                     perturbation: str | None = None) -> BalanceVerdict:
+    """Classify with the perturbation given by its weight profile."""
+    if perturbation is None:
+        perturbation = f"n={n_total} degrees={spec} profile={list(profile.values)}"
+    return next(classify_range(spec, profile, n_total, n_total, perturbation))
+
+
+def classify_range(spec: SymmetricSpec, profile: WeightProfile, n_lo: int, n_hi: int,
+                   perturbation: str) -> Iterator[BalanceVerdict]:
+    """Verdicts for n_total = n_lo..n_hi in order, all with the descriptor
+    ``perturbation``.
+
+    The sign sums come from one sweep over the range, made by the call; only
+    the indices where the sweep gives zero are classified, each as the
+    iterator reaches it, so one witness is held at a time.  Raises
+    VerificationError when the witness of such a zero fails its equation:
+    both are the same sum, so that is an internal fault.
     """
-    s = exp_sum_profile(p.spec, p.profile, p.inner_n)
-    if s != 0:
-        return BalanceVerdict(
-            p.n_total, p.spec.degrees, p.j, p.describe(), s,
-            BalanceStatus.NOT_BALANCED, None, None,
+    j = profile.j
+    if n_lo <= j:
+        raise ValueError("need more variables than the perturbation touches")
+    sums = periodic_binomial_sums(delta_vector(spec, profile).values, n_lo - j, n_hi - j)
+    return (
+        classify_zero(
+            spec.degrees, profile.values, n_total, perturbation,
+            f"sign-sum sweep gives 0 at n_total={n_total} (inner n={n_total - j}, "
+            f"degrees {list(spec.degrees)}) for profile {list(profile.values)} "
+            f"but its witness fails its equation",
+        ) if s == 0 else BalanceVerdict(
+            n_total, spec.degrees, j, perturbation, s, BalanceStatus.NOT_BALANCED, None, None
         )
-    status, witness, key = classify_zero(
-        p.spec.degrees, p.profile.values, p.n_total,
-        f"witness of the zero sign sum at n_total={p.n_total} (inner n={p.inner_n}, "
-        f"degrees {list(p.spec.degrees)}) fails its equation",
-    )
-    return BalanceVerdict(
-        p.n_total, p.spec.degrees, p.j, p.describe(), 0, status, witness, key
+        for n_total, s in zip(range(n_lo, n_hi + 1), sums)
     )
 
 
-def classify_zero(degrees, values, n_total: int, context: str
-                  ) -> tuple[BalanceStatus, tuple[int, ...], FoldedKey]:
-    """Status, witness and class key of a zero sign sum.
+def classify_zero(degrees: tuple[int, ...], values: tuple[int, ...], n_total: int,
+                  perturbation: str, context: str) -> BalanceVerdict:
+    """Verdict of a zero sign sum: trivial or sporadic, with witness and key.
 
     The witness is ``delta_row`` along indices 0..inner_n, halved when the
     profile ``values`` perturbs j >= 1 variables.  Its equation sum over l of
@@ -138,30 +157,7 @@ def classify_zero(degrees, values, n_total: int, context: str
     except ValueError as exc:
         raise VerificationError(f"{context}: {exc}") from exc
     status = BalanceStatus.TRIVIAL if trivial else BalanceStatus.SPORADIC
-    return status, tuple(witness), key
-
-
-def classify_profile(spec: SymmetricSpec, profile: WeightProfile, n_total: int,
-                     perturbation: str | None = None) -> BalanceVerdict:
-    """Classify with the perturbation given by its weight profile."""
-    p = PerturbedSpec(spec, None, n_total, profile_override=profile)
-    verdict = classify(p)
-    if perturbation is not None:
-        verdict = dataclasses.replace(verdict, perturbation=perturbation)
-    return verdict
-
-
-def classify_balanced(spec: SymmetricSpec, profile: WeightProfile, n_total: int) -> BalanceStatus:
-    """Trivial or sporadic status of an index where a sign-sum sweep gave zero.
-
-    Raises VerificationError when the witness fails its equation: the sweep's
-    zero is false, which is an internal fault.
-    """
-    return classify_zero(
-        spec.degrees, profile.values, n_total,
-        f"sign-sum sweep gives 0 at n_total={n_total} (degrees {list(spec.degrees)}, "
-        f"profile {list(profile.values)}) but its witness fails its equation",
-    )[0]
+    return BalanceVerdict(n_total, degrees, j, perturbation, 0, status, tuple(witness), key)
 
 
 # ---------------------------------------------------------------------------
@@ -228,42 +224,32 @@ class WindowEntry:
 
 def balance_window_report(spec: SymmetricSpec, profile: WeightProfile,
                           n_total_start: int, n_total_end: int) -> list[WindowEntry]:
-    """Classify every index in a window and compare with the residue criterion.
-
-    The sign sums come from one sweep over the window; only the indices where
-    the sweep gives zero are classified.
-    """
-    if n_total_start <= profile.j:
-        raise ValueError("window starts inside the perturbed block")
+    """Classify every index in a window (one ``classify_range`` sweep) and
+    compare with the residue criterion."""
     reports = {
         res: eventual_balance(spec, profile, res) for res in range(spec.period)
     }
-    j = profile.j
-    sums = periodic_binomial_sums(
-        delta_vector(spec, profile).values, n_total_start - j, n_total_end - j
-    )
     out: list[WindowEntry] = []
-    for n_total, s in zip(range(n_total_start, n_total_end + 1), sums):
-        status = BalanceStatus.NOT_BALANCED
-        if s == 0:
-            status = classify_balanced(spec, profile, n_total)
-        res = (n_total - j) % spec.period
+    for v in classify_range(spec, profile, n_total_start, n_total_end,
+                            f"profile={list(profile.values)}"):
+        res = v.inner_n % spec.period
         rep = reports[res]
-        if rep.holds and s != 0:
+        if rep.holds and not v.balanced:
             raise VerificationError(
-                f"residue criterion promises balance at n_total={n_total} but sign sum is {s}"
+                f"residue criterion promises balance at n_total={v.n_total} "
+                f"but sign sum is {v.sign_sum}"
             )
         out.append(
             WindowEntry(
-                n_total=n_total,
-                inner_n=n_total - j,
+                n_total=v.n_total,
+                inner_n=v.inner_n,
                 residue=res,
-                sign_sum=s,
-                balanced=s == 0,
-                status=status,
+                sign_sum=v.sign_sum,
+                balanced=v.balanced,
+                status=v.status,
                 criterion_holds=rep.holds,
                 z=rep.z,
-                pre_threshold=s == 0 and not rep.holds,
+                pre_threshold=v.balanced and not rep.holds,
             )
         )
     return out

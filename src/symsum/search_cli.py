@@ -22,8 +22,8 @@ from .balance import (
     BalanceStatus,
     BalanceVerdict,
     VerificationError,
-    classify_balanced,
     classify_profile,
+    classify_range,
     classify_zero,
     luca_szalay_gap,
     periodic_propagation,
@@ -132,6 +132,8 @@ def _perturbation_from_args(args) -> tuple[str, WeightProfile]:
     """Build (descriptor, profile) from --anf/--profile flags; default empty."""
     if args.anf is not None and args.profile is not None:
         raise SystemExit2("give either --anf or --profile, not both")
+    if args.vars is not None and args.anf is None:
+        raise SystemExit2("--vars needs --anf")
     if args.anf is not None or args.profile is not None:
         values = None if args.profile is None else _parse_profile(args.profile)
         desc, values = _perturbation(values, args.anf, args.vars)
@@ -316,21 +318,19 @@ def _scan_leading_degree(campaign: Campaign, lead: int) -> tuple[ScanCounters, l
     findings: list[BalanceVerdict] = []
     for degs, n_total, index in sorted(hits):
         desc, values = campaign.perturbations[index]
-        status, witness, key = classify_zero(
-            degs, values, n_total,
+        verdict = classify_zero(
+            degs, values, n_total, desc,
             f"census engine and classifier disagree on degrees {list(degs)} "
             f"at n={n_total} ({desc})",
         )
         counters.balanced += 1
-        if status is BalanceStatus.SPORADIC:
+        if verdict.status is BalanceStatus.SPORADIC:
             counters.sporadic += 1
         else:
             counters.trivial += 1
-        if campaign.sporadic_only and status is not BalanceStatus.SPORADIC:
+        if campaign.sporadic_only and verdict.status is not BalanceStatus.SPORADIC:
             continue
-        findings.append(
-            BalanceVerdict(n_total, degs, len(values) - 1, desc, 0, status, witness, key)
-        )
+        findings.append(verdict)
     return counters, findings
 
 
@@ -363,6 +363,9 @@ def run_search(campaign: Campaign, out_path: Path | None = None,
             for rec in state["findings"]
         ]
         log(f"resumed at chunk {start_chunk} with {counters.candidates} candidates done")
+    for path in (out_path, checkpoint_path):
+        if path is not None:
+            _check_writable(path)  # fail before the first chunk, not after the last
 
     last_checkpoint = counters.candidates
     done = start_chunk
@@ -384,6 +387,15 @@ def run_search(campaign: Campaign, out_path: Path | None = None,
             for rec in findings:
                 fh.write(json.dumps(rec.to_record(), sort_keys=True) + "\n")
     return counters, findings
+
+
+def _check_writable(path: Path) -> None:
+    """Raise OSError now if a file cannot be written at ``path``; an existing
+    file is left unchanged and a new one is removed again."""
+    existed = path.exists()
+    path.open("a").close()
+    if not existed:
+        path.unlink()
 
 
 def _write_checkpoint(path: Path, digest: str, chunks_done: int,
@@ -429,10 +441,10 @@ def cmd_expsum(args) -> int:
 def cmd_classify(args) -> int:
     spec = _parse_degrees(args.degrees)
     desc, profile = _perturbation_from_args(args)
-    for n_total in _parse_range(args.n):
-        if n_total <= profile.j:
-            raise SystemExit2(f"n={n_total} does not exceed the perturbed block j={profile.j}")
-        verdict = classify_profile(spec, profile, n_total, desc)
+    n_values = _parse_range(args.n)  # ascending, so the first is the smallest
+    if n_values[0] <= profile.j:
+        raise SystemExit2(f"n={n_values[0]} does not exceed the perturbed block j={profile.j}")
+    for verdict in classify_range(spec, profile, n_values[0], n_values[-1], desc):
         print(json.dumps(verdict.to_record(), sort_keys=True))
     return 0
 
@@ -494,13 +506,14 @@ def cmd_omega(args) -> int:
         for n in n_values
     }
     if args.classes_out:
-        # built before anything is printed or opened: an over-budget cell is
-        # a usage error that leaves neither output nor file
+        # built, and the file opened, before anything is printed: an
+        # over-budget cell or an unwritable path leaves no output
         n, j = n_values[0], j_values[0]
         classes = enumerate_classes(n, j, budget)
+        fh = Path(args.classes_out).open("w")
     _print_grid("class", n_values, j_values, cells, args.csv)
     if args.classes_out:
-        with Path(args.classes_out).open("w") as fh:
+        with fh:
             for key, rep in sorted(
                 classes.items(),
                 key=lambda kv: (kv[0].is_zero, kv[0].half, kv[0].center or 0),
@@ -692,15 +705,11 @@ def cmd_conjecture_scan(args) -> int:
     for k in range(args.k_min, args.k_max + 1):
         spec = SymmetricSpec((k,))
         residue = (k - 1) % spec.period
-        sums = periodic_binomial_sums(delta_vector(spec, profile).values, 1, args.n_max - 1)
-        for n_total, s in zip(range(2, args.n_max + 1), sums):
-            if s != 0:
-                continue
-            status = classify_balanced(spec, profile, n_total).value
-            on_residue = n_total % spec.period == residue
-            if not on_residue:
-                off_residue += 1
-            rows.append((k, n_total, status, on_residue))
+        for v in classify_range(spec, profile, 2, args.n_max, "profile:1,-1"):
+            if v.balanced:
+                on_residue = v.n_total % spec.period == residue
+                off_residue += not on_residue
+                rows.append((k, v.n_total, v.status.value, on_residue))
     for k, n_total, status, on_residue in rows:
         marker = "" if on_residue else "  <-- OFF-RESIDUE"
         print(f"k={k} n={n_total} status={status} "

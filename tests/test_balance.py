@@ -19,6 +19,7 @@ from symsum import (
     canonical_key,
     classify,
     classify_profile,
+    classify_range,
     delta_vector,
     eventual_balance,
     eventual_balance_at,
@@ -178,6 +179,27 @@ class TestClassify:
             n_total = rng.randint(j + 1, 40)
             v = classify_profile(spec, prof, n_total)
             assert (v.status, v.witness, v.key) == oracle_classify(spec, prof, n_total)
+
+    def test_range_matches_per_term_oracle(self, rng):
+        # every index of a sweep from n = j + 1, the first index a profile
+        # admits, including sweeps of length one
+        balanced = 0
+        for _ in range(40):
+            spec = random_spec(rng, 7)
+            j = rng.randint(0, 3)
+            prof = random_profile(rng, j) if j else UNPERTURBED
+            dv = delta_vector(spec, prof)
+            for n_hi in (j + 1, j + 1 + rng.randint(1, 40)):
+                verdicts = list(classify_range(spec, prof, j + 1, n_hi, "desc"))
+                assert len(verdicts) == n_hi - j
+                for n_total, v in enumerate(verdicts, j + 1):
+                    n = n_total - j
+                    s = sum(dv.at(l) * comb(n, l) for l in range(n + 1))
+                    assert (v.n_total, v.degrees, v.j, v.perturbation, v.sign_sum) == (
+                        n_total, spec.degrees, j, "desc", s)
+                    assert (v.status, v.witness, v.key) == oracle_classify(spec, prof, n_total)
+                    balanced += v.balanced
+        assert balanced
 
     def test_rejected_witness_is_a_verification_error(self, monkeypatch):
         # a fault in the witness check only: the sign sum stays zero

@@ -20,7 +20,7 @@ from symsum import (
     classify_profile,
     weight_profile,
 )
-from symsum import diophantine, search_cli
+from symsum import balance, diophantine, search_cli
 from symsum.search_cli import Campaign, main, run_search
 
 from conftest import brute_force_sign_sum
@@ -117,6 +117,18 @@ def test_anf_variable_count_zero_is_not_ignored(capsys, command):
     assert code == 2
     assert out == ""
     assert err == "error: constant expressions carry no variables; use --profile\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["classify", "--degrees", "3", "--n", "5", "--profile", "1,-1", "--vars", "3"],
+    ["expsum", "--degrees", "3", "--n", "5", "--vars", "3"],
+    ["classify", "--degrees", "3", "--n", "5", "--vars", "0"],
+])
+def test_vars_without_anf_is_a_usage_error(capsys, argv):
+    code, out, err = run_main(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert "--vars needs --anf" in err
 
 
 class TestClassifyCommand:
@@ -252,6 +264,15 @@ class TestOmegaCommand:
         assert "exceeds budget" in err
         assert out == ""
         assert not path.exists()
+
+    def test_classes_out_unwritable_path_is_refused_before_any_output(self, capsys, tmp_path):
+        path = tmp_path / "missing" / "x"
+        code, out, err = run_main(
+            capsys, ["omega", "--n", "4", "--j", "2", "--classes-out", str(path)]
+        )
+        assert code == 2
+        assert "error:" in err
+        assert out == ""
 
     def test_level_zero_is_a_usage_error(self, capsys, tmp_path):
         path = tmp_path / "x"
@@ -525,6 +546,46 @@ class TestSearch:
         assert err.rstrip().endswith("degrees [2] at n=8 (profile:1,-1): "
                                      "not a solution: weighted sum is -8")
 
+    @pytest.mark.parametrize("flag", ["--out", "--checkpoint"])
+    def test_unwritable_output_is_refused_before_any_chunk(
+        self, capsys, tmp_path, monkeypatch, flag
+    ):
+        scanned = []
+        scan = search_cli._scan_leading_degree
+
+        def recorded_scan(campaign, lead):
+            scanned.append(lead)
+            return scan(campaign, lead)
+
+        monkeypatch.setattr(search_cli, "_scan_leading_degree", recorded_scan)
+        code, out, err = run_main(
+            capsys, ["search", "--k-max", "6", "--n-max", "10", flag,
+                     str(tmp_path / "missing" / "x.jsonl")]
+        )
+        assert code == 2
+        assert err.startswith("error: ")
+        assert out == ""
+        assert scanned == []
+        assert list(tmp_path.iterdir()) == []
+
+    def test_writability_check_changes_no_file(self, tmp_path, monkeypatch):
+        # checking the paths before the scan leaves an existing --out file
+        # as it was and creates no file, so a crashed run changes nothing
+        out = tmp_path / "run.jsonl"
+        out.write_text("previous\n")
+
+        class Interrupted(Exception):
+            pass
+
+        def crash(campaign, lead):
+            raise Interrupted
+
+        monkeypatch.setattr(search_cli, "_scan_leading_degree", crash)
+        with pytest.raises(Interrupted):
+            run_search(self.small_campaign(), out, tmp_path / "run.json")
+        assert out.read_text() == "previous\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["run.jsonl"]
+
     def test_witness_check_fault_exits_one(self, capsys, monkeypatch):
         # The engine builds its weights from math.comb, not from the half row
         # the witness check uses, so a fault in that row trips the check.  The
@@ -627,7 +688,7 @@ class TestVerificationCommands:
         def false_zeros(weights, n_lo, n_hi):
             return [0] * (n_hi - n_lo + 1)
 
-        monkeypatch.setattr(search_cli, "periodic_binomial_sums", false_zeros)
+        monkeypatch.setattr(balance, "periodic_binomial_sums", false_zeros)
         code, out, err = run_main(
             capsys, ["conjecture-scan", "--k-min", "2", "--k-max", "4", "--n-max", "20"]
         )

@@ -41,3 +41,31 @@ def test_every_private_function_is_referenced():
     used |= {node.attr for node in nodes if isinstance(node, ast.Attribute)}
     assert defined, "no private functions found"
     assert not defined - used, f"private functions never referenced: {sorted(defined - used)}"
+
+
+def _names(path: Path) -> set[str]:
+    """Every name a file uses or imports (a definition does not name itself)."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            names.update(alias.name for alias in node.names)
+    return names
+
+
+def test_every_public_definition_is_named_somewhere():
+    # A public function or class must be named in a library module, in the
+    # tests or in the benchmark; re-exporting it from __init__ is not use.
+    root = PACKAGE.parent.parent
+    files = MODULES + sorted(root.glob("tests/*.py")) + sorted(root.glob("perfbench/*.py"))
+    named = set().union(*(_names(path) for path in files))
+    defined = {
+        (path.name, node.name) for path in MODULES for node in ast.parse(path.read_text()).body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
+    }
+    assert defined, "no public definitions found"
+    unnamed = sorted(f"{module}:{name}" for module, name in defined if name not in named)
+    assert not unnamed, f"public definitions never named: {unnamed}"
