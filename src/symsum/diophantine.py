@@ -265,30 +265,23 @@ def trivial_count(n: int, j: int) -> int:
 
 
 def enumerate_trivial_solutions(n: int, j: int):
-    """All trivial solutions over the level-j alphabet, deduplicated."""
+    """All trivial solutions over the level-j alphabet, each yielded once.
+
+    For even n the zero vector is both antisymmetric and alternating, so the
+    alternating sweep skips m = 0.
+    """
     if j == 0:
         raise ValueError("level-0 alphabet excludes zero; no trivial vectors")
     members = GammaAlphabet(j).members
-    seen: set[tuple[int, ...]] = set()
     if n % 2 == 1:
-        hl = (n + 1) // 2
-        for combo in itertools.product(members, repeat=hl):
-            entries = combo + tuple(-c for c in reversed(combo))
-            if entries not in seen:
-                seen.add(entries)
-                yield SolutionVector(n, entries)
+        for combo in itertools.product(members, repeat=(n + 1) // 2):
+            yield SolutionVector(n, combo + tuple(-c for c in reversed(combo)))
         return
-    hl = n // 2
-    for combo in itertools.product(members, repeat=hl):
-        entries = combo + (0,) + tuple(-c for c in reversed(combo))
-        if entries not in seen:
-            seen.add(entries)
-            yield SolutionVector(n, entries)
+    for combo in itertools.product(members, repeat=n // 2):
+        yield SolutionVector(n, combo + (0,) + tuple(-c for c in reversed(combo)))
     for m in members:
-        entries = tuple((-1) ** l * m for l in range(n + 1))
-        if entries not in seen:
-            seen.add(entries)
-            yield SolutionVector(n, entries)
+        if m:
+            yield SolutionVector(n, tuple((-1) ** l * m for l in range(n + 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -298,11 +291,6 @@ def enumerate_trivial_solutions(n: int, j: int):
 def direct_enumeration_metric(n: int, j: int) -> int:
     """Size of the raw search space for full enumeration."""
     return len(GammaAlphabet(j)) ** (n + 1)
-
-
-def split_enumeration_metric(n: int, j: int) -> int:
-    """Size of the larger half when splitting the positions in two."""
-    return len(GammaAlphabet(j)) ** ((n + 2) // 2)
 
 
 def class_enumeration_metric(n: int, j: int) -> int:
@@ -366,67 +354,37 @@ def count_solutions(n: int, j: int) -> int:
     return _box_count(weights, [2 * b + 1] * (n + 1), b << n)
 
 
-def enumerate_solutions(n: int, j: int, budget: float | None = None, method: str = "auto"):
+def enumerate_solutions(n: int, j: int, budget: float | None = None):
     """Yield every solution over the level-j alphabet in lexicographic order.
 
-    ``method`` picks between a pruned depth-first sweep ("direct") and a
-    split of the positions into halves with the right half indexed by partial
-    sum ("split"); "auto" uses the direct sweep while its metric stays at or
-    below the budget and otherwise falls back to the split, refusing with
-    BudgetExceeded when both metrics are over.
+    A depth-first sweep over the positions, pruned wherever the remaining
+    positions can no longer bring the partial sum back to zero.  Refuses with
+    BudgetExceeded when the direct metric is over the budget (10**7 when none
+    is given).
     """
-    if method not in ("auto", "direct", "split"):
-        raise ValueError(f"unknown method {method!r}")
-    direct_metric = direct_enumeration_metric(n, j)
-    split_metric = split_enumeration_metric(n, j)
-    if method == "auto":
-        cap = budget if budget is not None else 10 ** 7
-        if direct_metric <= cap:
-            method = "direct"
-        elif split_metric <= cap:
-            method = "split"
-        else:
-            raise BudgetExceeded(
-                f"direct metric {direct_metric} and split metric {split_metric} both exceed {cap}"
-            )
-    elif budget is not None:
-        metric = direct_metric if method == "direct" else split_metric
-        if metric > budget:
-            raise BudgetExceeded(f"{method} metric {metric} exceeds budget {budget}")
-
+    cap = budget if budget is not None else 10 ** 7
+    metric = direct_enumeration_metric(n, j)
+    if metric > cap:
+        raise BudgetExceeded(f"direct metric {metric} exceeds budget {cap}")
     members = GammaAlphabet(j).members
     weights = _binomial_row(n)
     big = max(abs(x) for x in members)
+    suffix = [0] * (n + 2)
+    for l in range(n, -1, -1):
+        suffix[l] = suffix[l + 1] + big * weights[l]
 
-    if method == "direct":
-        suffix = [0] * (n + 2)
-        for l in range(n, -1, -1):
-            suffix[l] = suffix[l + 1] + big * weights[l]
+    def walk(depth: int, acc: int, prefix: tuple[int, ...]):
+        if depth == n + 1:
+            if acc == 0:
+                yield SolutionVector(n, prefix)
+            return
+        lim = suffix[depth + 1]
+        for x in members:
+            a2 = acc + x * weights[depth]
+            if -lim <= a2 <= lim:
+                yield from walk(depth + 1, a2, prefix + (x,))
 
-        def walk(depth: int, acc: int, prefix: tuple[int, ...]):
-            if depth == n + 1:
-                if acc == 0:
-                    yield SolutionVector(n, prefix)
-                return
-            lim = suffix[depth + 1]
-            for x in members:
-                a2 = acc + x * weights[depth]
-                if -lim <= a2 <= lim:
-                    yield from walk(depth + 1, a2, prefix + (x,))
-
-        yield from walk(0, 0, ())
-        return
-
-    right_len = (n + 1) // 2
-    left_len = n + 1 - right_len
-    by_sum: dict[int, list[tuple[int, ...]]] = defaultdict(list)
-    for combo in itertools.product(members, repeat=right_len):
-        s = sum(x * w for x, w in zip(combo, weights[left_len:]))
-        by_sum[s].append(combo)
-    for combo in itertools.product(members, repeat=left_len):
-        s = sum(x * w for x, w in zip(combo, weights[:left_len]))
-        for tail in by_sum.get(-s, ()):
-            yield SolutionVector(n, combo + tail)
+    yield from walk(0, 0, ())
 
 
 # ---------------------------------------------------------------------------

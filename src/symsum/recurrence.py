@@ -176,36 +176,26 @@ def min_char_poly(k: int) -> RecurrencePoly:
     return poly
 
 
-def _window_indices(seq_len: int, degree: int, start: int, window) -> list[int]:
-    if window is None:
-        return list(range(start + degree, start + seq_len))
-    return sorted(int(n) for n in window)
-
-
-def first_violation(seq, poly: RecurrencePoly, start: int = 1, window=None) -> int | None:
+def first_violation(seq, poly: RecurrencePoly) -> int | None:
     """Smallest index where the recurrence fails, or None if it holds.
 
-    ``seq[i]`` is the sequence value at index ``start + i``.  By default every
-    index with a full history inside the sequence is checked; ``window``
-    restricts the checked indices (each must have its full history available).
+    ``seq[i]`` is the sequence value at index ``i + 1``; every index with a
+    full history inside the sequence is checked.
     """
     vals = list(seq)
     deg = poly.degree
-    for n in _window_indices(len(vals), deg, start, window):
-        lo = n - deg - start
-        if lo < 0 or n - start >= len(vals):
-            raise ValueError(f"index {n} needs history outside the sequence")
+    for lo in range(len(vals) - deg):
         acc = 0
         for d, c in enumerate(poly.coeffs):
             acc += c * vals[lo + d]
         if acc != 0:
-            return n
+            return lo + deg + 1
     return None
 
 
-def satisfies(seq, poly: RecurrencePoly, start: int = 1, window=None) -> bool:
-    """Whether the sequence satisfies the recurrence on the checked window."""
-    return first_violation(seq, poly, start, window) is None
+def satisfies(seq, poly: RecurrencePoly) -> bool:
+    """Whether the sequence satisfies the recurrence at every checked index."""
+    return first_violation(seq, poly) is None
 
 
 def extend(seed, poly: RecurrencePoly, count: int) -> list[int]:
@@ -237,7 +227,7 @@ def minimality_certificate(k: int, horizon: int) -> bool:
         raise ValueError(f"horizon must be at least {2 * poly.degree + 4}")
     spec = SymmetricSpec((k,))
     seq = periodic_binomial_sums(spec.sign_row, 1, horizon)
-    if not satisfies(seq, poly, start=1):
+    if not satisfies(seq, poly):
         return False
     factors = min_char_factors(k)
     for size in range(len(factors)):
@@ -245,7 +235,7 @@ def minimality_certificate(k: int, horizon: int) -> bool:
             cand = RecurrencePoly((1,), "1")
             for i in subset:
                 cand = cand.mul(factors[i])
-            if satisfies(seq, cand, start=1):
+            if satisfies(seq, cand):
                 return False
     return True
 

@@ -55,6 +55,13 @@ DEFAULT_GAMMA_BUDGET = 3.2e8
 DEFAULT_OMEGA_BUDGET = 1.5e8
 CHECKPOINT_EVERY = 10 ** 6
 
+# The fixed grid that verify-families checks.
+X1_K_MAX, X1_M_MAX = 16, 4
+EVEN_L_MAX, EVEN_D_MAX, EVEN_M_MAX = 3, 4, 2
+PROPAGATION_M_MAX = 3
+LUCA_SZALAY_T_MAX = 12
+SINGMASTER_I_MAX = 6
+
 X1_PROFILE = (1, -1)
 X1X2_PROFILE = (1, -2, 1)
 
@@ -612,18 +619,16 @@ def cmd_tables(args) -> int:
 
 
 def cmd_verify_families(args) -> int:
-    checks: list[tuple[str, object]] = []
-
     def x1_grid():
-        for k in range(1, args.x1_k_max + 1):
-            verify_x1_family(k, range(1, args.x1_m_max + 1))
-        return f"degrees 1..{args.x1_k_max}, steps 1..{args.x1_m_max}"
+        for k in range(1, X1_K_MAX + 1):
+            verify_x1_family(k, range(1, X1_M_MAX + 1))
+        return f"degrees 1..{X1_K_MAX}, steps 1..{X1_M_MAX}"
 
     def even_grid():
         count = 0
-        for l in range(1, args.even_l_max + 1):
-            for D in range(1, args.even_d_max + 1):
-                for m in range(1, args.even_m_max + 1):
+        for l in range(1, EVEN_L_MAX + 1):
+            for D in range(1, EVEN_D_MAX + 1):
+                for m in range(1, EVEN_M_MAX + 1):
                     if (1 << (l + 1)) * D - 1 <= 2 * m:
                         continue
                     verify_even_linear_family(l, D, m)
@@ -636,12 +641,12 @@ def cmd_verify_families(args) -> int:
             spec = SymmetricSpec((k,))
             base = spec.period + k - 1
             p = PerturbedSpec(spec, None, base, profile_override=WeightProfile(1, X1_PROFILE))
-            periodic_propagation(p, args.propagation_m_max)
+            periodic_propagation(p, PROPAGATION_M_MAX)
             count += 1
-        return f"{count} base cases, {args.propagation_m_max} steps each"
+        return f"{count} base cases, {PROPAGATION_M_MAX} steps each"
 
     def luca_szalay():
-        for t in range(3, args.luca_szalay_t_max + 1):
+        for t in range(3, LUCA_SZALAY_T_MAX + 1):
             for signed in (t, -t):
                 gap = luca_szalay_gap(signed)
                 if gap != 0:
@@ -649,10 +654,10 @@ def cmd_verify_families(args) -> int:
         v = classify_profile(SymmetricSpec((15,)), WeightProfile(2, X1X2_PROFILE), 25)
         if v.status is not BalanceStatus.SPORADIC:
             raise VerificationError(f"square-index witness instance is {v.status.value}")
-        return f"|t| in 3..{args.luca_szalay_t_max}, plus the degree-15 witness instance"
+        return f"|t| in 3..{LUCA_SZALAY_T_MAX}, plus the degree-15 witness instance"
 
     def singmaster():
-        for i in range(1, args.singmaster_i_max + 1):
+        for i in range(1, SINGMASTER_I_MAX + 1):
             gap = singmaster_gap(i)
             if gap != 0:
                 raise VerificationError(f"identity gap {gap} at i={i}")
@@ -678,7 +683,7 @@ def cmd_verify_families(args) -> int:
                 raise VerificationError(
                     f"degrees {list(degs)}: witness outside the expected solution class"
                 )
-        return f"i in 1..{args.singmaster_i_max}, plus 4 witness instances on 15 variables"
+        return f"i in 1..{SINGMASTER_I_MAX}, plus 4 witness instances on 15 variables"
 
     checks = [
         ("single-flip family", x1_grid),
@@ -794,14 +799,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_search)
 
     p = sub.add_parser("verify-families", help="verify structural balanced families")
-    p.add_argument("--x1-k-max", type=int, default=16)
-    p.add_argument("--x1-m-max", type=int, default=4)
-    p.add_argument("--even-l-max", type=int, default=3)
-    p.add_argument("--even-d-max", type=int, default=4)
-    p.add_argument("--even-m-max", type=int, default=2)
-    p.add_argument("--propagation-m-max", type=int, default=3)
-    p.add_argument("--luca-szalay-t-max", type=int, default=12)
-    p.add_argument("--singmaster-i-max", type=int, default=6)
     p.set_defaults(func=cmd_verify_families)
 
     p = sub.add_parser("tables", help="regenerate the sporadic witness tables")

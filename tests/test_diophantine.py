@@ -28,7 +28,6 @@ from symsum import (
     gamma_integral_metric,
     gamma_via_integral,
     is_trivial_solution,
-    split_enumeration_metric,
     trivial_count,
     trivial_forms,
     zero_key,
@@ -428,21 +427,25 @@ class TestEnumerateSolutions:
     def test_counts_match(self):
         assert sum(1 for _ in enumerate_solutions(4, 2)) == count_solutions(4, 2) == 103
 
-    def test_methods_agree(self):
-        direct = [v.entries for v in enumerate_solutions(4, 2, method="direct")]
-        split = [v.entries for v in enumerate_solutions(4, 2, method="split")]
-        assert direct == sorted(split)
-        assert len(direct) == len(split)
+    @pytest.mark.parametrize("n,j", [(2, 1), (4, 1), (4, 2), (5, 1)])
+    def test_matches_product_filter(self, n, j):
+        # independent route: every vector over the alphabet, in product
+        # (lexicographic) order, kept when its math.comb sum vanishes
+        row = [comb(n, l) for l in range(n + 1)]
+        want = [
+            e for e in itertools.product(GammaAlphabet(j).members, repeat=n + 1)
+            if sum(x * w for x, w in zip(e, row)) == 0
+        ]
+        assert [v.entries for v in enumerate_solutions(n, j)] == want
 
     def test_budget_refusal(self):
         with pytest.raises(BudgetExceeded):
             list(enumerate_solutions(10, 3, budget=10))
         with pytest.raises(BudgetExceeded):
-            list(enumerate_solutions(4, 2, budget=10, method="direct"))
-
-    def test_unknown_method_rejected(self):
-        with pytest.raises(ValueError):
-            list(enumerate_solutions(2, 1, method="bogus"))
+            list(enumerate_solutions(4, 2, budget=10))
+        # 9**11 is over the default 10**7 cap on the direct metric
+        with pytest.raises(BudgetExceeded, match="direct metric"):
+            list(enumerate_solutions(10, 3))
 
 
 class TestClasses:
@@ -520,7 +523,6 @@ class TestIntegralRecount:
 class TestMetrics:
     def test_formulas(self):
         assert direct_enumeration_metric(4, 2) == 5 ** 5
-        assert split_enumeration_metric(4, 2) == 5 ** 3
         assert direct_enumeration_metric(3, 0) == 2 ** 4
         assert class_enumeration_metric(4, 2) == 9 ** 2 * 5
         assert class_enumeration_metric(5, 2) == 9 ** 3

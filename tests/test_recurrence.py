@@ -130,16 +130,6 @@ class TestSatisfies:
         doubling = RecurrencePoly((-2, 1))
         assert first_violation(sign_sum_row(5, 12), doubling) == 5
 
-    def test_window_restriction(self):
-        seq = sign_sum_row(5, 12)
-        doubling = RecurrencePoly((-2, 1))
-        assert first_violation(seq, doubling, window=range(2, 5)) is None
-        assert first_violation(seq, doubling, window=[7, 5]) == 5
-        with pytest.raises(ValueError):
-            first_violation(seq, doubling, window=[1])
-        with pytest.raises(ValueError):
-            first_violation(seq, doubling, window=[13])
-
     def test_degree_zero_polynomial_means_identically_zero(self):
         one = RecurrencePoly((1,))
         assert satisfies([0, 0, 0], one)

@@ -389,10 +389,9 @@ class TestSearch:
         counters, _ = run_search(campaign)
         assert counters.candidates > 0
 
-    def test_thread_count_does_not_change_output(self, capsys, tmp_path, monkeypatch):
+    def test_two_runs_give_identical_output(self, capsys, tmp_path):
         outs = []
-        for threads, name in (("1", "a.jsonl"), ("4", "b.jsonl")):
-            monkeypatch.setenv("SYMSUM_THREADS", threads)
+        for name in ("a.jsonl", "b.jsonl"):
             path = tmp_path / name
             code, out, _ = run_main(
                 capsys,
@@ -640,16 +639,21 @@ class TestVerificationCommands:
         assert "MISMATCH" not in out
 
     def test_verify_families(self, capsys):
-        code, out, _ = run_main(
-            capsys,
-            ["verify-families", "--x1-k-max", "6", "--x1-m-max", "2",
-             "--even-l-max", "2", "--even-d-max", "2", "--even-m-max", "1",
-             "--luca-szalay-t-max", "6", "--singmaster-i-max", "3"],
-        )
+        code, out, _ = run_main(capsys, ["verify-families"])
         assert code == 0
-        lines = out.strip().splitlines()
-        assert len(lines) == 5
-        assert all(l.startswith("ok ") for l in lines)
+        assert out.splitlines() == [
+            "ok single-flip family: degrees 1..16, steps 1..4",
+            "ok even-parity family: 23 parameter triples",
+            "ok period propagation: 5 base cases, 3 steps each",
+            "ok adjacent-square identity: |t| in 3..12, plus the degree-15 witness instance",
+            "ok adjacent-entry identity: i in 1..6, plus 4 witness instances on 15 variables",
+        ]
+
+    def test_verify_families_takes_no_grid_flags(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify-families", "--x1-k-max", "0"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
 
     def test_conjecture_scan_flags_degenerate_cases(self, capsys):
         # off-residue balance happens only where the residue law says nothing:
