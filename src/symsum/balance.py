@@ -12,21 +12,14 @@ residue is balanced.
 
 from __future__ import annotations
 
-import dataclasses
 from collections.abc import Iterator
 from dataclasses import dataclass
 from enum import Enum
 from math import comb
 
-from .boolean_core import BooleanFunction, WeightProfile
+from .boolean_core import BooleanFunction, WeightProfile, weight_profile
 from .diophantine import FoldedKey, SolutionVector, _is_trivial_key, canonical_key
-from .expsum import (
-    PerturbedSpec,
-    SymmetricSpec,
-    delta_row,
-    delta_vector,
-    periodic_binomial_sums,
-)
+from .expsum import SymmetricSpec, delta_row, delta_vector, periodic_binomial_sums
 
 
 class VerificationError(RuntimeError):
@@ -96,14 +89,10 @@ class BalanceVerdict:
         )
 
 
-def classify(p: PerturbedSpec) -> BalanceVerdict:
-    """Balance status of a perturbed symmetric function, with witness."""
-    return next(classify_range(p.spec, p.profile, p.n_total, p.n_total, p.describe()))
-
-
-def classify_profile(spec: SymmetricSpec, profile: WeightProfile, n_total: int,
-                     perturbation: str | None = None) -> BalanceVerdict:
-    """Classify with the perturbation given by its weight profile."""
+def classify(spec: SymmetricSpec, profile: WeightProfile, n_total: int,
+             perturbation: str | None = None) -> BalanceVerdict:
+    """Balance status of the degree set on n_total variables perturbed by the
+    weight profile on the first j of them, with witness."""
     if perturbation is None:
         perturbation = f"n={n_total} degrees={spec} profile={list(profile.values)}"
     return next(classify_range(spec, profile, n_total, n_total, perturbation))
@@ -281,13 +270,13 @@ def verify_x1_family(k: int, m_values) -> list[int]:
     if k < 1:
         raise ValueError("degree must be positive")
     spec = SymmetricSpec((k,))
-    f = single_variable()
+    profile = WeightProfile(1, (1, -1))
     out: list[int] = []
     for m in m_values:
         if m < 1:
             raise ValueError("family parameter m must be positive")
         n_total = spec.period * m + k - 1
-        verdict = classify(PerturbedSpec(spec, f, n_total))
+        verdict = classify(spec, profile, n_total)
         if verdict.status is not BalanceStatus.TRIVIAL:
             raise VerificationError(
                 f"degree {k}, index {n_total}: expected trivial balance, got "
@@ -314,9 +303,9 @@ def verify_even_linear_family(l: int, D: int, m: int) -> tuple[int, int]:
     n2 = (1 << (l + 1)) * D
     if n1 <= j:
         raise ValueError("perturbation does not fit below the first index")
-    f = parity_function(j)
+    profile = weight_profile(parity_function(j))
     for n_total, k in ((n1, 1 << l), (n2, (1 << l) + 1)):
-        verdict = classify(PerturbedSpec(SymmetricSpec((k,)), f, n_total))
+        verdict = classify(SymmetricSpec((k,)), profile, n_total)
         if verdict.status is not BalanceStatus.TRIVIAL:
             raise VerificationError(
                 f"degree {k}, index {n_total}, parity width {j}: expected trivial "
@@ -325,29 +314,30 @@ def verify_even_linear_family(l: int, D: int, m: int) -> tuple[int, int]:
     return n1, n2
 
 
-def periodic_propagation(p: PerturbedSpec, m_max: int) -> list[int]:
-    """Verify trivial balance propagates from p.n_total in steps of the period.
+def periodic_propagation(spec: SymmetricSpec, profile: WeightProfile, n_total: int,
+                         m_max: int) -> list[int]:
+    """Verify trivial balance propagates from n_total in steps of the period.
 
     Requires the base case itself to be trivially balanced; returns all
     verified indices including the base.
     """
     if m_max < 0:
         raise ValueError("need m_max >= 0")
-    base = classify(p)
+    base = classify(spec, profile, n_total)
     if base.status is not BalanceStatus.TRIVIAL:
         raise VerificationError(
-            f"base index {p.n_total} is {base.status.value}, not trivially balanced"
+            f"base index {n_total} is {base.status.value}, not trivially balanced"
         )
-    out = [p.n_total]
+    out = [n_total]
     for m in range(1, m_max + 1):
-        q = dataclasses.replace(p, n_total=p.n_total + m * p.spec.period)
-        verdict = classify(q)
+        n = n_total + m * spec.period
+        verdict = classify(spec, profile, n)
         if verdict.status is not BalanceStatus.TRIVIAL:
             raise VerificationError(
-                f"propagated index {q.n_total}: expected trivial balance, got "
+                f"propagated index {n}: expected trivial balance, got "
                 f"{verdict.status.value} (sign sum {verdict.sign_sum})"
             )
-        out.append(q.n_total)
+        out.append(n)
     return out
 
 

@@ -254,10 +254,19 @@ def trivial_forms(v: SolutionVector) -> frozenset[TrivialForm]:
     return frozenset(out)
 
 
+def _check_trivial_level(j: int) -> None:
+    """Level 0 is {-1, 1}, with no zero for the centre that an antisymmetric
+    vector needs at even n, so the trivial families start at level 1."""
+    if j < 1:
+        raise ValueError("need j >= 1: level 0 has no zero entry, so the trivial "
+                         "families and their count are defined for j >= 1")
+
+
 def trivial_count(n: int, j: int) -> int:
     """Closed-form count of trivial solutions over the level-j alphabet."""
-    if n < 1 or j < 0:
-        raise ValueError("need n >= 1 and j >= 0")
+    if n < 1:
+        raise ValueError("need n >= 1")
+    _check_trivial_level(j)
     size = (1 << j) + 1
     if n % 2 == 1:
         return size ** ((n + 1) // 2)
@@ -270,8 +279,7 @@ def enumerate_trivial_solutions(n: int, j: int):
     For even n the zero vector is both antisymmetric and alternating, so the
     alternating sweep skips m = 0.
     """
-    if j == 0:
-        raise ValueError("level-0 alphabet excludes zero; no trivial vectors")
+    _check_trivial_level(j)
     members = GammaAlphabet(j).members
     if n % 2 == 1:
         for combo in itertools.product(members, repeat=(n + 1) // 2):

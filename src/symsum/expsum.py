@@ -22,7 +22,7 @@ from functools import cached_property
 from math import comb
 from operator import add, mul
 
-from .boolean_core import BooleanFunction, WeightProfile, weight_profile
+from .boolean_core import WeightProfile
 from .diophantine import _binomial_half_row
 
 
@@ -207,74 +207,18 @@ def exp_sum_profile(spec: SymmetricSpec, profile: WeightProfile, inner_n: int) -
     return periodic_binomial_sums(delta_vector(spec, profile).values, inner_n, inner_n)[0]
 
 
-@dataclass(frozen=True)
-class PerturbedSpec:
-    """A symmetric degree set on n_total variables, XORed with a perturbation
-    touching only the first j variables.
-
-    The perturbation is either an explicit function ``f`` (then j = f.j) or,
-    when ``f`` is None, the identity perturbation given directly by
-    ``profile_override`` (defaults to the empty perturbation on 0 variables).
-    """
-
-    spec: SymmetricSpec
-    f: BooleanFunction | None
-    n_total: int
-    profile_override: WeightProfile | None = None
-
-    def __post_init__(self) -> None:
-        if self.f is not None and self.profile_override is not None:
-            raise ValueError("give either a function or a profile, not both")
-        if self.n_total <= self.j:
-            raise ValueError("need more variables than the perturbation touches")
-
-    @property
-    def j(self) -> int:
-        if self.f is not None:
-            return self.f.j
-        if self.profile_override is not None:
-            return self.profile_override.j
-        return 0
-
-    @property
-    def inner_n(self) -> int:
-        return self.n_total - self.j
-
-    @cached_property
-    def profile(self) -> WeightProfile:
-        if self.f is not None:
-            return weight_profile(self.f)
-        if self.profile_override is not None:
-            return self.profile_override
-        return WeightProfile(0, (1,))
-
-    def describe(self) -> str:
-        parts = [f"n={self.n_total}", f"degrees={self.spec}"]
-        if self.f is not None:
-            parts.append(f"f=hex:{self.f.to_hex()}")
-        elif self.profile_override is not None:
-            parts.append(f"profile={list(self.profile_override.values)}")
-        else:
-            parts.append("f=0")
-        return " ".join(parts)
-
-
-def exp_sum_perturbation(p: PerturbedSpec) -> int:
-    """Sign sum of the perturbed function, via the periodic weight vector."""
-    return exp_sum_profile(p.spec, p.profile, p.inner_n)
-
-
-def exp_sum_perturbation_decomposed(p: PerturbedSpec) -> int:
-    """Sign sum via the weight-layer decomposition.
+def exp_sum_perturbation_decomposed(spec: SymmetricSpec, profile: WeightProfile,
+                                     inner_n: int) -> int:
+    """Sign sum via the weight-layer decomposition; inner_n >= 1 counts the
+    variables beyond the perturbed block.
 
     Each weight layer m of the perturbation contributes profile[m] times the
     sign sum on the inner variables of the XOR of shifted degree sets
     {k - i : C(m, i) odd, k in degrees}; degree drops below zero vanish and
-    degree zero flips the sign.  Must agree with exp_sum_perturbation.
+    degree zero flips the sign.  Must agree with exp_sum_profile.
     """
-    n = p.inner_n
     total = 0
-    for m, c in enumerate(p.profile.values):
+    for m, c in enumerate(profile.values):
         if c == 0:
             continue
         flips = 0
@@ -282,7 +226,7 @@ def exp_sum_perturbation_decomposed(p: PerturbedSpec) -> int:
         for i in range(m + 1):
             if not binom_parity(m, i):
                 continue
-            for k in p.spec.degrees:
+            for k in spec.degrees:
                 d = k - i
                 if d < 0:
                     continue
@@ -293,10 +237,10 @@ def exp_sum_perturbation_decomposed(p: PerturbedSpec) -> int:
                 else:
                     degs.add(d)
         if degs:
-            inner = exp_sum_symmetric(n, SymmetricSpec(tuple(sorted(degs))))
+            inner = exp_sum_symmetric(inner_n, SymmetricSpec(tuple(sorted(degs))))
             total += c * (-inner if flips else inner)
         else:
-            total += c * (-1 if flips else 1) * (1 << n)
+            total += c * (-1 if flips else 1) * (1 << inner_n)
     return total
 
 

@@ -22,7 +22,7 @@ from .balance import (
     BalanceStatus,
     BalanceVerdict,
     VerificationError,
-    classify_profile,
+    classify,
     classify_range,
     classify_zero,
     luca_szalay_gap,
@@ -44,7 +44,6 @@ from .diophantine import (
     gamma_via_integral,
 )
 from .expsum import (
-    PerturbedSpec,
     SymmetricSpec,
     _subset_masks,
     delta_vector,
@@ -177,6 +176,10 @@ class Campaign:
             raise ValueError("bounds must be positive")
         if self.n_convention not in ("total", "inner"):
             raise ValueError("n_convention must be 'total' or 'inner'")
+        descriptors = [desc for desc, _ in self.perturbations]
+        repeated = sorted({desc for desc in descriptors if descriptors.count(desc) > 1})
+        if repeated:
+            raise ValueError(f"perturbation given more than once: {', '.join(repeated)}")
         for desc, values in self.perturbations:
             WeightProfile(len(values) - 1, values)
 
@@ -639,9 +642,8 @@ def cmd_verify_families(args) -> int:
         count = 0
         for k in (2, 3, 4, 5, 8):
             spec = SymmetricSpec((k,))
-            base = spec.period + k - 1
-            p = PerturbedSpec(spec, None, base, profile_override=WeightProfile(1, X1_PROFILE))
-            periodic_propagation(p, PROPAGATION_M_MAX)
+            periodic_propagation(spec, WeightProfile(1, X1_PROFILE), spec.period + k - 1,
+                                 PROPAGATION_M_MAX)
             count += 1
         return f"{count} base cases, {PROPAGATION_M_MAX} steps each"
 
@@ -651,7 +653,7 @@ def cmd_verify_families(args) -> int:
                 gap = luca_szalay_gap(signed)
                 if gap != 0:
                     raise VerificationError(f"identity gap {gap} at t={signed}")
-        v = classify_profile(SymmetricSpec((15,)), WeightProfile(2, X1X2_PROFILE), 25)
+        v = classify(SymmetricSpec((15,)), WeightProfile(2, X1X2_PROFILE), 25)
         if v.status is not BalanceStatus.SPORADIC:
             raise VerificationError(f"square-index witness instance is {v.status.value}")
         return f"|t| in 3..{LUCA_SZALAY_T_MAX}, plus the degree-15 witness instance"
@@ -674,7 +676,7 @@ def cmd_verify_families(args) -> int:
         row[4], row[5], row[6] = 1, 1, -1
         want = canonical_key(SolutionVector(14, tuple(row)))
         for degs in fixtures:
-            v = classify_profile(SymmetricSpec(degs), profile, 15)
+            v = classify(SymmetricSpec(degs), profile, 15)
             if v.status is not BalanceStatus.SPORADIC:
                 raise VerificationError(
                     f"degrees {list(degs)}: expected sporadic, got {v.status.value}"

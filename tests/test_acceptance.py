@@ -14,7 +14,6 @@ from math import comb
 
 from symsum import (
     BalanceStatus,
-    PerturbedSpec,
     SolutionVector,
     SymmetricSpec,
     WeightProfile,
@@ -22,13 +21,12 @@ from symsum import (
     anf_to_function,
     canonical_key,
     class_enumeration_metric,
-    classify_profile,
+    classify,
     count_classes,
     count_solutions,
     direct_enumeration_metric,
     enumerate_classes,
     epsilon,
-    exp_sum_perturbation,
     exp_sum_perturbation_decomposed,
     exp_sum_profile,
     exp_sum_symmetric,
@@ -109,7 +107,7 @@ def test_criterion_01_exact_sequences():
         2, 4, 8, 16, 30, 52, 84, 128, 188, 280,
     )
     assert tuple(
-        exp_sum_perturbation(PerturbedSpec(deg4, None, n, profile_override=X1))
+        exp_sum_profile(deg4, X1, n - 1)
         for n in range(2, 11)
     ) == (0, 0, 2, 8, 20, 40, 68, 96, 96)
     assert time.monotonic() - start < 1.0
@@ -201,14 +199,14 @@ def test_criterion_06_minimal_polynomials():
 
 def test_criterion_07_classification_witnesses():
     # an unperturbed sporadic case on eight variables
-    v = classify_profile(SymmetricSpec((1, 2, 3, 5, 7)), WeightProfile(0, (1,)), 8)
+    v = classify(SymmetricSpec((1, 2, 3, 5, 7)), WeightProfile(0, (1,)), 8)
     assert v.status is BalanceStatus.SPORADIC
     assert v.witness == (1, -1, -1, -1, 1, 1, -1, -1, 1)
     assert sum(w * comb(8, l) for l, w in enumerate(v.witness)) == 0
 
     # a trivially balanced single flip whose raw witness is the doubled
     # alternating block pattern
-    v = classify_profile(SymmetricSpec.of(5), X1, 20)
+    v = classify(SymmetricSpec.of(5), X1, 20)
     assert v.status is BalanceStatus.TRIVIAL
     raw = v.raw_witness()
     assert raw == (0, 0, 0, 0, 2, -2, 2, -2, 0, 0, 0, 0, 2, -2, 2, -2, 0, 0, 0, 0)
@@ -216,7 +214,7 @@ def test_criterion_07_classification_witnesses():
 
     # a four-term sporadic witness; the reference vector is its sign flip,
     # so the class keys coincide
-    v = classify_profile(SymmetricSpec.of(14), X1X2, 24)
+    v = classify(SymmetricSpec.of(14), X1X2, 24)
     assert v.status is BalanceStatus.SPORADIC
     got = [0] * 23
     got[12:16] = [-1, 1, 1, -1]
@@ -227,7 +225,7 @@ def test_criterion_07_classification_witnesses():
     assert comb(22, 12) - comb(22, 13) - comb(22, 14) + comb(22, 15) == 0
 
     # a three-term sporadic witness, same sign-flip relation
-    v = classify_profile(SymmetricSpec.of(15), X1X2, 25)
+    v = classify(SymmetricSpec.of(15), X1X2, 25)
     assert v.status is BalanceStatus.SPORADIC
     got = [0] * 24
     got[13:16] = [-1, 2, -1]
@@ -249,12 +247,12 @@ def test_criterion_08_balanced_families():
                     continue
                 verify_even_linear_family(l, d, m)
     base_cases = (
-        (PerturbedSpec(SymmetricSpec((8,)), parity_function(9), 23), [23, 39, 55, 71]),
-        (PerturbedSpec(SymmetricSpec((4,)), parity_function(2), 7), [7, 15, 23, 31]),
-        (PerturbedSpec(SymmetricSpec((3, 4, 5, 6)), parity_function(3), 15), [15, 23, 31]),
+        (SymmetricSpec((8,)), parity_function(9), 23, [23, 39, 55, 71]),
+        (SymmetricSpec((4,)), parity_function(2), 7, [7, 15, 23, 31]),
+        (SymmetricSpec((3, 4, 5, 6)), parity_function(3), 15, [15, 23, 31]),
     )
-    for p, want in base_cases:
-        assert periodic_propagation(p, len(want) - 1) == want
+    for spec, f, n_total, want in base_cases:
+        assert periodic_propagation(spec, weight_profile(f), n_total, len(want) - 1) == want
     assert time.monotonic() - start < 120.0
 
 
@@ -278,7 +276,7 @@ def test_criterion_09_witness_tables():
         got = {}
         for size in range(1, n_total):
             for degs in itertools.combinations(range(1, n_total), size):
-                verdict = classify_profile(SymmetricSpec(degs), prof, n_total)
+                verdict = classify(SymmetricSpec(degs), prof, n_total)
                 if verdict.status is BalanceStatus.SPORADIC:
                     got[degs] = verdict.witness
         assert set(got) == set(expected)
@@ -305,7 +303,7 @@ def test_criterion_10_exhaustive_census():
         assert counters.balanced == counters.trivial + counters.sporadic
         assert len(findings) == want
         for rec in random.Random(0xCE25).sample(findings, 12):
-            assert rec == classify_profile(
+            assert rec == classify(
                 SymmetricSpec(rec.degrees), WeightProfile(rec.j, perturbation[1]),
                 rec.n_total, rec.perturbation,
             )
@@ -326,9 +324,8 @@ def test_criterion_11_route_agreement():
             prof = random_profile(rng, j)
             f = function_from_profile(prof)
         brute = brute_force_sign_sum(spec.degrees, n_total, f)
-        p = PerturbedSpec(spec, f, n_total) if f is not None else \
-            PerturbedSpec(spec, None, n_total, profile_override=prof)
-        assert exp_sum_perturbation(p) == brute
-        assert exp_sum_perturbation_decomposed(p) == brute
-        assert classify_profile(spec, prof, n_total).sign_sum == brute
+        p = weight_profile(f) if f is not None else prof
+        assert exp_sum_profile(spec, p, n_total - j) == brute
+        assert exp_sum_perturbation_decomposed(spec, p, n_total - j) == brute
+        assert classify(spec, prof, n_total).sign_sum == brute
         checked += 1

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from math import comb
 
 import pytest
@@ -10,7 +11,6 @@ import pytest
 from symsum import (
     BalanceStatus,
     GammaAlphabet,
-    PerturbedSpec,
     SolutionVector,
     SymmetricSpec,
     VerificationError,
@@ -18,7 +18,6 @@ from symsum import (
     balance_window_report,
     canonical_key,
     classify,
-    classify_profile,
     classify_range,
     delta_vector,
     eventual_balance,
@@ -35,6 +34,7 @@ from symsum import (
     single_variable,
     verify_even_linear_family,
     verify_x1_family,
+    weight_profile,
 )
 from symsum import balance, diophantine
 
@@ -80,14 +80,14 @@ def check_witness(verdict) -> None:
 
 class TestClassify:
     def test_unperturbed_sporadic(self):
-        v = classify_profile(SymmetricSpec((1, 2, 3, 5, 7)), UNPERTURBED, 8)
+        v = classify(SymmetricSpec((1, 2, 3, 5, 7)), UNPERTURBED, 8)
         assert v.status is BalanceStatus.SPORADIC
         assert v.witness == (1, -1, -1, -1, 1, 1, -1, -1, 1)
         assert v.raw_witness() == v.witness
         check_witness(v)
 
     def test_single_flip_trivial(self):
-        v = classify_profile(SymmetricSpec.of(5), X1, 20)
+        v = classify(SymmetricSpec.of(5), X1, 20)
         assert v.status is BalanceStatus.TRIVIAL
         assert v.inner_n == 19
         raw = v.raw_witness()
@@ -96,7 +96,7 @@ class TestClassify:
         check_witness(v)
 
     def test_two_variable_sporadic_four_terms(self):
-        v = classify_profile(SymmetricSpec.of(14), X1X2, 24)
+        v = classify(SymmetricSpec.of(14), X1X2, 24)
         assert v.status is BalanceStatus.SPORADIC
         want = [0] * 23
         want[12:16] = [-1, 1, 1, -1]
@@ -108,7 +108,7 @@ class TestClassify:
         check_witness(v)
 
     def test_two_variable_sporadic_three_terms(self):
-        v = classify_profile(SymmetricSpec.of(15), X1X2, 25)
+        v = classify(SymmetricSpec.of(15), X1X2, 25)
         assert v.status is BalanceStatus.SPORADIC
         want = [0] * 24
         want[13:16] = [-1, 2, -1]
@@ -116,24 +116,24 @@ class TestClassify:
         check_witness(v)
 
     def test_two_variable_trivial_pair(self):
-        assert classify_profile(SymmetricSpec.of(4), X1X2, 7).status is BalanceStatus.TRIVIAL
-        assert classify_profile(SymmetricSpec.of(5), X1X2, 8).status is BalanceStatus.TRIVIAL
+        assert classify(SymmetricSpec.of(4), X1X2, 7).status is BalanceStatus.TRIVIAL
+        assert classify(SymmetricSpec.of(5), X1X2, 8).status is BalanceStatus.TRIVIAL
 
     def test_not_balanced(self):
-        v = classify_profile(SymmetricSpec.of(4), X1, 10)
+        v = classify(SymmetricSpec.of(4), X1, 10)
         assert v.status is BalanceStatus.NOT_BALANCED
         assert not v.balanced
         assert v.sign_sum == 96
         assert v.witness is None and v.key is None
 
     def test_function_route_matches_profile_route(self):
-        v1 = classify(PerturbedSpec(SymmetricSpec.of(5), single_variable(), 20))
-        v2 = classify_profile(SymmetricSpec.of(5), X1, 20)
+        v1 = classify(SymmetricSpec.of(5), weight_profile(single_variable()), 20)
+        v2 = classify(SymmetricSpec.of(5), X1, 20)
         assert v1.status == v2.status
         assert v1.witness == v2.witness
 
     def test_to_record(self):
-        rec = classify_profile(SymmetricSpec.of(14), X1X2, 24).to_record()
+        rec = classify(SymmetricSpec.of(14), X1X2, 24).to_record()
         assert rec["n_total"] == 24
         assert rec["degrees"] == [14]
         assert rec["S"] == 0
@@ -148,7 +148,7 @@ class TestClassify:
             j = rng.randint(0, 3)
             prof = random_profile(rng, j) if j else UNPERTURBED
             n_total = rng.randint(max(j + 1, 2), 16)
-            v = classify_profile(spec, prof, n_total)
+            v = classify(spec, prof, n_total)
             if v.balanced:
                 check_witness(v)
                 found += 1
@@ -162,7 +162,7 @@ class TestClassify:
             for n_total, s in zip(range(2, 301), sums):
                 if s:
                     continue
-                v = classify_profile(spec, X1, n_total)
+                v = classify(spec, X1, n_total)
                 assert (v.status, v.witness, v.key) == oracle_classify(spec, X1, n_total), (
                     k, n_total)
                 balanced += 1
@@ -177,7 +177,7 @@ class TestClassify:
             j = rng.randint(0, 3)
             prof = random_profile(rng, j) if j else UNPERTURBED
             n_total = rng.randint(j + 1, 40)
-            v = classify_profile(spec, prof, n_total)
+            v = classify(spec, prof, n_total)
             assert (v.status, v.witness, v.key) == oracle_classify(spec, prof, n_total)
 
     def test_range_matches_per_term_oracle(self, rng):
@@ -215,7 +215,7 @@ class TestClassify:
             VerificationError,
             match=r"n_total=8 \(inner n=8, degrees \[1, 2, 3, 5, 7\]\).*weighted sum is -2$",
         ):
-            classify_profile(SymmetricSpec((1, 2, 3, 5, 7)), UNPERTURBED, 8)
+            classify(SymmetricSpec((1, 2, 3, 5, 7)), UNPERTURBED, 8)
 
 
 # ---------------------------------------------------------------------------
@@ -313,9 +313,34 @@ def test_balanced_beyond_three_periods_is_trivial(rng):
             spec = SymmetricSpec(tuple(sorted(rest + (top,))))
             for prof in (UNPERTURBED, X1, X1X2, random_profile(rng, rng.randint(1, 4))):
                 for inner in range(3 * spec.period, 4 * spec.period):
-                    v = classify_profile(spec, prof, inner + prof.j)
+                    v = classify(spec, prof, inner + prof.j)
                     if v.balanced:
                         assert v.status is BalanceStatus.TRIVIAL
+
+
+@pytest.mark.parametrize("profile, balanced, sporadic, last_sporadic", [
+    (X1, 2983, 61, {5: 7, 6: 8, 7: 9, 8: 19, 9: 21, 10: 21}),
+    (X1X2, 2026, 129, {4: 6, 5: 8, 6: 9, 7: 13, 8: 22, 9: 22, 10: 21}),
+])
+def test_fixed_degree_sporadic_cases_end_early(profile, balanced, sporadic, last_sporadic):
+    # The Canteaut-Videau observation that the paper extends, as data: with
+    # the top degree fixed, sporadic balance stops at a small n.  Every degree
+    # set with top degree at most 10, swept by classify_range to n = 100;
+    # none is sporadic for 23 <= n <= 100.
+    counts = Counter()
+    last: dict[int, int] = {}
+    for top in range(1, 11):
+        for size in range(top):
+            for lower in itertools.combinations(range(1, top), size):
+                spec = SymmetricSpec(lower + (top,))
+                for v in classify_range(spec, profile, max(top, profile.j) + 1, 100, "fixed"):
+                    counts[v.status] += 1
+                    if v.status is BalanceStatus.SPORADIC:
+                        last[top] = max(last.get(top, 0), v.n_total)
+    assert counts[BalanceStatus.TRIVIAL] + counts[BalanceStatus.SPORADIC] == balanced
+    assert counts[BalanceStatus.SPORADIC] == sporadic
+    assert last == last_sporadic
+    assert max(last.values()) <= 22
 
 
 # ---------------------------------------------------------------------------
@@ -353,20 +378,20 @@ class TestFamilies:
             verify_even_linear_family(1, 1, 2)
 
     def test_propagation_in_period_steps(self):
-        p = PerturbedSpec(SymmetricSpec((8,)), parity_function(9), 23)
-        assert periodic_propagation(p, 3) == [23, 39, 55, 71]
-        p = PerturbedSpec(SymmetricSpec((4,)), parity_function(2), 7)
-        assert periodic_propagation(p, 3) == [7, 15, 23, 31]
-        p = PerturbedSpec(SymmetricSpec((3, 4, 5, 6)), parity_function(3), 15)
-        assert periodic_propagation(p, 2) == [15, 23, 31]
+        parity = weight_profile(parity_function(9))
+        assert periodic_propagation(SymmetricSpec((8,)), parity, 23, 3) == [23, 39, 55, 71]
+        parity = weight_profile(parity_function(2))
+        assert periodic_propagation(SymmetricSpec((4,)), parity, 7, 3) == [7, 15, 23, 31]
+        parity = weight_profile(parity_function(3))
+        assert periodic_propagation(SymmetricSpec((3, 4, 5, 6)), parity, 15, 2) == [15, 23, 31]
 
     def test_propagation_rejects_untrivial_base(self):
-        p = PerturbedSpec(SymmetricSpec((14,)), parity_function(2), 24)
         with pytest.raises(VerificationError):
-            periodic_propagation(p, 1)  # base is sporadic, not trivial
-        p = PerturbedSpec(SymmetricSpec((4,)), single_variable(), 10)
+            # base is sporadic, not trivial
+            periodic_propagation(SymmetricSpec((14,)), weight_profile(parity_function(2)), 24, 1)
         with pytest.raises(VerificationError):
-            periodic_propagation(p, 1)  # base is not balanced at all
+            # base is not balanced at all
+            periodic_propagation(SymmetricSpec((4,)), weight_profile(single_variable()), 10, 1)
 
     def test_helper_functions(self):
         assert parity_function(3).weight() == 4

@@ -24,7 +24,7 @@ from symsum import (
     WeightProfile,
     anf_parse,
     anf_to_function,
-    classify_profile,
+    classify,
     weight_profile,
 )
 from symsum.search_cli import (
@@ -95,12 +95,12 @@ def oracle_scan(campaign: Campaign, degree_sets) -> tuple[ScanCounters, list[Bal
                 if s != 0:
                     continue
                 counters.balanced += 1
-                verdict = classify_profile(
+                verdict = classify(
                     SymmetricSpec(degs), WeightProfile(j, values), n_total, desc
                 )
                 assert verdict.sign_sum == 0
                 # the witness from this scan's own linear deltas, not from the
-                # delta_row kernel that classify_profile and the census classifier share
+                # delta_row kernel that classify and the census classifier share
                 want = deltas[desc][:inner + 1]
                 assert verdict.witness == tuple(x // 2 if j else x for x in want)
                 if verdict.status is BalanceStatus.SPORADIC:
@@ -224,12 +224,12 @@ def test_unperturbed_oracle_is_not_vacuous(unperturbed_oracle):
 @pytest.mark.parametrize("profile", [X1[1], X1X2[1]])
 @pytest.mark.parametrize("n_total", range(8, 13))
 def test_witness_table_matches_classify_profile(n_total, profile):
-    # tables classifies engine hits through the census path; classify_profile
+    # tables classifies engine hits through the census path; classify
     # over every degree set below the variable count is the reference
     weights = WeightProfile(len(profile) - 1, profile)
     want = {}
     for degs in iter_degree_sets(n_total - 1):
-        verdict = classify_profile(SymmetricSpec(degs), weights, n_total)
+        verdict = classify(SymmetricSpec(degs), weights, n_total)
         if verdict.status is BalanceStatus.SPORADIC:
             want[degs] = verdict.witness
     assert _regenerate_witness_table(n_total, profile) == want

@@ -348,6 +348,13 @@ class TestTrivialCount:
         with pytest.raises(ValueError):
             list(enumerate_trivial_solutions(4, 0))
 
+    def test_level_zero_has_no_trivial_count(self):
+        # level 0 is {-1, 1}: at even n only the two alternating vectors are
+        # trivial, not 2**(n/2) + 1, so the count refuses level 0
+        for n in (2, 4):
+            with pytest.raises(ValueError, match="level 0 has no zero entry"):
+                trivial_count(n, 0)
+
 
 # ---------------------------------------------------------------------------
 # exact counting

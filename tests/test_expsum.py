@@ -12,15 +12,14 @@ from hypothesis import strategies as st
 from symsum import (
     BooleanFunction,
     DeltaVector,
-    PerturbedSpec,
     SymmetricSpec,
     WeightProfile,
     anf_parse,
     anf_to_function,
     binom_parity,
     binomial,
+    classify,
     delta_vector,
-    exp_sum_perturbation,
     exp_sum_perturbation_decomposed,
     exp_sum_profile,
     exp_sum_symmetric,
@@ -135,7 +134,7 @@ def test_sweep_matches_oracle_and_decomposition(top, lower, j, table, bounds):
     assert got == [oracle_periodic_sum(weights, n) for n in range(n_lo, n_hi + 1)]
     for n, s in zip(range(n_lo, n_hi + 1), got):
         if n >= 1:
-            assert exp_sum_perturbation_decomposed(PerturbedSpec(spec, f, n + j)) == s
+            assert exp_sum_perturbation_decomposed(spec, prof, n) == s
 
 
 # ---------------------------------------------------------------------------
@@ -254,45 +253,38 @@ def test_delta_parity_and_bound(data):
 class TestExpSumPerturbation:
     def test_degree_four_single_flip_row(self):
         spec = SymmetricSpec.of(4)
-        row = tuple(
-            exp_sum_perturbation(PerturbedSpec(spec, None, n, profile_override=X1))
-            for n in range(2, 11)
-        )
+        row = tuple(exp_sum_profile(spec, X1, n - 1) for n in range(2, 11))
         assert row == DEGREE4_X1_ROW
 
     def test_spot_values(self):
         spec = SymmetricSpec.of(4)
-        assert exp_sum_perturbation(PerturbedSpec(spec, None, 4, profile_override=X1)) == 2
-        assert exp_sum_perturbation(PerturbedSpec(spec, None, 7, profile_override=X1)) == 40
-        p = PerturbedSpec(SymmetricSpec.of(14), None, 24, profile_override=X1X2)
-        assert exp_sum_perturbation(p) == 0
+        assert exp_sum_profile(spec, X1, 3) == 2
+        assert exp_sum_profile(spec, X1, 6) == 40
+        assert exp_sum_profile(SymmetricSpec.of(14), X1X2, 22) == 0
 
     def test_trivially_balanced_example(self):
-        p = PerturbedSpec(SymmetricSpec.of(5), None, 20, profile_override=X1)
-        assert exp_sum_perturbation(p) == 0
-        assert exp_sum_perturbation_decomposed(p) == 0
+        spec = SymmetricSpec.of(5)
+        assert exp_sum_profile(spec, X1, 19) == 0
+        assert exp_sum_perturbation_decomposed(spec, X1, 19) == 0
 
     def test_zero_function_reduces_to_unperturbed(self):
         spec = SymmetricSpec((2, 6))
         for j in range(1, 5):
             prof = WeightProfile(j, tuple(comb(j, m) for m in range(j + 1)))
             for n_total in range(j + 1, j + 9):
-                p = PerturbedSpec(spec, None, n_total, profile_override=prof)
-                assert exp_sum_perturbation(p) == exp_sum_symmetric(n_total, spec)
-                assert exp_sum_perturbation_decomposed(p) == exp_sum_symmetric(n_total, spec)
+                assert exp_sum_profile(spec, prof, n_total - j) == exp_sum_symmetric(n_total, spec)
+                assert exp_sum_perturbation_decomposed(spec, prof, n_total - j) == \
+                    exp_sum_symmetric(n_total, spec)
 
     def test_function_and_profile_agree(self):
         f = anf_to_function(anf_parse("x1*x2 + x3"), 3)
         spec = SymmetricSpec((4, 6))
-        via_f = exp_sum_perturbation(PerturbedSpec(spec, f, 12))
-        via_p = exp_sum_perturbation(
-            PerturbedSpec(spec, None, 12, profile_override=weight_profile(f))
-        )
-        assert via_f == via_p == brute_force_sign_sum(spec.degrees, 12, f)
+        assert exp_sum_profile(spec, weight_profile(f), 9) == \
+            brute_force_sign_sum(spec.degrees, 12, f)
 
     def test_requires_room_beyond_perturbation(self):
         with pytest.raises(ValueError):
-            PerturbedSpec(SymmetricSpec.of(3), None, 2, profile_override=X1X2)
+            classify(SymmetricSpec.of(3), X1X2, 2)
 
     def test_exhaustive_three_variable_functions(self):
         # the sum depends on the function only through its weight sums
@@ -300,8 +292,7 @@ class TestExpSumPerturbation:
         from symsum import all_functions
 
         for f in all_functions(3):
-            p = PerturbedSpec(spec, f, 9)
-            assert exp_sum_perturbation(p) == brute_force_sign_sum((3, 6), 9, f)
+            assert exp_sum_profile(spec, weight_profile(f), 6) == brute_force_sign_sum((3, 6), 9, f)
 
 
 @given(st.data())
@@ -312,10 +303,9 @@ def test_three_routes_agree(data):
     j = rng.randint(0, 4)
     prof = random_profile(rng, j) if j else UNPERTURBED
     n_total = rng.randint(j + 1, 14)
-    p = PerturbedSpec(spec, None, n_total, profile_override=prof)
     f = function_from_profile(prof) if j else None
-    value = exp_sum_perturbation(p)
-    assert exp_sum_perturbation_decomposed(p) == value
+    value = exp_sum_profile(spec, prof, n_total - j)
+    assert exp_sum_perturbation_decomposed(spec, prof, n_total - j) == value
     assert brute_force_sign_sum(spec.degrees, n_total, f) == value
 
 

@@ -68,3 +68,24 @@ def test_command_line_examples(capsys):
         assert (code, capsys.readouterr().out) == (0, output + "\n"), command
         compared.append(command)
     assert len(compared) >= 3, compared
+
+
+def test_named_code_resolves():
+    # A backticked identifier that reads as a code name (six characters or
+    # more, with an underscore or a capital after its first letter) must
+    # exist in the package, so the prose cannot outlive a rename or deletion.
+    import symsum
+    from symsum import balance, boolean_core, diophantine, expsum, recurrence, search_cli
+
+    spaces = (symsum, balance, boolean_core, diophantine, expsum, recurrence, search_cli)
+    values = {status.value for status in symsum.BalanceStatus}
+    names = {
+        name for name in re.findall(r"`([A-Za-z_]\w*)[`(]", README.read_text())
+        if len(name) >= 6 and re.search(r"[_A-Z]", name[1:])
+    }
+    assert len(names) >= 10, sorted(names)
+    unresolved = sorted(
+        name for name in names
+        if name not in values and not any(hasattr(space, name) for space in spaces)
+    )
+    assert not unresolved, unresolved

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from symsum import (
     AsymptoticConstant,
     CyclotomicValue,
-    PerturbedSpec,
     RecurrencePoly,
     SymmetricSpec,
     WeightProfile,
@@ -20,7 +19,6 @@ from symsum import (
     d0,
     d_coefficients,
     epsilon,
-    exp_sum_perturbation,
     exp_sum_profile,
     exp_sum_symmetric,
     extend,
@@ -374,5 +372,4 @@ class TestDCoefficients:
                 acc = CyclotomicValue.zero(spec.r)
                 for d, lam in zip(out, lams):
                     acc = acc + d * lam.power(inner)
-                p = PerturbedSpec(spec, None, inner + j, profile_override=prof)
-                assert acc.as_fraction() == exp_sum_perturbation(p)
+                assert acc.as_fraction() == exp_sum_profile(spec, prof, inner)

@@ -17,7 +17,7 @@ from symsum import (
     WeightProfile,
     all_functions,
     canonical_key,
-    classify_profile,
+    classify,
     weight_profile,
 )
 from symsum import balance, diophantine, search_cli
@@ -333,7 +333,7 @@ class TestSearch:
                     j = len(values) - 1
                     for n_total in campaign.n_totals(degs[-1], j):
                         candidates += 1
-                        v = classify_profile(
+                        v = classify(
                             SymmetricSpec(degs), WeightProfile(j, values), n_total
                         )
                         if not v.balanced:
@@ -355,7 +355,7 @@ class TestSearch:
         assert findings
         profiles = dict(campaign.perturbations)
         for rec in findings:
-            assert rec == classify_profile(
+            assert rec == classify(
                 SymmetricSpec(rec.degrees), WeightProfile(rec.j, profiles[rec.perturbation]),
                 rec.n_total, rec.perturbation,
             )
@@ -367,7 +367,7 @@ class TestSearch:
         )
         _, findings = run_search(campaign)
         assert {rec.j for rec in findings} == {0, 1, 2}
-        unbalanced = classify_profile(SymmetricSpec((14,)), WeightProfile(2, (1, -2, 1)), 23)
+        unbalanced = classify(SymmetricSpec((14,)), WeightProfile(2, (1, -2, 1)), 23)
         assert not unbalanced.balanced
         for v in findings + [unbalanced]:
             assert BalanceVerdict.from_record(v.to_record(), v.j) == v
@@ -388,6 +388,20 @@ class TestSearch:
         assert campaign.n_totals(3, 2) == [inner + 2 for inner in range(3, 10)]
         counters, _ = run_search(campaign)
         assert counters.candidates > 0
+
+    def test_repeated_perturbation_is_a_usage_error(self, capsys, tmp_path):
+        # a repeated descriptor would scan and record every finding twice
+        out_path = tmp_path / "findings.jsonl"
+        code, out, err = run_main(
+            capsys,
+            ["search", "--k-max", "6", "--n-max", "9", "--profile", "1,-1",
+             "--profile", "1,-1", "--sporadic-only", "--out", str(out_path)],
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: perturbation given more than once: profile:1,-1\n"
+        assert not out_path.exists()
+        with pytest.raises(ValueError, match="more than once"):
+            self.small_campaign(perturbations=(("a", (1, -1)), ("a", (1, -2, 1))))
 
     def test_two_runs_give_identical_output(self, capsys, tmp_path):
         outs = []
@@ -676,7 +690,7 @@ class TestVerificationCommands:
         for k in range(1, 9):
             spec = SymmetricSpec((k,))
             for n in range(2, 121):
-                verdict = classify_profile(spec, WeightProfile(1, (1, -1)), n)
+                verdict = classify(spec, WeightProfile(1, (1, -1)), n)
                 if not verdict.balanced:
                     continue
                 on = n % spec.period == (k - 1) % spec.period
@@ -810,5 +824,5 @@ def test_every_three_variable_perturbation_matches_brute_force():
     spec = SymmetricSpec((3, 6))
     for f in all_functions(3):
         prof = weight_profile(f)
-        got = classify_profile(spec, prof, 9).sign_sum
+        got = classify(spec, prof, 9).sign_sum
         assert got == brute_force_sign_sum((3, 6), 9, f)
