@@ -77,17 +77,6 @@ class BalanceVerdict:
             "key": None if self.key is None else self.key.to_json(),
         }
 
-    @classmethod
-    def from_record(cls, rec: dict, j: int) -> "BalanceVerdict":
-        """Inverse of ``to_record``; ``j`` is not in the record, since the
-        perturbation descriptor fixes it."""
-        return cls(
-            rec["n_total"], tuple(rec["degrees"]), j, rec["perturbation"], rec["S"],
-            BalanceStatus(rec["status"]),
-            None if rec["witness"] is None else tuple(rec["witness"]),
-            None if rec["key"] is None else FoldedKey.from_json(rec["key"]),
-        )
-
 
 def classify(spec: SymmetricSpec, profile: WeightProfile, n_total: int,
              perturbation: str | None = None) -> BalanceVerdict:

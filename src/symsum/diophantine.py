@@ -174,10 +174,6 @@ class FoldedKey:
             "zero": self.is_zero,
         }
 
-    @classmethod
-    def from_json(cls, data: dict) -> "FoldedKey":
-        return cls(data["n"], tuple(data["half"]), data["center"], data["zero"])
-
 
 def canonical_key(v: SolutionVector) -> FoldedKey:
     """Class key of a solution under scaling, sign, and symmetric rearrangement."""

@@ -9,6 +9,7 @@ internal check trips, 2 on usage errors.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import hashlib
 import json
@@ -17,6 +18,7 @@ import sys
 from dataclasses import dataclass
 from math import comb
 from pathlib import Path
+from typing import BinaryIO
 
 from .balance import (
     BalanceStatus,
@@ -176,12 +178,14 @@ class Campaign:
             raise ValueError("bounds must be positive")
         if self.n_convention not in ("total", "inner"):
             raise ValueError("n_convention must be 'total' or 'inner'")
-        descriptors = [desc for desc, _ in self.perturbations]
-        repeated = sorted({desc for desc in descriptors if descriptors.count(desc) > 1})
-        if repeated:
-            raise ValueError(f"perturbation given more than once: {', '.join(repeated)}")
+        seen: dict[tuple[int, ...], str] = {}  # descriptor by profile
         for desc, values in self.perturbations:
             WeightProfile(len(values) - 1, values)
+            if desc in seen.values():
+                raise ValueError(f"perturbation given more than once: {desc}")
+            if seen.setdefault(tuple(values), desc) != desc:
+                raise ValueError(f"perturbations {seen[tuple(values)]} and {desc} have the "
+                                 f"same weight profile {list(values)}")
 
     def to_json(self) -> dict:
         return {
@@ -346,77 +350,83 @@ def _scan_leading_degree(campaign: Campaign, lead: int) -> tuple[ScanCounters, l
 
 def run_search(campaign: Campaign, out_path: Path | None = None,
                checkpoint_path: Path | None = None, resume: bool = False,
-               log=lambda s: None) -> tuple[ScanCounters, list[BalanceVerdict]]:
-    """Run a campaign with deterministic output and optional checkpointing.
+               log=lambda s: None) -> tuple[ScanCounters, int]:
+    """Run a campaign with deterministic output and optional checkpointing;
+    returns the counters and the number of findings recorded.
 
     Degree sets are processed in chunks by leading degree, in order, so
-    findings come in lex order of degree sets.  A checkpoint (protected by
-    the campaign digest) is refreshed after a chunk once at least
+    findings come in lex order of degree sets.  They are kept only in
+    ``out_path``: its header first, then each chunk's findings as soon as
+    the chunk is done.  A checkpoint (protected by the campaign digest) is
+    written before the first chunk, after a chunk once at least
     CHECKPOINT_EVERY candidates were scanned since the previous write, and
-    at the end; resuming skips the recorded number of finished chunks.
+    after the last; resuming cuts ``out_path`` back to the length recorded
+    there and skips the recorded number of finished chunks.
     """
     digest = campaign.digest()
+    header = json.dumps({"type": "campaign", **campaign.to_json(), "digest": digest},
+                        sort_keys=True).encode() + b"\n"
     start_chunk = 0
     counters = ScanCounters()
-    findings: list[BalanceVerdict] = []
     if resume:
         if checkpoint_path is None or not checkpoint_path.exists():
             raise SystemExit2("--resume needs an existing --checkpoint file")
         state = json.loads(checkpoint_path.read_text())
+        if "findings" in state:
+            raise SystemExit2("checkpoint holds findings, a format that can no longer "
+                              "be resumed; run the campaign again without --resume")
         if state.get("digest") != digest:
             raise SystemExit2("checkpoint belongs to a different campaign")
+        out_bytes = state["out_bytes"]
+        if (out_bytes is None) != (out_path is None):
+            had = "without" if out_bytes is None else "with"
+            raise SystemExit2(f"checkpoint was written {had} --out; resume {had} it")
+        if out_path is not None:
+            with out_path.open("rb") as fh:  # a missing file raises OSError: exit 2
+                if fh.readline() != header:
+                    raise SystemExit2(f"--out file {out_path} has another campaign's header")
+                if fh.seek(0, os.SEEK_END) < out_bytes:
+                    raise SystemExit2(f"--out file {out_path} is shorter than the "
+                                      f"{out_bytes} bytes the checkpoint records")
+            os.truncate(out_path, out_bytes)
         start_chunk = state["chunks_done"]
         counters = ScanCounters(**state["counters"])
-        profiles = dict(campaign.perturbations)
-        findings = [
-            BalanceVerdict.from_record(rec, len(profiles[rec["perturbation"]]) - 1)
-            for rec in state["findings"]
-        ]
         log(f"resumed at chunk {start_chunk} with {counters.candidates} candidates done")
-    for path in (out_path, checkpoint_path):
-        if path is not None:
-            _check_writable(path)  # fail before the first chunk, not after the last
 
-    last_checkpoint = counters.candidates
-    done = start_chunk
-    for lead in range(start_chunk + 1, campaign.k_max + 1):
-        res_counters, res_findings = _scan_leading_degree(campaign, lead)
-        counters.add(res_counters)
-        findings.extend(res_findings)
-        done = lead
-        if checkpoint_path is not None and counters.candidates - last_checkpoint >= CHECKPOINT_EVERY:
-            _write_checkpoint(checkpoint_path, digest, done, counters, findings)
-            last_checkpoint = counters.candidates
-
-    if checkpoint_path is not None:
-        _write_checkpoint(checkpoint_path, digest, done, counters, findings)
-    if out_path is not None:
-        with out_path.open("w") as fh:
-            header = {"type": "campaign", **campaign.to_json(), "digest": digest}
-            fh.write(json.dumps(header, sort_keys=True) + "\n")
-            for rec in findings:
-                fh.write(json.dumps(rec.to_record(), sort_keys=True) + "\n")
-    return counters, findings
-
-
-def _check_writable(path: Path) -> None:
-    """Raise OSError now if a file cannot be written at ``path``; an existing
-    file is left unchanged and a new one is removed again."""
-    existed = path.exists()
-    path.open("a").close()
-    if not existed:
-        path.unlink()
+    with (contextlib.nullcontext() if out_path is None
+          else out_path.open("ab" if resume else "wb")) as out:
+        if out is not None and not resume:
+            out.write(header)
+        if checkpoint_path is not None:  # fail before the first chunk, not after the last
+            _write_checkpoint(checkpoint_path, digest, start_chunk, counters, out)
+        last_checkpoint = counters.candidates
+        for lead in range(start_chunk + 1, campaign.k_max + 1):
+            chunk_counters, findings = _scan_leading_degree(campaign, lead)
+            counters.add(chunk_counters)
+            if out is not None:
+                out.writelines(json.dumps(rec.to_record(), sort_keys=True).encode() + b"\n"
+                               for rec in findings)
+            if checkpoint_path is not None and (
+                lead == campaign.k_max or counters.candidates - last_checkpoint >= CHECKPOINT_EVERY
+            ):
+                _write_checkpoint(checkpoint_path, digest, lead, counters, out)
+                last_checkpoint = counters.candidates
+    return counters, counters.sporadic if campaign.sporadic_only else counters.balanced
 
 
 def _write_checkpoint(path: Path, digest: str, chunks_done: int,
-                      counters: ScanCounters, findings: list[BalanceVerdict]) -> None:
+                      counters: ScanCounters, out: BinaryIO | None) -> None:
     """Replace the checkpoint atomically: an interrupted write leaves the
-    previous checkpoint in place."""
+    previous checkpoint in place.  ``out``, the open --out file or None, is
+    first flushed to disk, and its length is recorded."""
+    if out is not None:
+        out.flush()
+        os.fsync(out.fileno())
     state = {
         "digest": digest,
         "chunks_done": chunks_done,
         "counters": counters.to_json(),
-        "findings": [rec.to_record() for rec in findings],
+        "out_bytes": None if out is None else out.tell(),
     }
     tmp = path.with_name(f".{path.name}.tmp")
     with tmp.open("w") as fh:
@@ -555,7 +565,7 @@ def cmd_search(args) -> int:
     out_path = Path(args.out) if args.out else None
     checkpoint = Path(args.checkpoint) if args.checkpoint else None
     campaign = _campaign_from_args(args, args.n_convention)
-    counters, findings = run_search(
+    counters, recorded = run_search(
         campaign, out_path, checkpoint, args.resume, log=lambda s: print(s, file=sys.stderr)
     )
     summary = {
@@ -564,7 +574,7 @@ def cmd_search(args) -> int:
         "balanced": counters.balanced,
         "trivial": counters.trivial,
         "sporadic": counters.sporadic,
-        "recorded": len(findings),
+        "recorded": recorded,
     }
     print(json.dumps(summary, sort_keys=True))
     if args.expect_sporadic is not None and counters.sporadic != args.expect_sporadic:
@@ -580,8 +590,9 @@ def _regenerate_witness_table(n_total: int, profile_values: tuple[int, ...]):
     """Sporadic degree sets and witnesses at one variable count, top degree
     below the variable count: the sporadic findings of a census campaign."""
     perturbation = _perturbation(profile_values, None, None)
-    _, findings = run_search(Campaign(n_total - 1, n_total, "total", (perturbation,), True))
-    return {rec.degrees: rec.witness for rec in findings if rec.n_total == n_total}
+    campaign = Campaign(n_total - 1, n_total, "total", (perturbation,), True)
+    chunks = (_scan_leading_degree(campaign, lead)[1] for lead in range(1, n_total))
+    return {rec.degrees: rec.witness for recs in chunks for rec in recs if rec.n_total == n_total}
 
 
 def cmd_tables(args) -> int:
@@ -706,6 +717,8 @@ def cmd_verify_families(args) -> int:
 
 
 def cmd_conjecture_scan(args) -> int:
+    if args.k_min > args.k_max or args.n_max < 2:
+        raise SystemExit2(f"nothing to scan: degrees {args.k_min}..{args.k_max}, n 2..{args.n_max}")
     rows = []
     off_residue = 0
     profile = WeightProfile(1, X1_PROFILE)

@@ -10,6 +10,7 @@ circularity.
 
 from __future__ import annotations
 
+import json
 import random
 from math import comb
 
@@ -42,6 +43,11 @@ def brute_force_sign_sum(degrees, n_total: int, f: BooleanFunction | None) -> in
         table = np.array(f.bits(), dtype=np.int64)
         bits = bits ^ table[np.arange(1 << n_total, dtype=np.int64) & (f.size - 1)]
     return int(np.sum(1 - 2 * bits))
+
+
+def read_findings(path) -> list[dict]:
+    """The finding records of a ``search --out`` file, without its header."""
+    return [json.loads(line) for line in path.read_text().splitlines()[1:]]
 
 
 def function_from_profile(profile: WeightProfile) -> BooleanFunction:

@@ -58,6 +58,7 @@ from conftest import (
     random_profile,
     random_spec,
     random_unbalanced_profile,
+    read_findings,
 )
 
 X1 = WeightProfile(1, (1, -1))
@@ -287,7 +288,7 @@ def test_criterion_09_witness_tables():
             assert key == shared
 
 
-def test_criterion_10_exhaustive_census():
+def test_criterion_10_exhaustive_census(tmp_path):
     start = time.monotonic()
     expected = {("profile:1,-1", (1, -1)): 265, ("profile:1,-2,1", (1, -2, 1)): 606}
     for perturbation, want in expected.items():
@@ -298,15 +299,18 @@ def test_criterion_10_exhaustive_census():
             perturbations=(perturbation,),
             sporadic_only=True,
         )
-        counters, findings = run_search(campaign)
+        out = tmp_path / "findings.jsonl"
+        counters, recorded = run_search(campaign, out)
+        findings = read_findings(out)
         assert counters.sporadic == want
         assert counters.balanced == counters.trivial + counters.sporadic
-        assert len(findings) == want
+        assert len(findings) == recorded == want
         for rec in random.Random(0xCE25).sample(findings, 12):
             assert rec == classify(
-                SymmetricSpec(rec.degrees), WeightProfile(rec.j, perturbation[1]),
-                rec.n_total, rec.perturbation,
-            )
+                SymmetricSpec(tuple(rec["degrees"])),
+                WeightProfile(len(perturbation[1]) - 1, perturbation[1]),
+                rec["n_total"], rec["perturbation"],
+            ).to_record()
     assert time.monotonic() - start < 1200.0
 
 

@@ -2,16 +2,18 @@
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import json
+import signal
 import subprocess
 import sys
+import time
 
 import pytest
 
 from symsum import (
     BalanceStatus,
-    BalanceVerdict,
     SolutionVector,
     SymmetricSpec,
     WeightProfile,
@@ -23,7 +25,7 @@ from symsum import (
 from symsum import balance, diophantine, search_cli
 from symsum.search_cli import Campaign, main, run_search
 
-from conftest import brute_force_sign_sum
+from conftest import brute_force_sign_sum, read_findings
 
 DEGREE4_ROW = (2, 4, 8, 14, 20, 20, 0, -68, -232, -560)
 DEGREE5_ROW = (2, 4, 8, 16, 30, 52, 84, 128, 188, 280)
@@ -322,11 +324,13 @@ class TestSearch:
         defaults.update(kw)
         return Campaign(**defaults)
 
-    def test_counters_match_direct_recount(self):
+    def test_counters_match_direct_recount(self, tmp_path):
         campaign = self.small_campaign()
-        counters, findings = run_search(campaign)
+        out = tmp_path / "findings.jsonl"
+        counters, recorded = run_search(campaign, out)
+        findings = read_findings(out)
         candidates = balanced = trivial = sporadic = 0
-        recount: list[BalanceVerdict] = []
+        recount: list[dict] = []
         for size in range(1, campaign.k_max + 1):
             for degs in itertools.combinations(range(1, campaign.k_max + 1), size):
                 for desc, values in campaign.perturbations:
@@ -334,10 +338,11 @@ class TestSearch:
                     for n_total in campaign.n_totals(degs[-1], j):
                         candidates += 1
                         v = classify(
-                            SymmetricSpec(degs), WeightProfile(j, values), n_total
+                            SymmetricSpec(degs), WeightProfile(j, values), n_total, desc
                         )
                         if not v.balanced:
                             continue
+                        recount.append(v.to_record())
                         balanced += 1
                         if v.status is BalanceStatus.SPORADIC:
                             sporadic += 1
@@ -347,41 +352,36 @@ class TestSearch:
         assert counters.balanced == balanced == counters.trivial + counters.sporadic
         assert counters.trivial == trivial
         assert counters.sporadic == sporadic
-        assert len(findings) == balanced
+        assert len(findings) == recorded == balanced
+        # --out holds them in lex order of degree sets
+        assert findings == sorted(
+            recount, key=lambda r: (r["degrees"], r["n_total"], r["perturbation"])
+        )
 
-    def test_findings_reverify(self):
+    def test_findings_reverify(self, tmp_path):
         campaign = self.small_campaign()
-        counters, findings = run_search(campaign)
+        out = tmp_path / "findings.jsonl"
+        run_search(campaign, out)
+        findings = read_findings(out)
         assert findings
         profiles = dict(campaign.perturbations)
         for rec in findings:
+            values = profiles[rec["perturbation"]]
             assert rec == classify(
-                SymmetricSpec(rec.degrees), WeightProfile(rec.j, profiles[rec.perturbation]),
-                rec.n_total, rec.perturbation,
-            )
+                SymmetricSpec(tuple(rec["degrees"])), WeightProfile(len(values) - 1, values),
+                rec["n_total"], rec["perturbation"],
+            ).to_record()
 
-    def test_finding_records_read_back(self):
-        # a record leaves out j; the campaign's perturbation fixes it
-        campaign = self.small_campaign(
-            perturbations=(("profile:1", (1,)),) + self.small_campaign().perturbations
-        )
-        _, findings = run_search(campaign)
-        assert {rec.j for rec in findings} == {0, 1, 2}
-        unbalanced = classify(SymmetricSpec((14,)), WeightProfile(2, (1, -2, 1)), 23)
-        assert not unbalanced.balanced
-        for v in findings + [unbalanced]:
-            assert BalanceVerdict.from_record(v.to_record(), v.j) == v
-
-    def test_sporadic_only_filters_findings_not_counters(self):
-        full_counters, full_findings = run_search(self.small_campaign())
-        counters, findings = run_search(self.small_campaign(sporadic_only=True))
+    def test_sporadic_only_filters_findings_not_counters(self, tmp_path):
+        full_out, out = tmp_path / "full.jsonl", tmp_path / "sporadic.jsonl"
+        full_counters, _ = run_search(self.small_campaign(), full_out)
+        counters, recorded = run_search(self.small_campaign(sporadic_only=True), out)
+        full_findings, findings = read_findings(full_out), read_findings(out)
         assert counters.trivial == full_counters.trivial > 0
         assert counters.sporadic == full_counters.sporadic
-        assert len(findings) == counters.sporadic
-        assert all(rec.status == "sporadic" for rec in findings)
-        assert {(r.degrees, r.n_total, r.perturbation) for r in findings} <= {
-            (r.degrees, r.n_total, r.perturbation) for r in full_findings
-        }
+        assert len(findings) == recorded == counters.sporadic
+        assert all(rec["status"] == "sporadic" for rec in findings)
+        assert [r for r in full_findings if r["status"] == "sporadic"] == findings
 
     def test_inner_convention_scans_shifted_grid(self):
         campaign = self.small_campaign(n_convention="inner")
@@ -402,6 +402,19 @@ class TestSearch:
         assert not out_path.exists()
         with pytest.raises(ValueError, match="more than once"):
             self.small_campaign(perturbations=(("a", (1, -1)), ("a", (1, -2, 1))))
+
+    def test_equal_profiles_are_a_usage_error(self, capsys, tmp_path):
+        # --anf x1 has the profile (1, -1): the two flags name one perturbation
+        out_path = tmp_path / "findings.jsonl"
+        code, out, err = run_main(
+            capsys,
+            ["search", "--k-max", "2", "--n-max", "4", "--profile", "1,-1",
+             "--anf", "x1", "--out", str(out_path)],
+        )
+        assert (code, out) == (2, "")
+        assert err == ("error: perturbations profile:1,-1 and anf:x1 have the same "
+                       "weight profile [1, -1]\n")
+        assert not out_path.exists()
 
     def test_two_runs_give_identical_output(self, capsys, tmp_path):
         outs = []
@@ -433,6 +446,21 @@ class TestSearch:
             assert rec["S"] == 0
             assert rec["status"] in ("trivial", "sporadic")
 
+    @pytest.mark.parametrize("profile, body_sha256", [
+        ("1,-1", "6c809db3b8bf930db288f53a7b24fb93bb6bc38c027eec9c27a0ef9cb0561bb7"),
+        ("1,-2,1", "f4a151c27d46b61eb4f8df355bc7998b507d6ffdc8c786084b01a619f9407238"),
+    ])
+    def test_sporadic_census_out_body_is_pinned(self, capsys, tmp_path, profile, body_sha256):
+        # everything after the header line; the header describes the campaign
+        out = tmp_path / "findings.jsonl"
+        code, _, _ = run_main(
+            capsys, ["search", "--k-max", "17", "--n-max", "17", "--sporadic-only",
+                     "--profile", profile, "--out", str(out)]
+        )
+        assert code == 0
+        body = out.read_bytes().split(b"\n", 1)[1]
+        assert hashlib.sha256(body).hexdigest() == body_sha256
+
     def test_expect_sporadic_gate(self, capsys):
         argv = ["search", "--k-max", "4", "--n-max", "8", "--profile", "1,-1"]
         code, out, _ = run_main(capsys, argv + ["--expect-sporadic", "999"])
@@ -452,6 +480,8 @@ class TestSearch:
         assert ck.exists()
         state = json.loads(ck.read_text())
         assert state["chunks_done"] == 4
+        assert state["out_bytes"] is None
+        assert set(state) == {"digest", "chunks_done", "counters", "out_bytes"}
         code2, out2, _ = run_main(capsys, argv + ["--resume"])
         assert code2 == 0
         assert json.loads(out.strip().splitlines()[-1]) == json.loads(
@@ -487,10 +517,10 @@ class TestSearch:
         with pytest.raises(Interrupted):
             main(run_argv)
         assert json.loads(ck.read_text())["chunks_done"] == chunks_before_crash
-        assert not out.exists()
+        assert full_out.read_bytes().startswith(out.read_bytes())
         # the checkpoint was replaced in place: no temporary file is left
         assert sorted(p.name for p in tmp_path.iterdir()) == [
-            "full.json", "full.jsonl", "run.json"
+            "full.json", "full.jsonl", "run.json", "run.jsonl"
         ]
 
         monkeypatch.setattr(search_cli, "_scan_leading_degree", scan)
@@ -501,46 +531,111 @@ class TestSearch:
         assert out.read_bytes() == full_out.read_bytes()
         assert ck.read_bytes() == full_ck.read_bytes()
 
-    @pytest.mark.parametrize("chunks_before_crash", [1, 3])
-    def test_resume_reads_checkpoints_that_carry_profiles(
-        self, tmp_path, monkeypatch, chunks_before_crash
-    ):
-        # Checkpoints used to store each finding's profile; the campaign digest
-        # fixes it, so resume takes j from the campaign and ignores the key.
-        campaign = self.small_campaign(
-            k_max=6, n_max=10,
-            perturbations=(("profile:1", (1,)),) + self.small_campaign().perturbations,
-        )
-        full_out = tmp_path / "full.jsonl"
-        want = run_search(campaign, full_out)
+    def test_resume_refuses_old_checkpoints_and_mismatched_out(self, capsys, tmp_path):
+        argv = ["search", "--k-max", "5", "--n-max", "8"]
+        out, ck = tmp_path / "run.jsonl", tmp_path / "run.json"
+        code, _, _ = run_main(capsys, argv + ["--out", str(out), "--checkpoint", str(ck)])
+        assert code == 0
+        state = json.loads(ck.read_text())
+        body = out.read_bytes()
+        assert state["out_bytes"] == len(body)
+
+        def refused(checkpoint_state, out_path, out_bytes, message):
+            ck.write_text(json.dumps(checkpoint_state))
+            if out_bytes is not None:
+                out_path.write_bytes(out_bytes)
+            flags = ["--checkpoint", str(ck), "--resume"]
+            if out_path is not None:
+                flags += ["--out", str(out_path)]
+            code, stdout, err = run_main(capsys, argv + flags)
+            assert (code, stdout) == (2, ""), message
+            assert message in err
+            if out_path is not None:  # the --out file is left as it was
+                assert (out_path.read_bytes() if out_path.exists() else None) == out_bytes
+
+        # the format that kept every finding in the checkpoint
+        old = {k: v for k, v in state.items() if k != "out_bytes"}
+        refused({**old, "findings": []}, out, body, "checkpoint holds findings")
+        refused({**state, "out_bytes": None}, out, body, "written without --out")
+        refused(state, None, None, "written with --out")
+        refused(state, tmp_path / "missing.jsonl", None, "No such file or directory")
+        refused(state, out, body[:-1], "is shorter than")
+        other = b'{"digest": "0", "type": "campaign"}\n'
+        refused(state, out, other + body, "another campaign's header")
+
+    def test_crash_in_first_chunk_leaves_a_resumable_header(self, tmp_path, monkeypatch):
+        # the header line and a chunk-0 checkpoint are written before any scan
+        campaign = self.small_campaign()
+        full_out, full_ck = tmp_path / "full.jsonl", tmp_path / "full.json"
+        want = run_search(campaign, full_out, full_ck)
+        out, ck = tmp_path / "run.jsonl", tmp_path / "run.json"
+        out.write_text("previous\n")
 
         class Interrupted(Exception):
             pass
 
+        def crash(campaign, lead):
+            raise Interrupted
+
         scan = search_cli._scan_leading_degree
-
-        def scan_then_crash(campaign, lead):
-            if lead > chunks_before_crash:
-                raise Interrupted
-            return scan(campaign, lead)
-
-        out, ck = tmp_path / "run.jsonl", tmp_path / "run.json"
-        monkeypatch.setattr(search_cli, "CHECKPOINT_EVERY", 1)
-        monkeypatch.setattr(search_cli, "_scan_leading_degree", scan_then_crash)
+        monkeypatch.setattr(search_cli, "_scan_leading_degree", crash)
         with pytest.raises(Interrupted):
             run_search(campaign, out, ck)
         monkeypatch.setattr(search_cli, "_scan_leading_degree", scan)
-
+        header = full_out.read_bytes().split(b"\n", 1)[0] + b"\n"
+        assert out.read_bytes() == header
         state = json.loads(ck.read_text())
-        assert state["chunks_done"] == chunks_before_crash
-        profiles = dict(campaign.perturbations)
-        assert {rec["perturbation"] for rec in state["findings"]} == set(profiles)
-        for rec in state["findings"]:
-            rec["profile"] = list(profiles[rec["perturbation"]])
-        ck.write_text(json.dumps(state, sort_keys=True))
+        assert (state["chunks_done"], state["out_bytes"]) == (0, len(header))
+        assert state["counters"] == search_cli.ScanCounters().to_json()
+        with out.open("ab") as fh:  # a kill in mid-write leaves a partial line
+            fh.write(b'{"n_total": ')
 
         assert run_search(campaign, out, ck, resume=True) == want
         assert out.read_bytes() == full_out.read_bytes()
+        assert ck.read_bytes() == full_ck.read_bytes()
+
+    def test_killed_run_resumes_to_identical_output(self, capsys, tmp_path):
+        # A child process checkpoints after every chunk and pauses before
+        # each, so a kill lands while it runs; it is killed once soon after
+        # the chunk-0 checkpoint and once after chunk 4, then resumed here.
+        argv = ["search", "--k-max", "8", "--n-max", "10", "--profile", "1,-1",
+                "--profile", "1,-2,1"]
+        full_out, full_ck = tmp_path / "full.jsonl", tmp_path / "full.json"
+        code, want_stdout, _ = run_main(
+            capsys, argv + ["--out", str(full_out), "--checkpoint", str(full_ck)]
+        )
+        assert code == 0
+        child = (
+            "import sys, time\n"
+            "from symsum import search_cli\n"
+            "scan = search_cli._scan_leading_degree\n"
+            "def paused_scan(campaign, lead):\n"
+            "    time.sleep(0.05)\n"
+            "    return scan(campaign, lead)\n"
+            "search_cli._scan_leading_degree = paused_scan\n"
+            "search_cli.CHECKPOINT_EVERY = 1\n"
+            "raise SystemExit(search_cli.main(sys.argv[1:]))\n"
+        )
+        for kill_after in (0, 4):
+            out, ck = tmp_path / f"run{kill_after}.jsonl", tmp_path / f"run{kill_after}.json"
+            run_argv = argv + ["--out", str(out), "--checkpoint", str(ck)]
+            proc = subprocess.Popen([sys.executable, "-c", child] + run_argv,
+                                    stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+            try:
+                deadline = time.monotonic() + 30
+                while not (ck.exists() and json.loads(ck.read_text())["chunks_done"] >= kill_after):
+                    assert proc.poll() is None and time.monotonic() < deadline
+                    time.sleep(0.001)
+            finally:
+                proc.kill()
+                proc.wait()
+            assert proc.returncode == -signal.SIGKILL
+            assert json.loads(ck.read_text())["chunks_done"] < 8
+            code, stdout, _ = run_main(capsys, run_argv + ["--resume"])
+            assert code == 0
+            assert stdout == want_stdout
+            assert out.read_bytes() == full_out.read_bytes()
+            assert ck.read_bytes() == full_ck.read_bytes()
 
     def test_engine_classifier_disagreement_exits_one(self, capsys, monkeypatch):
         engine = search_cli._balanced_degree_sets
@@ -580,24 +675,6 @@ class TestSearch:
         assert out == ""
         assert scanned == []
         assert list(tmp_path.iterdir()) == []
-
-    def test_writability_check_changes_no_file(self, tmp_path, monkeypatch):
-        # checking the paths before the scan leaves an existing --out file
-        # as it was and creates no file, so a crashed run changes nothing
-        out = tmp_path / "run.jsonl"
-        out.write_text("previous\n")
-
-        class Interrupted(Exception):
-            pass
-
-        def crash(campaign, lead):
-            raise Interrupted
-
-        monkeypatch.setattr(search_cli, "_scan_leading_degree", crash)
-        with pytest.raises(Interrupted):
-            run_search(self.small_campaign(), out, tmp_path / "run.json")
-        assert out.read_text() == "previous\n"
-        assert [p.name for p in tmp_path.iterdir()] == ["run.jsonl"]
 
     def test_witness_check_fault_exits_one(self, capsys, monkeypatch):
         # The engine builds its weights from math.comb, not from the half row
@@ -682,6 +759,15 @@ class TestVerificationCommands:
             k = int(line.split()[0].split("=")[1])
             n = int(line.split()[1].split("=")[1])
             assert k == 1 or n < k - 1
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--k-min", "5", "--k-max", "4"], "nothing to scan: degrees 5..4, n 2..100"),
+        (["--n-max", "1"], "nothing to scan: degrees 1..10, n 2..1"),
+    ])
+    def test_conjecture_scan_empty_range_is_a_usage_error(self, capsys, flags, message):
+        code, out, err = run_main(capsys, ["conjecture-scan"] + flags)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {message}")
 
     def test_conjecture_scan_matches_per_index_classification(self, capsys):
         code, out, _ = run_main(capsys, ["conjecture-scan", "--k-max", "8", "--n-max", "120"])
