@@ -531,6 +531,61 @@ class TestSearch:
         assert out.read_bytes() == full_out.read_bytes()
         assert ck.read_bytes() == full_ck.read_bytes()
 
+    @pytest.mark.parametrize("chunks_before_crash", [1, 3])
+    def test_resume_reads_checkpoints_that_carry_profiles(
+        self, tmp_path, monkeypatch, chunks_before_crash
+    ):
+        # Checkpoints used to store each finding with its profile.  Now they
+        # hold no profile at all: the campaign digest fixes every profile, so
+        # resume takes them from the campaign, and a checkpoint whose findings
+        # still carry profiles is refused with the --out file left as it was.
+        campaign = self.small_campaign(
+            k_max=6, n_max=10,
+            perturbations=(("profile:1", (1,)),) + self.small_campaign().perturbations,
+        )
+        full_out, full_ck = tmp_path / "full.jsonl", tmp_path / "full.json"
+        want = run_search(campaign, full_out, full_ck)
+
+        class Interrupted(Exception):
+            pass
+
+        scan = search_cli._scan_leading_degree
+
+        def scan_then_crash(campaign, lead):
+            if lead > chunks_before_crash:
+                raise Interrupted
+            return scan(campaign, lead)
+
+        out, ck = tmp_path / "run.jsonl", tmp_path / "run.json"
+        monkeypatch.setattr(search_cli, "CHECKPOINT_EVERY", 1)
+        monkeypatch.setattr(search_cli, "_scan_leading_degree", scan_then_crash)
+        with pytest.raises(Interrupted):
+            run_search(campaign, out, ck)
+        monkeypatch.setattr(search_cli, "_scan_leading_degree", scan)
+
+        state = json.loads(ck.read_text())
+        assert state["chunks_done"] == chunks_before_crash
+        assert set(state) == {"digest", "chunks_done", "counters", "out_bytes"}
+        assert "profile" not in ck.read_text()
+        prefix = out.read_bytes()
+        assert state["out_bytes"] == len(prefix)
+        profiles = dict(campaign.perturbations)
+        findings = read_findings(out)
+        assert {rec["perturbation"] for rec in findings} == set(profiles)
+
+        old = {**state, "findings": [
+            {**rec, "profile": list(profiles[rec["perturbation"]])} for rec in findings
+        ]}
+        ck.write_text(json.dumps(old, sort_keys=True))
+        with pytest.raises(search_cli.SystemExit2, match="checkpoint holds findings"):
+            run_search(campaign, out, ck, resume=True)
+        assert out.read_bytes() == prefix
+
+        ck.write_text(json.dumps(state, sort_keys=True))
+        assert run_search(campaign, out, ck, resume=True) == want
+        assert out.read_bytes() == full_out.read_bytes()
+        assert ck.read_bytes() == full_ck.read_bytes()
+
     def test_resume_refuses_old_checkpoints_and_mismatched_out(self, capsys, tmp_path):
         argv = ["search", "--k-max", "5", "--n-max", "8"]
         out, ck = tmp_path / "run.jsonl", tmp_path / "run.json"
