@@ -385,20 +385,32 @@ class CyclotomicValue:
                     out[e] += a * b
         return CyclotomicValue(self.r, tuple(out), self.denom * other.denom)
 
-    def scaled(self, num: int, den: int = 1) -> "CyclotomicValue":
-        return CyclotomicValue(self.r, tuple(num * c for c in self.coeffs), self.denom * den)
-
     def power(self, n: int) -> "CyclotomicValue":
+        """self**n.  A base a*xi^e + b*xi^f of at most two terms expands by the
+        binomial row, C(n, i) * a^(n-i) * b^i at xi^(e*n + i*(f-e)), summed by i mod
+        2^r / gcd(f-e, 2^r) and folded by xi^half = -1; others use repeated squaring."""
         if n < 0:
             raise ValueError("negative powers not supported")
-        acc = CyclotomicValue.from_int(self.r, 1)
-        base = self
-        while n:
-            if n & 1:
-                acc = acc * base
-            base = base * base
-            n >>= 1
-        return acc
+        terms = [(i, c) for i, c in enumerate(self.coeffs) if c] or [(0, 0)]  # zero is 0*xi^0
+        if len(terms) > 2:
+            acc = CyclotomicValue.from_int(self.r, 1)
+            base = self
+            while n:
+                if n & 1:
+                    acc = acc * base
+                base = base * base
+                n >>= 1
+            return acc
+        (e, a), (f, b) = terms[0], terms[-1]  # e == f for one term
+        row = [a ** n]  # row[i] = C(n, i) * a^(n-i) * b^i
+        if f > e:
+            for i in range(n):
+                row.append(row[i] * (n - i) * b // ((i + 1) * a))
+        m = 2 * self.half // gcd(f - e, 2 * self.half)
+        out = [0] * self.half
+        for t in range(min(m, n + 1)):
+            _add_xi_power(out, e * n + t * (f - e), sum(row[t::m]))
+        return CyclotomicValue(self.r, tuple(out), self.denom ** n)
 
     @property
     def is_zero(self) -> bool:
@@ -414,15 +426,9 @@ class CyclotomicValue:
         return Fraction(self.coeffs[0], self.denom)
 
     def conjugate(self) -> "CyclotomicValue":
-        half = self.half
-        out = [0] * half
+        out = [0] * self.half
         for i, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            if i == 0:
-                out[0] += c
-            else:
-                out[half - i] -= c
+            _add_xi_power(out, -i, c)
         return CyclotomicValue(self.r, tuple(out), self.denom)
 
     def __complex__(self) -> complex:
@@ -445,15 +451,16 @@ class CyclotomicValue:
         return body if self.denom == 1 else f"({body})/{self.denom}"
 
 
+def _add_xi_power(coords: list[int], e: int, v: int) -> None:
+    """Add v * xi**e to power-basis coordinates, folded by xi**half = -1."""
+    half = len(coords)
+    coords[e % half] += -v if e // half & 1 else v
+
+
 def xi_power(r: int, e: int) -> CyclotomicValue:
     """xi**e reduced into the power basis."""
-    half = 1 << (r - 1)
-    e %= 2 * half
-    coeffs = [0] * half
-    if e < half:
-        coeffs[e] = 1
-    else:
-        coeffs[e - half] = -1
+    coeffs = [0] * (1 << (r - 1))
+    _add_xi_power(coeffs, e, 1)
     return CyclotomicValue(r, tuple(coeffs), 1)
 
 
@@ -467,16 +474,14 @@ def d_coefficients(spec: SymmetricSpec, profile: WeightProfile) -> list[Cyclotom
 
     The perturbed sign sum on inner_n variables beyond the perturbation equals
     sum over l of d_l * lambda_l**inner_n, with d_l the discrete Fourier
-    coefficient (1/2**r) * sum over a of delta[a] * xi**(a*l).  Conjugate
-    symmetry pairs l and 2**r - l.
+    coefficient (1/2**r) * sum over a of delta[a] * xi**(a*l), whose integer
+    coordinates are summed directly.  Conjugate symmetry pairs l and 2**r - l.
     """
     dv = delta_vector(spec, profile)
-    period = dv.period
     out = []
-    for l in range(period):
-        acc = CyclotomicValue.zero(spec.r)
+    for l in range(dv.period):
+        coeffs = [0] * (dv.period // 2)
         for a, d in enumerate(dv.values):
-            if d:
-                acc = acc + xi_power(spec.r, a * l).scaled(d)
-        out.append(acc.scaled(1, period))
+            _add_xi_power(coeffs, a * l, d)
+        out.append(CyclotomicValue(spec.r, tuple(coeffs), dv.period))
     return out

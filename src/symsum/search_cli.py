@@ -372,11 +372,21 @@ def run_search(campaign: Campaign, out_path: Path | None = None,
         if checkpoint_path is None or not checkpoint_path.exists():
             raise SystemExit2("--resume needs an existing --checkpoint file")
         state = json.loads(checkpoint_path.read_text())
-        if "findings" in state:
+        if isinstance(state, dict) and "findings" in state:
             raise SystemExit2("checkpoint holds findings, a format that can no longer "
                               "be resumed; run the campaign again without --resume")
-        if state.get("digest") != digest:
+        kinds = {"digest": (str,), "chunks_done": (int,), "counters": (dict,),
+                 "out_bytes": (int, type(None))}
+        if (not isinstance(state, dict) or not kinds.keys() <= state.keys()
+                or any(type(state[k]) not in t for k, t in kinds.items())
+                or state["counters"].keys() != ScanCounters().to_json().keys()
+                or any(type(v) is not int for v in state["counters"].values())):
+            raise SystemExit2(f"checkpoint {checkpoint_path} is not an object with keys digest, "
+                              "chunks_done, counters and out_bytes of the right types")
+        if state["digest"] != digest:
             raise SystemExit2("checkpoint belongs to a different campaign")
+        if not 0 <= state["chunks_done"] <= campaign.k_max:  # the digest fixes k_max
+            raise SystemExit2(f"checkpoint {checkpoint_path} has chunks_done outside 0..{campaign.k_max}")
         out_bytes = state["out_bytes"]
         if (out_bytes is None) != (out_path is None):
             had = "without" if out_bytes is None else "with"

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import functools
+import itertools
+import operator
 import random
 from fractions import Fraction
 
@@ -18,6 +21,7 @@ from symsum import (
     c0,
     d0,
     d_coefficients,
+    delta_vector,
     epsilon,
     exp_sum_profile,
     exp_sum_symmetric,
@@ -326,6 +330,70 @@ class TestCyclotomicValue:
             assert lambda_value(r, 1 << (r - 1)).is_zero
 
 
+def product_power(base: CyclotomicValue, n: int) -> CyclotomicValue:
+    """base**n by plain repeated multiplication."""
+    return functools.reduce(operator.mul, [base] * n, CyclotomicValue.from_int(base.r, 1))
+
+
+def squaring_power(base: CyclotomicValue, n: int) -> CyclotomicValue:
+    """base**n by repeated squaring, whatever the number of terms."""
+    acc = CyclotomicValue.from_int(base.r, 1)
+    while n:
+        if n & 1:
+            acc = acc * base
+        base, n = base * base, n >> 1
+    return acc
+
+
+def sparse_value(r: int, terms: dict[int, int], denom: int = 1) -> CyclotomicValue:
+    coeffs = [0] * (1 << (r - 1))
+    for e, c in terms.items():
+        coeffs[e] = c
+    return CyclotomicValue(r, tuple(coeffs), denom)
+
+
+class TestPower:
+    EXPONENTS = (0, 1, 2, 3, 97)
+
+    @staticmethod
+    def bases(r: int, rng: random.Random) -> list[CyclotomicValue]:
+        """Zero, one-term and two-term bases, with non-unit coefficients and
+        denominators above 1."""
+        half = 1 << (r - 1)
+        out = [CyclotomicValue.zero(r), sparse_value(r, {0: 1}), sparse_value(r, {half - 1: -3}, 2)]
+        if half > 1:
+            out += [lambda_value(r, 1), lambda_value(r, 2 * half - 1),
+                    sparse_value(r, {0: 2, half - 1: -1}, 3)]
+            e, f = sorted(rng.sample(range(half), 2))
+            out.append(sparse_value(r, {e: rng.choice((-5, 3, 7)), f: rng.choice((-2, 4))},
+                                    rng.choice((2, 6))))
+        return out
+
+    def test_matches_repeated_multiplication(self, rng):
+        for r in range(1, 7):
+            exponents = set(self.EXPONENTS) | {1 << (r - 1)}
+            for base in self.bases(r, rng):
+                for n in exponents:
+                    assert base.power(n) == product_power(base, n), (r, base, n)
+
+    def test_matches_the_squaring_route(self, rng):
+        # x*y has up to four terms, so its power takes the squaring route;
+        # x and y alone take the binomial route
+        squared = 0
+        for r in range(3, 7):
+            for x, y in itertools.combinations(self.bases(r, rng), 2):
+                prod = x * y
+                squared += sum(1 for c in prod.coeffs if c) > 2
+                for n in (0, 1, 2, 3, 1 << (r - 1), 41):
+                    assert prod.power(n) == x.power(n) * y.power(n), (r, x, y, n)
+        assert squared >= 20
+
+    def test_lambda_powers_at_the_benchmark_size(self):
+        for l in (0, 1, 5, 32, 63):
+            lam = lambda_value(6, l)
+            assert lam.power(597) == squaring_power(lam, 597), l
+
+
 class TestDCoefficients:
     def test_identically_zero_sequence(self):
         out = d_coefficients(SymmetricSpec.of(1), UNPERTURBED)
@@ -350,6 +418,25 @@ class TestDCoefficients:
             period = spec.period
             for l in range(1, period):
                 assert out[l].conjugate() == out[period - l]
+
+    def test_matches_the_accumulation_route(self, rng):
+        for top in (40, 21, 9, 3):
+            spec = SymmetricSpec(tuple(sorted({top, *random_spec(rng, top - 1).degrees})))
+            prof = random_profile(rng, rng.randint(0, 4))
+            r, period = spec.r, spec.period
+            inverse_period = CyclotomicValue(r, (1,) + (0,) * ((period >> 1) - 1), period)
+            values = delta_vector(spec, prof).values
+            # xi_power itself checked against products of xi
+            powers = itertools.accumulate([xi_power(r, 1)] * (2 * period - 1), operator.mul)
+            for e, want in enumerate(powers, start=1):
+                assert xi_power(r, e) == want, (r, e)
+            got = d_coefficients(spec, prof)
+            assert len(got) == period
+            for l in range(period):
+                acc = CyclotomicValue.zero(r)
+                for a, d in enumerate(values):
+                    acc = acc + CyclotomicValue.from_int(r, d) * xi_power(r, a * l)
+                assert got[l] == acc * inverse_period, (spec, prof, l)
 
     def test_reconstructs_degree_four_row(self):
         spec = SymmetricSpec.of(4)

@@ -618,6 +618,46 @@ class TestSearch:
         other = b'{"digest": "0", "type": "campaign"}\n'
         refused(state, out, other + body, "another campaign's header")
 
+    @pytest.mark.parametrize("case", [
+        "no digest", "no chunks_done", "no counters", "no out_bytes",
+        "a list", "a number", "null",
+        "chunks_done a string", "chunks_done a float", "chunks_done a bool",
+        "counters a list", "a counter missing", "an unknown counter", "a counter a string",
+        "out_bytes a string", "digest a number",
+        "chunks_done negative", "chunks_done past the last chunk",
+    ])
+    def test_resume_refuses_malformed_checkpoints(self, capsys, tmp_path, case):
+        # a checkpoint is outside input: a wrong shape exits 2 before --out is touched
+        argv = ["search", "--k-max", "3", "--n-max", "5", "--profile", "1,-1"]
+        out, ck = tmp_path / "run.jsonl", tmp_path / "run.json"
+        flags = ["--out", str(out), "--checkpoint", str(ck)]
+        assert run_main(capsys, argv + flags)[0] == 0
+        state, body = json.loads(ck.read_text()), out.read_bytes()
+        counters = state["counters"]
+        bad = {
+            **{f"no {key}": {k: v for k, v in state.items() if k != key} for key in state},
+            "a list": [1],
+            "a number": 7,
+            "null": None,
+            "chunks_done a string": {**state, "chunks_done": "3"},
+            "chunks_done a float": {**state, "chunks_done": 3.0},
+            "chunks_done a bool": {**state, "chunks_done": True},
+            "counters a list": {**state, "counters": list(counters.values())},
+            "a counter missing": {**state, "counters": {
+                k: v for k, v in counters.items() if k != "balanced"}},
+            "an unknown counter": {**state, "counters": {**counters, "hits": 0}},
+            "a counter a string": {**state, "counters": {**counters, "sporadic": "0"}},
+            "out_bytes a string": {**state, "out_bytes": str(state["out_bytes"])},
+            "digest a number": {**state, "digest": 0},
+            "chunks_done negative": {**state, "chunks_done": -1},
+            "chunks_done past the last chunk": {**state, "chunks_done": 4},
+        }[case]
+        ck.write_text(json.dumps(bad))
+        code, stdout, err = run_main(capsys, argv + flags + ["--resume"])
+        assert (code, stdout) == (2, "")
+        assert err.startswith(f"error: checkpoint {ck} ")
+        assert out.read_bytes() == body
+
     def test_crash_in_first_chunk_leaves_a_resumable_header(self, tmp_path, monkeypatch):
         # the header line and a chunk-0 checkpoint are written before any scan
         campaign = self.small_campaign()
