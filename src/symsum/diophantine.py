@@ -12,7 +12,6 @@ those moves, so a normalized folded vector is a canonical class key.
 from __future__ import annotations
 
 import itertools
-from collections import defaultdict
 from dataclasses import dataclass
 from enum import Enum
 from math import comb, gcd, prod
@@ -448,46 +447,48 @@ def enumerate_classes(n: int, j: int, budget: float | None = None) -> dict[Folde
         max_tail[i] = max_tail[i + 1] + fold_b * weights[i]
     slack = fold_b * weights[0] + (center_b * center_w if even else 0)
 
-    found: dict[tuple, tuple[tuple[int, ...], int | None]] = {}
+    found: dict[tuple[int, ...], tuple[tuple[int, ...], int | None, bool]] = {}
 
     def emit(half: tuple[int, ...], center: int | None) -> None:
         comps = half if center is None else half + (center,)
         norm, zero = _normalize_components(comps)
-        key = ("Z",) if zero else norm
-        if key not in found:
-            found[key] = (half, center)
+        if norm not in found:
+            found[norm] = (half, center, zero)
 
+    # Each loop runs over the range its bound allows, by floor division:
+    # lo <= s <= hi exactly when |acc + s * w| <= lim (and likewise for the
+    # center, whose bound is the forced first pair sum's |s0| <= 2**j).
     def walk(idx: int, acc: int, chosen: tuple[int, ...]) -> None:
         if idx == hl:
             if even:
-                for c in range(-center_b, center_b + 1):
-                    s0 = -(acc + c * center_w)
-                    if -fold_b <= s0 <= fold_b:
-                        emit((s0,) + chosen, c)
-            else:
-                s0 = -acc
-                if -fold_b <= s0 <= fold_b:
-                    emit((s0,) + chosen, None)
+                lo = max(-center_b, -((fold_b + acc) // center_w))
+                hi = min(center_b, (fold_b - acc) // center_w)
+                for c in range(lo, hi + 1):
+                    emit((-(acc + c * center_w),) + chosen, c)
+            elif -fold_b <= acc <= fold_b:
+                emit((-acc,) + chosen, None)
             return
         w = weights[idx]
         lim = max_tail[idx + 1] + slack
-        for s in range(-fold_b, fold_b + 1):
-            a2 = acc + s * w
-            if -lim <= a2 <= lim:
-                walk(idx + 1, a2, chosen + (s,))
+        lo = max(-fold_b, -((lim + acc) // w))
+        hi = min(fold_b, (lim - acc) // w)
+        for s in range(lo, hi + 1):
+            walk(idx + 1, acc + s * w, chosen + (s,))
 
     walk(1, 0, ())
 
+    # The key is the normalized fold the sweep already has; canonical_key
+    # would fold and normalize each representative again.
     out: dict[FoldedKey, SolutionVector] = {}
-    for half, center in found.values():
+    for norm, (half, center, zero) in found.items():
         entries = [0] * (n + 1)
         for l, s in enumerate(half):
             entries[l] = (s + 1) // 2
             entries[n - l] = s // 2
         if center is not None:
             entries[n // 2] = center
-        rep = SolutionVector(n, tuple(entries))
-        out[canonical_key(rep)] = rep
+        key = FoldedKey(n, norm[:hl], norm[hl] if even else None, zero)
+        out[key] = SolutionVector(n, tuple(entries))
     return out
 
 
@@ -529,6 +530,14 @@ def gamma_via_integral(n: int, j: int, budget: float | None = None) -> int:
     indicator of a zero sum over all sign patterns, with weight 2 per nonzero
     value, reproduces the solution count exactly.  Must agree with
     count_solutions; the two follow entirely different routes.
+
+    The sign patterns are walked depth first, largest weight first: a
+    prefix's partial-sum counts are built once and extended for +C(n, l) and
+    for -C(n, l), and every partial sum that the remaining weights can no
+    longer bring back to zero is dropped.  Each leaf adds its pattern's count
+    of zero sums; the two leaves under a node on the last weight are read off
+    that node's counts directly.  Refuses with BudgetExceeded when the
+    integral metric is over the budget.
     """
     if n < 1 or j < 1:
         raise ValueError("need n >= 1 and j >= 1")
@@ -537,34 +546,40 @@ def gamma_via_integral(n: int, j: int, budget: float | None = None) -> int:
             f"integral metric {gamma_integral_metric(n, j)} exceeds budget {budget}"
         )
     bound = 1 << (j - 1)
+    values = range(1, bound + 1)
     # math.comb, not the half-row kernel: this recount is the independent
     # route that count_solutions is checked against.
-    weights = [comb(n, i) for i in range(n + 1)]
+    weights = sorted((comb(n, l) for l in range(n + 1)), reverse=True)
+    suffix = [0] * (n + 2)
+    for i in range(n, -1, -1):
+        suffix[i] = suffix[i + 1] + weights[i] * bound
+    last = weights[n]
     total = 0
+
+    def walk(cur: dict[int, int], i: int, step: int) -> None:
+        nonlocal total
+        lim = suffix[i + 1]
+        nxt: dict[int, int] = {}
+        for s, c in cur.items():
+            if -lim <= s <= lim:
+                nxt[s] = nxt.get(s, 0) + c
+            for x in values:
+                s2 = s + x * step
+                if -lim <= s2 <= lim:
+                    nxt[s2] = nxt.get(s2, 0) + 2 * c
+        if i + 1 < n:
+            walk(nxt, i + 1, weights[i + 1])
+            walk(nxt, i + 1, -weights[i + 1])
+            return
+        # the leaves for +last and -last: value 0 keeps a zero sum, and value
+        # x brings -x * last (or +x * last) to zero
+        total += 2 * nxt.get(0, 0) + 2 * sum(
+            nxt.get(x * last, 0) + nxt.get(-x * last, 0) for x in values
+        )
+
     # Opposite sign patterns match the same value vectors, so fix the first
     # sign positive and double.
-    for pattern in range(1 << n):
-        signed = [weights[0]]
-        for i in range(n):
-            w = weights[i + 1]
-            signed.append(-w if (pattern >> i) & 1 else w)
-        suffix = [0] * (n + 2)
-        for i in range(n, -1, -1):
-            suffix[i] = suffix[i + 1] + abs(signed[i]) * bound
-        cur = {0: 1}
-        for i in range(n + 1):
-            lim = suffix[i + 1]
-            step = signed[i]
-            nxt: dict[int, int] = defaultdict(int)
-            for s, c in cur.items():
-                if -lim <= s <= lim:
-                    nxt[s] += c
-                for x in range(1, bound + 1):
-                    s2 = s + x * step
-                    if -lim <= s2 <= lim:
-                        nxt[s2] += 2 * c
-            cur = nxt
-        total += cur.get(0, 0)
+    walk({0: 1}, 0, weights[0])
     q, rem = divmod(2 * total, 1 << (n + 1))
     if rem:
         raise ArithmeticError("sign-averaged recount did not divide evenly")

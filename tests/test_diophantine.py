@@ -32,13 +32,16 @@ from symsum import (
     trivial_forms,
     zero_key,
 )
+from symsum import diophantine
 from symsum.diophantine import (
     _binomial_half_row,
     _binomial_row,
     _box_count,
+    _check_class_cell,
     _is_trivial_key,
     _normalize_components,
 )
+from symsum.search_cli import DEFAULT_OMEGA_BUDGET
 
 EQUIVALENT_TO_ALTERNATING_N12 = (0, 0, 0, -2, 2, 0, 1, -2, 0, 0, 2, -2, 2)
 
@@ -455,6 +458,64 @@ class TestEnumerateSolutions:
             list(enumerate_solutions(10, 3))
 
 
+def per_leaf_enumerate_classes(n: int, j: int) -> dict[FoldedKey, SolutionVector]:
+    """The class sweep with a filter loop at every slot and leaf, and each
+    key rebuilt by canonical_key: the sweep enumerate_classes replaced,
+    kept as its oracle."""
+    _check_class_cell(n, j, None)
+    hl = (n + 1) // 2
+    row = _binomial_half_row(n)
+    weights = row[:hl]
+    even = n % 2 == 0
+    center_w = row[-1] if even else 0
+    fold_b = 1 << j
+    center_b = 1 << (j - 1)
+    max_tail = [0] * (hl + 1)
+    for i in range(hl - 1, 0, -1):
+        max_tail[i] = max_tail[i + 1] + fold_b * weights[i]
+    slack = fold_b * weights[0] + (center_b * center_w if even else 0)
+    found: dict[tuple, tuple[tuple[int, ...], int | None]] = {}
+
+    def emit(half, center):
+        comps = half if center is None else half + (center,)
+        norm, zero = _normalize_components(comps)
+        key = ("Z",) if zero else norm
+        if key not in found:
+            found[key] = (half, center)
+
+    def walk(idx, acc, chosen):
+        if idx == hl:
+            if even:
+                for c in range(-center_b, center_b + 1):
+                    s0 = -(acc + c * center_w)
+                    if -fold_b <= s0 <= fold_b:
+                        emit((s0,) + chosen, c)
+            else:
+                s0 = -acc
+                if -fold_b <= s0 <= fold_b:
+                    emit((s0,) + chosen, None)
+            return
+        w = weights[idx]
+        lim = max_tail[idx + 1] + slack
+        for s in range(-fold_b, fold_b + 1):
+            a2 = acc + s * w
+            if -lim <= a2 <= lim:
+                walk(idx + 1, a2, chosen + (s,))
+
+    walk(1, 0, ())
+    out = {}
+    for half, center in found.values():
+        entries = [0] * (n + 1)
+        for l, s in enumerate(half):
+            entries[l] = (s + 1) // 2
+            entries[n - l] = s // 2
+        if center is not None:
+            entries[n // 2] = center
+        rep = SolutionVector(n, tuple(entries))
+        out[canonical_key(rep)] = rep
+    return out
+
+
 class TestClasses:
     def test_reference_counts(self):
         assert count_classes(4, 2) == 5
@@ -498,6 +559,21 @@ class TestClasses:
         for n, j in cells:
             assert count_classes(n, j) == len(enumerate_classes(n, j)), (n, j)
 
+    def test_sweep_equals_the_per_leaf_sweep(self):
+        # same keys in the same order, same representatives, for every cell
+        # with n <= 10 and j <= 4 that the default omega budget admits
+        cells = 0
+        for n in range(1, 11):
+            for j in range(1, 5):
+                if class_enumeration_metric(n, j) > DEFAULT_OMEGA_BUDGET:
+                    continue
+                got = enumerate_classes(n, j)
+                want = per_leaf_enumerate_classes(n, j)
+                assert list(got.items()) == list(want.items()), (n, j)
+                assert len(got) == count_classes(n, j), (n, j)
+                cells += 1
+        assert cells == 39  # all but (10, 4)
+
     def test_level_zero_rejected(self):
         # {-1, 1} has no zero: at n = 6 the only solutions are the two
         # alternating vectors, which the folded sweep cannot see
@@ -507,6 +583,40 @@ class TestClasses:
             enumerate_classes(6, 0)
 
 
+def per_pattern_recount(n: int, j: int) -> int:
+    """The sign-averaged recount as one full partial-sum DP per sign pattern,
+    in index order: the loop gamma_via_integral's shared-prefix walk
+    replaced, kept as its oracle."""
+    bound = 1 << (j - 1)
+    weights = [comb(n, i) for i in range(n + 1)]
+    total = 0
+    for pattern in range(1 << n):
+        signed = [weights[0]]
+        for i in range(n):
+            w = weights[i + 1]
+            signed.append(-w if (pattern >> i) & 1 else w)
+        suffix = [0] * (n + 2)
+        for i in range(n, -1, -1):
+            suffix[i] = suffix[i + 1] + abs(signed[i]) * bound
+        cur = {0: 1}
+        for i in range(n + 1):
+            lim = suffix[i + 1]
+            step = signed[i]
+            nxt: dict[int, int] = defaultdict(int)
+            for s, c in cur.items():
+                if -lim <= s <= lim:
+                    nxt[s] += c
+                for x in range(1, bound + 1):
+                    s2 = s + x * step
+                    if -lim <= s2 <= lim:
+                        nxt[s2] += 2 * c
+            cur = nxt
+        total += cur.get(0, 0)
+    q, rem = divmod(2 * total, 1 << (n + 1))
+    assert rem == 0
+    return q
+
+
 class TestIntegralRecount:
     def test_reference_values(self):
         assert gamma_via_integral(1, 1) == 3
@@ -514,9 +624,24 @@ class TestIntegralRecount:
         assert gamma_via_integral(4, 2) == 103
 
     def test_agrees_with_forward_count(self):
-        for n in range(1, 7):
-            for j in range(1, 3):
-                assert gamma_via_integral(n, j) == count_solutions(n, j)
+        for n in range(1, 11):
+            for j in range(1, 4):
+                assert gamma_via_integral(n, j) == count_solutions(n, j), (n, j)
+
+    def test_walk_equals_the_per_pattern_loop(self):
+        for n in range(1, 8):
+            for j in range(1, 4):
+                assert gamma_via_integral(n, j) == per_pattern_recount(n, j), (n, j)
+
+    def test_uses_no_kernel_of_the_forward_count(self, monkeypatch):
+        # the independent route: a fault in the half row or the box count
+        # must not move it together with count_solutions
+        def refuse(*args):
+            raise AssertionError("the recount must not call this")
+
+        for name in ("_binomial_half_row", "_binomial_row", "_box_count", "count_solutions"):
+            monkeypatch.setattr(diophantine, name, refuse)
+        assert gamma_via_integral(6, 2) == 685
 
     def test_level_zero_rejected(self):
         with pytest.raises(ValueError):

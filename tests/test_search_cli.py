@@ -206,6 +206,23 @@ class TestGammaCommand:
         assert len(checks) == 10
         assert all(l.endswith("ok") for l in checks)
 
+    def test_cross_check_skips_cells_over_the_recount_bound(self, capsys):
+        # (20, 1) has integral metric 2**21, just over the bound; its direct
+        # count is cheap, so only the recount is skipped
+        code, out, _ = run_main(
+            capsys, ["gamma", "--n", "20", "--j", "1", "--budget", "1e18", "--cross-check"]
+        )
+        assert code == 0
+        assert out.splitlines()[-1] == (
+            "cross-check n=20 j=1: skipped (integral metric 2097152 exceeds budget 2000000)"
+        )
+
+    def test_recount_bound_admits_every_cross_checked_cell(self):
+        # the cells the tests, the README and the benchmark recount
+        for n in range(1, 9):
+            for j in range(1, 4):
+                assert diophantine.gamma_integral_metric(n, j) <= search_cli.CROSS_CHECK_BUDGET
+
     def test_cross_check_at_level_zero_is_refused_before_any_work(self, capsys):
         code, out, err = run_main(
             capsys, ["gamma", "--n", "1..3", "--j", "0..1", "--cross-check"]

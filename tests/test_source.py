@@ -56,16 +56,29 @@ def _names(path: Path) -> set[str]:
     return names
 
 
+def _public_definitions(body, prefix: str = ""):
+    """(qualified name, name) of every public function, class and method,
+    walking into class bodies."""
+    for node in body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            if not node.name.startswith("_"):
+                yield prefix + node.name, node.name
+            if isinstance(node, ast.ClassDef):
+                yield from _public_definitions(node.body, f"{prefix}{node.name}.")
+
+
 def test_every_public_definition_is_named_somewhere():
-    # A public function or class must be named in a library module, in the
-    # tests or in the benchmark; re-exporting it from __init__ is not use.
+    # A public function, class or method must be named in a library module,
+    # in the tests or in the benchmark; re-exporting it from __init__ is not
+    # use.
     root = PACKAGE.parent.parent
     files = MODULES + sorted(root.glob("tests/*.py")) + sorted(root.glob("perfbench/*.py"))
     named = set().union(*(_names(path) for path in files))
     defined = {
-        (path.name, node.name) for path in MODULES for node in ast.parse(path.read_text()).body
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
+        (path.name, qualified, name) for path in MODULES
+        for qualified, name in _public_definitions(ast.parse(path.read_text()).body)
     }
-    assert defined, "no public definitions found"
-    unnamed = sorted(f"{module}:{name}" for module, name in defined if name not in named)
+    assert any("." in qualified for _, qualified, _ in defined), "no public methods found"
+    unnamed = sorted(f"{module}:{qualified}" for module, qualified, name in defined
+                     if name not in named)
     assert not unnamed, f"public definitions never named: {unnamed}"
