@@ -15,8 +15,6 @@ from math import comb
 
 MAX_VARIABLES = 24
 
-_HEX_DIGITS = "0123456789abcdef"
-
 
 class AnfSyntaxError(ValueError):
     """Raised when an algebraic-normal-form expression fails to parse."""
@@ -201,27 +199,6 @@ class BooleanFunction:
         for x, v in enumerate(values):
             table |= v << x
         return cls(size.bit_length() - 1, table)
-
-    def to_hex(self) -> str:
-        """Hex encoding of the truth table, least-significant nibble first."""
-        digits = max(1, self.size // 4)
-        return "".join(_HEX_DIGITS[(self.table >> (4 * t)) & 0xF] for t in range(digits))
-
-    @classmethod
-    def from_hex(cls, j: int, text: str) -> "BooleanFunction":
-        if not 1 <= j <= MAX_VARIABLES:
-            raise ValueError(f"variable count must be in 1..{MAX_VARIABLES}, got {j}")
-        expected = max(1, (1 << j) // 4)
-        if len(text) != expected:
-            raise ValueError(f"expected {expected} hex digits for {j} variables, got {len(text)}")
-        table = 0
-        for t, ch in enumerate(text.lower()):
-            if ch not in _HEX_DIGITS:
-                raise ValueError(f"invalid hex digit {ch!r}")
-            table |= _HEX_DIGITS.index(ch) << (4 * t)
-        if table >= (1 << (1 << j)):
-            raise ValueError("hex string sets bits beyond the truth table")
-        return cls(j, table)
 
     def weight(self) -> int:
         """Number of inputs where the function is 1."""

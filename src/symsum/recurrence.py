@@ -241,64 +241,6 @@ def minimality_certificate(k: int, horizon: int) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# exact asymptotic data
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class AsymptoticConstant:
-    """A reduced dyadic rational in [-1, 1]: the growth-rate coefficient on 2**n."""
-
-    numerator: int
-    denominator: int
-
-    def __post_init__(self) -> None:
-        num, den = int(self.numerator), int(self.denominator)
-        if den <= 0 or den & (den - 1):
-            raise ValueError("denominator must be a positive power of two")
-        if gcd(num, den) != 1 and not (num == 0 and den == 1):
-            raise ValueError("fraction must be reduced")
-        if abs(num) > den:
-            raise ValueError("constant must lie in [-1, 1]")
-        object.__setattr__(self, "numerator", num)
-        object.__setattr__(self, "denominator", den)
-
-    @classmethod
-    def from_fraction(cls, num: int, den: int) -> "AsymptoticConstant":
-        f = Fraction(num, den)
-        return cls(f.numerator, f.denominator)
-
-    @property
-    def value(self) -> Fraction:
-        return Fraction(self.numerator, self.denominator)
-
-    def __str__(self) -> str:
-        return f"{self.numerator}/{self.denominator}" if self.denominator != 1 else str(self.numerator)
-
-
-def c0(spec: SymmetricSpec) -> AsymptoticConstant:
-    """Coefficient of 2**n in the unperturbed sign sum on n variables.
-
-    Equals the average of the periodic sign pattern over one period; it is
-    zero exactly when the degree set behaves like a single power of two.
-    """
-    return AsymptoticConstant.from_fraction(sum(spec.sign_row), spec.period)
-
-
-def d0(spec: SymmetricSpec, profile: WeightProfile) -> AsymptoticConstant:
-    """Coefficient of 2**n in the perturbed sign sum on n total variables.
-
-    Equals c0 times the perturbation's sign sum divided by 2**j; its numerator
-    vanishes exactly when the growth drops below 2**n, in particular for every
-    balanced perturbation.
-    """
-    base = c0(spec)
-    return AsymptoticConstant.from_fraction(
-        base.numerator * profile.total,
-        base.denominator * (1 << profile.j),
-    )
-
-
-# ---------------------------------------------------------------------------
 # exact cyclotomic coefficients
 # ---------------------------------------------------------------------------
 
@@ -438,18 +380,6 @@ class CyclotomicValue:
         xi = cmath.exp(1j * cmath.pi / half)
         return sum(c * xi ** i for i, c in enumerate(self.coeffs)) / self.denom
 
-    def __str__(self) -> str:
-        if self.is_zero:
-            return "0"
-        parts = []
-        for i, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            base = "1" if i == 0 else ("xi" if i == 1 else f"xi^{i}")
-            parts.append(f"{c}*{base}" if i else str(c))
-        body = " + ".join(parts).replace("+ -", "- ")
-        return body if self.denom == 1 else f"({body})/{self.denom}"
-
 
 def _add_xi_power(coords: list[int], e: int, v: int) -> None:
     """Add v * xi**e to power-basis coordinates, folded by xi**half = -1."""
@@ -485,3 +415,14 @@ def d_coefficients(spec: SymmetricSpec, profile: WeightProfile) -> list[Cyclotom
             _add_xi_power(coeffs, a * l, d)
         out.append(CyclotomicValue(spec.r, tuple(coeffs), dv.period))
     return out
+
+
+def d0(spec: SymmetricSpec, profile: WeightProfile) -> Fraction:
+    """Coefficient of 2**n in the perturbed sign sum on n total variables.
+
+    Equals d_0 / 2**j, d_0 being the coefficient of 2**inner_n in the spectral
+    decomposition; the unperturbed function is the profile WeightProfile(0, (1,)).
+    It is a dyadic rational in [-1, 1] and vanishes exactly when the growth drops
+    below 2**n, in particular for every balanced perturbation.
+    """
+    return d_coefficients(spec, profile)[0].as_fraction() / (1 << profile.j)

@@ -124,7 +124,10 @@ def _parse_degrees(text: str) -> SymmetricSpec:
 
 
 def _parse_profile(text: str) -> tuple[int, ...]:
-    return tuple(int(p) for p in text.replace(" ", "").split(",") if p)
+    values = tuple(int(p) for p in text.replace(" ", "").split(",") if p)
+    if not values:
+        raise SystemExit2("--profile needs at least one weight")
+    return values
 
 
 def _perturbation(values: tuple[int, ...] | None, anf: str | None,

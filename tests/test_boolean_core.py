@@ -174,10 +174,6 @@ class TestSymmetricSigmaEval:
 # ---------------------------------------------------------------------------
 
 class TestSerialization:
-    def test_hex_round_trip(self):
-        f = anf_to_function(anf_parse(ROTATION), 5)
-        assert BooleanFunction.from_hex(5, f.to_hex()) == f
-
     def test_from_bits_round_trip(self):
         f = anf_to_function(anf_parse("x1*x2+x3"), 3)
         assert BooleanFunction.from_bits(f.bits()) == f

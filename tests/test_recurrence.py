@@ -13,12 +13,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from symsum import (
-    AsymptoticConstant,
     CyclotomicValue,
     RecurrencePoly,
     SymmetricSpec,
     WeightProfile,
-    c0,
     d0,
     d_coefficients,
     delta_vector,
@@ -230,36 +228,45 @@ def _binom(n, k):
 # exact growth constants
 # ---------------------------------------------------------------------------
 
-class TestAsymptoticConstant:
-    def test_reduction_and_validation(self):
-        assert AsymptoticConstant.from_fraction(2, 4) == AsymptoticConstant(1, 2)
-        assert str(AsymptoticConstant(1, 2)) == "1/2"
-        assert str(AsymptoticConstant(0, 1)) == "0"
-        with pytest.raises(ValueError):
-            AsymptoticConstant(1, 3)
-        with pytest.raises(ValueError):
-            AsymptoticConstant(2, 4)
-        with pytest.raises(ValueError):
-            AsymptoticConstant(5, 4)
+def closed_form_d0(spec: SymmetricSpec, profile: WeightProfile) -> Fraction:
+    """The growth constant by its closed form, independent of the spectral
+    route: the sign row's average times the perturbation's sign sum over 2**j."""
+    return Fraction(sum(spec.sign_row) * profile.total, spec.period << profile.j)
 
+
+class TestAsymptoticConstant:
+    # c0, the unperturbed growth constant, is d0 at UNPERTURBED
     def test_c0_small_degrees(self):
-        assert c0(SymmetricSpec.of(1)).value == 0
-        assert c0(SymmetricSpec.of(2)).value == 0
-        assert c0(SymmetricSpec.of(3)).value == Fraction(1, 2)
-        assert c0(SymmetricSpec.of(4)).value == 0
-        assert c0(SymmetricSpec.of(5)).value == Fraction(1, 2)
-        assert c0(SymmetricSpec((1, 2))).value == 0
-        assert c0(SymmetricSpec((2, 3))).value == Fraction(1, 2)
+        assert d0(SymmetricSpec.of(1), UNPERTURBED) == 0
+        assert d0(SymmetricSpec.of(2), UNPERTURBED) == 0
+        assert d0(SymmetricSpec.of(3), UNPERTURBED) == Fraction(1, 2)
+        assert d0(SymmetricSpec.of(4), UNPERTURBED) == 0
+        assert d0(SymmetricSpec.of(5), UNPERTURBED) == Fraction(1, 2)
+        assert d0(SymmetricSpec((1, 2)), UNPERTURBED) == 0
+        assert d0(SymmetricSpec((2, 3)), UNPERTURBED) == Fraction(1, 2)
 
     def test_c0_zero_exactly_at_powers_of_two(self):
         for k in range(1, 33):
-            is_zero = c0(SymmetricSpec.of(k)).value == 0
+            is_zero = d0(SymmetricSpec.of(k), UNPERTURBED) == 0
             assert is_zero == (epsilon(k) == 0)
 
     def test_d0_examples(self):
-        assert d0(SymmetricSpec.of(3), WeightProfile(2, (1, 2, -1))).value == Fraction(1, 4)
-        assert d0(SymmetricSpec.of(3), WeightProfile(1, (1, -1))).value == 0
-        assert d0(SymmetricSpec.of(4), WeightProfile(2, (1, 2, -1))).value == 0
+        const = d0(SymmetricSpec.of(3), WeightProfile(2, (1, 2, -1)))
+        assert type(const) is Fraction and const == Fraction(1, 4)
+        assert str(const) == "1/4"
+        assert d0(SymmetricSpec.of(3), WeightProfile(1, (1, -1))) == 0
+        assert str(d0(SymmetricSpec.of(4), WeightProfile(2, (1, 2, -1)))) == "0"
+
+    def test_d0_is_the_closed_form_on_every_degree_set_to_ten(self):
+        profiles = [WeightProfile(len(c) - 1, c) for c in ((1,), (1, -1), (1, -2, 1), (1, 2, -1))]
+        for mask in range(1, 1 << 10):
+            spec = SymmetricSpec(tuple(k for k in range(1, 11) if mask >> (k - 1) & 1))
+            for prof in profiles:
+                const = d0(spec, prof)
+                assert const == closed_form_d0(spec, prof), (spec, prof)
+                # a dyadic rational in [-1, 1]
+                den = const.denominator
+                assert den & (den - 1) == 0 and abs(const) <= 1, (spec, prof, const)
 
     def test_d0_governs_growth(self, rng):
         # subtracting the growth term leaves a sequence ruled by the slower
@@ -269,7 +276,7 @@ class TestAsymptoticConstant:
             j = rng.randint(1, 4)
             prof = random_profile(rng, j)
             spec = SymmetricSpec.of(k)
-            const = d0(spec, prof).value
+            const = d0(spec, prof)
             residual = [
                 exp_sum_profile(spec, prof, n - j) - const * 2 ** n
                 for n in range(j + 1, j + 41)
@@ -279,7 +286,7 @@ class TestAsymptoticConstant:
     def test_residual_satisfies_growth_free_recurrence(self):
         for k in range(2, 9):
             spec = SymmetricSpec.of(k)
-            const = c0(spec).value
+            const = d0(spec, UNPERTURBED)
             residual = [
                 exp_sum_symmetric(n, spec) - const * 2 ** n for n in range(1, 41)
             ]
@@ -407,8 +414,7 @@ class TestDCoefficients:
             prof = random_profile(rng, j) if j else UNPERTURBED
             out = d_coefficients(spec, prof)
             # out[0] scales 2**inner_n; the growth constant scales 2**n_total
-            want = d0(spec, prof).value * (1 << j) if j else c0(spec).value
-            assert out[0].as_fraction() == want
+            assert out[0].as_fraction() == closed_form_d0(spec, prof) * (1 << j)
 
     def test_conjugate_symmetry(self, rng):
         for _ in range(15):

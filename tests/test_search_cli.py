@@ -97,7 +97,7 @@ class TestExpsumCommand:
 )
 @pytest.mark.parametrize(
     "flag, message",
-    [("--profile", "variable count must be nonnegative"),
+    [("--profile", "--profile needs at least one weight"),
      ("--anf", "empty expression (at position 0)")],
 )
 def test_empty_perturbation_is_a_usage_error(capsys, argv, flag, message):
