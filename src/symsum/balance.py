@@ -17,9 +17,16 @@ from dataclasses import dataclass
 from enum import Enum
 from math import comb
 
+from . import diophantine
 from .boolean_core import BooleanFunction, WeightProfile, weight_profile
 from .diophantine import FoldedKey, SolutionVector, _is_trivial_key, canonical_key
-from .expsum import SymmetricSpec, delta_row, delta_vector, periodic_binomial_sums
+from .expsum import (
+    SymmetricSpec,
+    _subset_masks,
+    delta_row,
+    delta_vector,
+    periodic_binomial_sums,
+)
 
 
 class VerificationError(RuntimeError):
@@ -102,12 +109,14 @@ def classify_range(spec: SymmetricSpec, profile: WeightProfile, n_lo: int, n_hi:
     if n_lo <= j:
         raise ValueError("need more variables than the perturbation touches")
     sums = periodic_binomial_sums(delta_vector(spec, profile).values, n_lo - j, n_hi - j)
+    masks = _subset_masks(n_hi)
     return (
         classify_zero(
             spec.degrees, profile.values, n_total, perturbation,
             f"sign-sum sweep gives 0 at n_total={n_total} (inner n={n_total - j}, "
             f"degrees {list(spec.degrees)}) for profile {list(profile.values)} "
             f"but its witness fails its equation",
+            masks, diophantine._binomial_half_row(n_total - j),
         ) if s == 0 else BalanceVerdict(
             n_total, spec.degrees, j, perturbation, s, BalanceStatus.NOT_BALANCED, None, None
         )
@@ -116,26 +125,61 @@ def classify_range(spec: SymmetricSpec, profile: WeightProfile, n_lo: int, n_hi:
 
 
 def classify_zero(degrees: tuple[int, ...], values: tuple[int, ...], n_total: int,
-                  perturbation: str, context: str) -> BalanceVerdict:
+                  perturbation: str, context: str, masks: list[int],
+                  half_row: list[int]) -> BalanceVerdict:
     """Verdict of a zero sign sum: trivial or sporadic, with witness and key.
 
     The witness is ``delta_row`` along indices 0..inner_n, halved when the
     profile ``values`` perturbs j >= 1 variables.  Its equation sum over l of
     x_l * C(inner_n, l) = 0 is the sign sum S / 2 (S itself at j = 0), so a
     claimed zero that is false fails it: VerificationError "<context>: <reason>".
+    ``masks`` is ``_subset_masks`` of n_total or more and ``half_row`` the
+    half row C(inner_n, 0..inner_n // 2) that the equation check reads; a
+    caller classifying many zeros builds each once.
     """
     j = len(values) - 1
     inner_n = n_total - j
-    witness = delta_row(degrees, values, inner_n + 1)
+    witness = delta_row(degrees, values, inner_n + 1, masks)
     if j:
         witness = [x // 2 for x in witness]
     try:
-        key = canonical_key(SolutionVector(inner_n, witness))
+        key = canonical_key(SolutionVector(inner_n, witness, half_row))
         trivial = _is_trivial_key(key)
     except ValueError as exc:
         raise VerificationError(f"{context}: {exc}") from exc
     status = BalanceStatus.TRIVIAL if trivial else BalanceStatus.SPORADIC
     return BalanceVerdict(n_total, degrees, j, perturbation, 0, status, tuple(witness), key)
+
+
+def mirror_parity(values: tuple[int, ...]) -> int | None:
+    """[eps = +1] for a weight profile whose reversal is eps times itself
+    (eps = -1 for x1, (1, -1); +1 for x1x2, (1, -2, 1), and for the
+    unperturbed (1,)); None when the reversal is neither."""
+    reverse = tuple(reversed(values))
+    if reverse == tuple(values):
+        return 1
+    if reverse == tuple(-c for c in values):
+        return 0
+    return None
+
+
+def sign_bits_mirror(masks: list[int], degrees: tuple[int, ...], n_total: int,
+                     parity: int) -> bool:
+    """Whether the sign bits b_t of the degree set obey b_t XOR b_(N-t) =
+    ``parity`` for every t <= N = n_total (``masks`` as for classify_zero).
+
+    With s_t = (-1)**b_t that is s_(N-t) = -eps * s_t, for a profile c of
+    mirror parity ``parity`` on j variables.  Its witness x_l = sum over m
+    of c_m * s_(l+m) is then antisymmetric: x_(N-j-l) = sum over m of
+    c_(j-m) * s_(N-l-m) = eps * sum over m of c_m * (-eps) * s_(l+m) = -x_l.
+    So the sign sum vanishes and the witness folds to zero: a trivial
+    balanced perturbation, shown by the symmetry alone, without the witness.
+    """
+    degree_mask = sum(1 << k for k in degrees)
+    return all(
+        ((masks[t] ^ masks[n_total - t]) & degree_mask).bit_count() & 1 == parity
+        for t in range(n_total // 2 + 1)
+    )
 
 
 # ---------------------------------------------------------------------------

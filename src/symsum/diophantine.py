@@ -12,7 +12,7 @@ those moves, so a normalized folded vector is a canonical class key.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from enum import Enum
 from math import comb, gcd, prod
 from operator import mul
@@ -38,10 +38,16 @@ def _binomial_row(n: int) -> list[int]:
     return half + half[: n - n // 2][::-1]
 
 
-def _folded_sum(n: int, half, center: int | None) -> int:
+def _folded_sum(n: int, half, center: int | None, row: list[int] | None) -> int:
     """sum over l of x_l * C(n, l) for a vector given by its fold: pair sums
-    x_l + x_(n-l) for l < (n + 1) // 2 and, for even n, the center entry."""
-    row = _binomial_half_row(n)
+    x_l + x_(n-l) for l < (n + 1) // 2 and, for even n, the center entry.
+
+    ``row`` is the half row of n when the caller holds one; None builds it.
+    """
+    if row is None:
+        row = _binomial_half_row(n)
+    elif len(row) != n // 2 + 1:
+        raise ValueError(f"half row of length {len(row)} given for n={n}")
     acc = sum(map(mul, half, row))
     if center is not None:
         acc += center * row[-1]
@@ -84,19 +90,24 @@ class GammaAlphabet:
 
 @dataclass(frozen=True)
 class SolutionVector:
-    """Entries x_0..x_n with sum of x_l * C(n, l) equal to zero."""
+    """Entries x_0..x_n with sum of x_l * C(n, l) equal to zero.
+
+    ``half_row``, C(n, 0..n // 2), lets a caller that checks many vectors of
+    one n build that row once; without it the check builds its own.
+    """
 
     n: int
     entries: tuple[int, ...]
+    half_row: InitVar[list[int] | None] = None
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, half_row: list[int] | None) -> None:
         entries = tuple(int(x) for x in self.entries)
         object.__setattr__(self, "entries", entries)
         if self.n < 1:
             raise ValueError("need n >= 1")
         if len(entries) != self.n + 1:
             raise ValueError(f"expected {self.n + 1} entries, got {len(entries)}")
-        acc = _folded_sum(self.n, *self.fold())
+        acc = _folded_sum(self.n, *self.fold(), half_row)
         if acc != 0:
             raise ValueError(f"not a solution: weighted sum is {acc}")
 
@@ -136,15 +147,17 @@ class FoldedKey:
 
     ``half`` holds the normalized pair sums, ``center`` the normalized middle
     entry for even n (None for odd n), and ``is_zero`` marks the class of
-    vectors folding to zero everywhere.
+    vectors folding to zero everywhere.  ``half_row`` is as for
+    SolutionVector.
     """
 
     n: int
     half: tuple[int, ...]
     center: int | None
     is_zero: bool
+    half_row: InitVar[list[int] | None] = None
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, half_row: list[int] | None) -> None:
         half = tuple(int(c) for c in self.half)
         object.__setattr__(self, "half", half)
         hl = (self.n + 1) // 2
@@ -159,7 +172,7 @@ class FoldedKey:
             norm, _ = _normalize_components(comps)
             if norm != comps:
                 raise ValueError("components are not normalized")
-        acc = _folded_sum(self.n, half, self.center)
+        acc = _folded_sum(self.n, half, self.center, half_row)
         if acc != 0:
             raise ValueError(
                 f"folded components do not satisfy the equation: weighted sum is {acc}"
@@ -175,13 +188,20 @@ class FoldedKey:
 
 
 def canonical_key(v: SolutionVector) -> FoldedKey:
-    """Class key of a solution under scaling, sign, and symmetric rearrangement."""
+    """Class key of a solution under scaling, sign, and symmetric rearrangement.
+
+    The key is built without FoldedKey's checks: ``v`` passed the equation
+    check when it was made, dividing its fold by a common factor and a sign
+    keeps the sum zero, and the shape and normalization are made here.
+    """
     half, center = v.fold()
     comps = half if center is None else half + (center,)
     norm, zero = _normalize_components(comps)
-    if center is None:
-        return FoldedKey(v.n, norm, None, zero)
-    return FoldedKey(v.n, norm[:-1], norm[-1], zero)
+    key = object.__new__(FoldedKey)
+    for name, value in (("n", v.n), ("half", norm if center is None else norm[:-1]),
+                        ("center", None if center is None else norm[-1]), ("is_zero", zero)):
+        object.__setattr__(key, name, value)
+    return key
 
 
 def zero_key(n: int) -> FoldedKey:
@@ -487,8 +507,8 @@ def enumerate_classes(n: int, j: int, budget: float | None = None) -> dict[Folde
             entries[n - l] = s // 2
         if center is not None:
             entries[n // 2] = center
-        key = FoldedKey(n, norm[:hl], norm[hl] if even else None, zero)
-        out[key] = SolutionVector(n, tuple(entries))
+        key = FoldedKey(n, norm[:hl], norm[hl] if even else None, zero, row)
+        out[key] = SolutionVector(n, tuple(entries), row)
     return out
 
 

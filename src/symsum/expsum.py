@@ -181,14 +181,17 @@ class DeltaVector:
         return tuple(v // 2 for v in self.values)
 
 
-def delta_row(degrees, values, length: int) -> list[int]:
+def delta_row(degrees, values, length: int, masks: list[int] | None = None) -> list[int]:
     """sum over m of values[m] * sign(l + m) for l < length: the weights that
     the perturbation with weight profile ``values`` lays on the binomial row.
+    ``masks`` is ``_subset_masks`` of length + j - 1 or more (j = len(values)
+    - 1), of which only that prefix is read; None builds it.
 
     This is the one place where a profile meets the Lucas signs.
     """
     row = [0] * length
-    signs = sign_row(_subset_masks(length + len(values) - 2), degrees)
+    width = length + len(values) - 1
+    signs = sign_row(_subset_masks(width - 1) if masks is None else masks[:width], degrees)
     for m, c in enumerate(values):
         row = [x + c * s for x, s in zip(row, signs[m:])]
     return row

@@ -28,11 +28,14 @@ from .balance import (
     classify_range,
     classify_zero,
     luca_szalay_gap,
+    mirror_parity,
     periodic_propagation,
+    sign_bits_mirror,
     singmaster_gap,
     verify_even_linear_family,
     verify_x1_family,
 )
+from . import diophantine
 from .boolean_core import WeightProfile, anf_parse, anf_to_function, weight_profile
 from .diophantine import (
     BudgetExceeded,
@@ -124,10 +127,13 @@ def _parse_degrees(text: str) -> SymmetricSpec:
 
 
 def _parse_profile(text: str) -> tuple[int, ...]:
-    values = tuple(int(p) for p in text.replace(" ", "").split(",") if p)
-    if not values:
+    fields = text.replace(" ", "").split(",")
+    if not any(fields):
         raise SystemExit2("--profile needs at least one weight")
-    return values
+    try:
+        return tuple(int(p) for p in fields)
+    except ValueError:
+        raise SystemExit2(f"--profile needs comma-separated integers, got {text!r}") from None
 
 
 def _perturbation(values: tuple[int, ...] | None, anf: str | None,
@@ -227,10 +233,11 @@ class Campaign:
 
 
 def _balanced_degree_sets(lead: int, top: int, values: tuple[int, ...],
-                          inner: int) -> list[tuple[int, ...]]:
+                          inner: int, masks: list[int]) -> list[tuple[int, ...]]:
     """Degree sets with least degree ``lead`` and top degree at most ``top``
     whose sign sum on ``inner + j`` variables, perturbed by the weight
-    profile ``values``, vanishes.
+    profile ``values``, vanishes; ``masks`` is ``_subset_masks`` of inner + j
+    or more.
 
     The search runs over sign bits, not degree sets.  The sign at weight t is
     (-1)**b_t with b_t = XOR of C(t, k) mod 2 over the degrees k (Lucas), and
@@ -260,7 +267,6 @@ def _balanced_degree_sets(lead: int, top: int, values: tuple[int, ...],
     total = sum(weights)
     if total % 2:
         return []
-    masks = _subset_masks(n_total)
     # forms[i]: bit b_{top+1+i} is the parity of forms[i] & b
     forms = []
     for t in range(top + 1, n_total + 1):
@@ -325,27 +331,47 @@ def _scan_leading_degree(campaign: Campaign, lead: int) -> tuple[ScanCounters, l
     degree sets whose top degree that count admits.  Findings come in
     (degree set, variable count, perturbation) order, the lex order of
     degree sets that the output format fixes.
+
+    One ``_subset_masks`` list, for the largest variable count, serves every
+    cell (the list for n is a prefix of the list for any larger n), and each
+    inner count's half row is built once, for the witness checks.  With
+    ``sporadic_only``, a hit whose sign bits mirror (``sign_bits_mirror``)
+    under a reversal-symmetric profile is counted trivial without a witness.
     """
     counters = ScanCounters()
+    cells = [(index, values, n_total)
+             for index, (_, values) in enumerate(campaign.perturbations)
+             for n_total in campaign.n_totals(lead, len(values) - 1)]
+    masks = _subset_masks(max((n_total for *_, n_total in cells), default=0))
     hits = []
-    for index, (_, values) in enumerate(campaign.perturbations):
+    for index, values, n_total in cells:
         j = len(values) - 1
-        for n_total in campaign.n_totals(lead, j):
-            top = campaign.top_degree(n_total, j)
-            counters.candidates += 1 << (top - lead)
-            hits += [
-                (degs, n_total, index)
-                for degs in _balanced_degree_sets(lead, top, values, n_total - j)
-            ]
+        top = campaign.top_degree(n_total, j)
+        counters.candidates += 1 << (top - lead)
+        hits += [
+            (degs, n_total, index)
+            for degs in _balanced_degree_sets(lead, top, values, n_total - j, masks)
+        ]
+    parities = [mirror_parity(values) if campaign.sporadic_only else None
+                for _, values in campaign.perturbations]
+    half_rows: dict[int, list[int]] = {}
     findings: list[BalanceVerdict] = []
     for degs, n_total, index in sorted(hits):
         desc, values = campaign.perturbations[index]
+        counters.balanced += 1
+        parity = parities[index]
+        if parity is not None and sign_bits_mirror(masks, degs, n_total, parity):
+            counters.trivial += 1
+            continue
+        inner = n_total - len(values) + 1
+        if inner not in half_rows:
+            half_rows[inner] = diophantine._binomial_half_row(inner)
         verdict = classify_zero(
             degs, values, n_total, desc,
             f"census engine and classifier disagree on degrees {list(degs)} "
             f"at n={n_total} ({desc})",
+            masks, half_rows[inner],
         )
-        counters.balanced += 1
         if verdict.status is BalanceStatus.SPORADIC:
             counters.sporadic += 1
         else:

@@ -27,6 +27,8 @@ from symsum import (
     classify,
     weight_profile,
 )
+from symsum import search_cli
+from symsum.balance import mirror_parity
 from symsum.search_cli import (
     Campaign,
     ScanCounters,
@@ -240,3 +242,44 @@ def test_oracle_is_not_vacuous(total_oracle, inner_oracle):
     for oracle in (total_oracle, inner_oracle):
         assert sum(c.balanced for c in oracle.counters.values()) > 800
         assert sum(c.sporadic for c in oracle.counters.values()) > 0
+
+
+
+@pytest.mark.parametrize("convention", ["total", "inner"])
+@pytest.mark.parametrize("perturbation, parity", [(UNPERTURBED, 1), (X1, 0), (X1X2, 1)])
+def test_mirror_counted_hits_are_zero_class_trivial(monkeypatch, convention, perturbation,
+                                                    parity):
+    # Under sporadic_only a hit whose sign bits mirror is counted trivial
+    # without a witness.  Each such hit must be a zero-class trivial verdict
+    # of classify, the counters must equal those of the campaign that
+    # classifies every hit, and the mirrored hits must be exactly the hits
+    # whose witness folds to zero.
+    mirrored = []
+    real = search_cli.sign_bits_mirror
+
+    def recorded(masks, degrees, n_total, parity):
+        hit = real(masks, degrees, n_total, parity)
+        if hit:
+            mirrored.append((degrees, n_total))
+        return hit
+
+    monkeypatch.setattr(search_cli, "sign_bits_mirror", recorded)
+    desc, values = perturbation
+    assert mirror_parity(values) == parity
+    full = Campaign(17, 17, convention, (perturbation,))
+    sporadic = Campaign(17, 17, convention, (perturbation,), sporadic_only=True)
+    count = 0
+    for lead in range(1, 18):
+        want, findings = _scan_leading_degree(full, lead)
+        assert not mirrored  # the mirror test runs only under sporadic_only
+        got, _ = _scan_leading_degree(sporadic, lead)
+        assert got == want, lead
+        zero_class = [(rec.degrees, rec.n_total) for rec in findings if rec.key.is_zero]
+        assert sorted(mirrored) == sorted(zero_class), lead
+        for degrees, n_total in mirrored:
+            verdict = classify(SymmetricSpec(degrees), WeightProfile(len(values) - 1, values),
+                               n_total, desc)
+            assert verdict.status is BalanceStatus.TRIVIAL and verdict.key.is_zero
+        count += len(mirrored)
+        mirrored.clear()
+    assert count > 100

@@ -108,6 +108,20 @@ def test_empty_perturbation_is_a_usage_error(capsys, argv, flag, message):
     assert err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["expsum", "--degrees", "3", "--n", "4"], ["search", "--k-max", "3", "--n-max", "4"]],
+    ids=["expsum", "search"],
+)
+@pytest.mark.parametrize("text", ["1,,-1", "1,-1,", "1,a", "1,x", "1.5,-1"])
+def test_malformed_profile_field_is_a_usage_error(capsys, argv, text):
+    # an empty or non-integer field is refused, not dropped or reported by int()
+    code, out, err = run_main(capsys, argv + ["--profile", text])
+    assert code == 2
+    assert out == ""
+    assert err == f"error: --profile needs comma-separated integers, got {text!r}\n"
+
+
 @pytest.mark.parametrize("command", ["expsum", "classify"])
 def test_anf_variable_count_zero_is_not_ignored(capsys, command):
     argv = [command, "--degrees", "3", "--n", "2..4"]
@@ -752,8 +766,8 @@ class TestSearch:
     def test_engine_classifier_disagreement_exits_one(self, capsys, monkeypatch):
         engine = search_cli._balanced_degree_sets
 
-        def with_false_hit(lead, top, values, inner):
-            hits = engine(lead, top, values, inner)
+        def with_false_hit(lead, top, values, inner, masks):
+            hits = engine(lead, top, values, inner, masks)
             if (lead, inner) == (2, 7):
                 hits.append((2,))  # S = -16 on 8 variables perturbed by x1
             return hits
@@ -807,6 +821,26 @@ class TestSearch:
             assert code == 1, profile
             assert out == ""
             assert err.startswith("verification failed: census engine and classifier disagree")
+
+    @pytest.mark.parametrize("profile", ["1,-1", "1,-2,1"])
+    def test_witness_check_fault_exits_one_when_sporadic_only(self, capsys, monkeypatch,
+                                                               profile):
+        # Under --sporadic-only the mirrored hits are counted without a
+        # witness; the alternating trivial hits at n <= 4 still build one, so
+        # the faulty row is still caught.
+        real = diophantine._binomial_half_row
+
+        def faulty(n):
+            row = real(n)
+            row[-1] += 1
+            return row
+
+        monkeypatch.setattr(diophantine, "_binomial_half_row", faulty)
+        code, out, err = run_main(capsys, ["search", "--k-max", "4", "--n-max", "4",
+                                           "--sporadic-only", "--profile", profile])
+        assert code == 1
+        assert out == ""
+        assert err.startswith("verification failed: census engine and classifier disagree")
 
     def test_resume_guards(self, capsys, tmp_path):
         ck = tmp_path / "ck.json"
