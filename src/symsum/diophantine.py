@@ -197,10 +197,9 @@ def canonical_key(v: SolutionVector) -> FoldedKey:
     half, center = v.fold()
     comps = half if center is None else half + (center,)
     norm, zero = _normalize_components(comps)
-    key = object.__new__(FoldedKey)
-    for name, value in (("n", v.n), ("half", norm if center is None else norm[:-1]),
-                        ("center", None if center is None else norm[-1]), ("is_zero", zero)):
-        object.__setattr__(key, name, value)
+    half, center = (norm, None) if center is None else (norm[:-1], norm[-1])
+    key = object.__new__(FoldedKey)  # FoldedKey(...) would run its checks
+    key.__dict__.update(n=v.n, half=half, center=center, is_zero=zero)
     return key
 
 

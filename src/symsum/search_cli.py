@@ -20,6 +20,7 @@ from math import comb
 from pathlib import Path
 from typing import BinaryIO
 
+from . import diophantine
 from .balance import (
     BalanceStatus,
     BalanceVerdict,
@@ -35,7 +36,6 @@ from .balance import (
     verify_even_linear_family,
     verify_x1_family,
 )
-from . import diophantine
 from .boolean_core import WeightProfile, anf_parse, anf_to_function, weight_profile
 from .diophantine import (
     BudgetExceeded,
