@@ -244,7 +244,6 @@ def test_oracle_is_not_vacuous(total_oracle, inner_oracle):
         assert sum(c.sporadic for c in oracle.counters.values()) > 0
 
 
-
 @pytest.mark.parametrize("convention", ["total", "inner"])
 @pytest.mark.parametrize("perturbation, parity", [(UNPERTURBED, 1), (X1, 0), (X1X2, 1)])
 def test_mirror_counted_hits_are_zero_class_trivial(monkeypatch, convention, perturbation,
@@ -257,8 +256,8 @@ def test_mirror_counted_hits_are_zero_class_trivial(monkeypatch, convention, per
     mirrored = []
     real = search_cli.sign_bits_mirror
 
-    def recorded(masks, degrees, n_total, parity):
-        hit = real(masks, degrees, n_total, parity)
+    def recorded(masks, degrees, n_total, bit):
+        hit = real(masks, degrees, n_total, bit)
         if hit:
             mirrored.append((degrees, n_total))
         return hit
