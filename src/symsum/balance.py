@@ -13,12 +13,11 @@ residue is balanced.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass
 from enum import Enum
 from math import comb
 
 from . import diophantine
-from .boolean_core import BooleanFunction, WeightProfile, weight_profile
+from .boolean_core import BooleanFunction, Record, WeightProfile, _bind, weight_profile
 from .diophantine import FoldedKey, SolutionVector, _is_trivial_key, canonical_key
 from .expsum import (
     SymmetricSpec,
@@ -39,8 +38,7 @@ class BalanceStatus(str, Enum):
     SPORADIC = "sporadic"
 
 
-@dataclass(frozen=True)
-class BalanceVerdict:
+class BalanceVerdict(Record):
     """Outcome of classifying one perturbed symmetric function.
 
     ``witness`` holds the presentation-scale weight vector (halved for j >= 1)
@@ -48,14 +46,19 @@ class BalanceVerdict:
     canonical equivalence-class key.
     """
 
-    n_total: int
-    degrees: tuple[int, ...]
-    j: int
-    perturbation: str
-    sign_sum: int
-    status: BalanceStatus
-    witness: tuple[int, ...] | None
-    key: FoldedKey | None
+    _fields = ("n_total", "degrees", "j", "perturbation", "sign_sum", "status", "witness", "key")
+
+    def __init__(self, n_total: int, degrees: tuple[int, ...], j: int, perturbation: str,
+                 sign_sum: int, status: BalanceStatus, witness: tuple[int, ...] | None,
+                 key: FoldedKey | None) -> None:
+        _bind(self, "n_total", n_total)
+        _bind(self, "degrees", degrees)
+        _bind(self, "j", j)
+        _bind(self, "perturbation", perturbation)
+        _bind(self, "sign_sum", sign_sum)
+        _bind(self, "status", status)
+        _bind(self, "witness", witness)
+        _bind(self, "key", key)
 
     @property
     def balanced(self) -> bool:
@@ -143,7 +146,7 @@ def classify_zero(degrees: tuple[int, ...], values: tuple[int, ...], n_total: in
     if j:
         witness = [x // 2 for x in witness]
     try:
-        key = canonical_key(SolutionVector(inner_n, witness, half_row))
+        key = canonical_key(SolutionVector(inner_n, witness, half_row=half_row))
         trivial = _is_trivial_key(key)
     except ValueError as exc:
         raise VerificationError(f"{context}: {exc}") from exc
@@ -186,8 +189,7 @@ def sign_bits_mirror(masks: list[int], degrees: tuple[int, ...], n_total: int,
 # residue criterion for eventual balance
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class EventualBalanceReport:
+class EventualBalanceReport(Record):
     """Result of the residue criterion.
 
     When ``holds``, every function whose inner variable count is congruent to
@@ -196,11 +198,15 @@ class EventualBalanceReport:
     is the smallest offset a where the pair sum breaks the pattern.
     """
 
-    residue: int
-    period: int
-    holds: bool
-    z: int | None
-    first_failure: int | None
+    _fields = ("residue", "period", "holds", "z", "first_failure")
+
+    def __init__(self, residue: int, period: int, holds: bool, z: int | None,
+                 first_failure: int | None) -> None:
+        _bind(self, "residue", residue)
+        _bind(self, "period", period)
+        _bind(self, "holds", holds)
+        _bind(self, "z", z)
+        _bind(self, "first_failure", first_failure)
 
 
 def eventual_balance(spec: SymmetricSpec, profile: WeightProfile, residue: int) -> EventualBalanceReport:
@@ -224,8 +230,7 @@ def eventual_balance_at(spec: SymmetricSpec, profile: WeightProfile, n_total: in
     return eventual_balance(spec, profile, (n_total - profile.j) % spec.period)
 
 
-@dataclass(frozen=True)
-class WindowEntry:
+class WindowEntry(Record):
     """One index of a balance window report.
 
     ``pre_threshold`` marks indices that are balanced although the residue
@@ -233,15 +238,21 @@ class WindowEntry:
     but not explicitly known) threshold index of the eventual-balance law.
     """
 
-    n_total: int
-    inner_n: int
-    residue: int
-    sign_sum: int
-    balanced: bool
-    status: BalanceStatus
-    criterion_holds: bool
-    z: int | None
-    pre_threshold: bool
+    _fields = ("n_total", "inner_n", "residue", "sign_sum", "balanced", "status",
+               "criterion_holds", "z", "pre_threshold")
+
+    def __init__(self, n_total: int, inner_n: int, residue: int, sign_sum: int,
+                 balanced: bool, status: BalanceStatus, criterion_holds: bool,
+                 z: int | None, pre_threshold: bool) -> None:
+        _bind(self, "n_total", n_total)
+        _bind(self, "inner_n", inner_n)
+        _bind(self, "residue", residue)
+        _bind(self, "sign_sum", sign_sum)
+        _bind(self, "balanced", balanced)
+        _bind(self, "status", status)
+        _bind(self, "criterion_holds", criterion_holds)
+        _bind(self, "z", z)
+        _bind(self, "pre_threshold", pre_threshold)
 
 
 def balance_window_report(spec: SymmetricSpec, profile: WeightProfile,

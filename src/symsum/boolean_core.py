@@ -10,10 +10,54 @@ balanced exactly when this sum is zero.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from math import comb
+from operator import attrgetter
 
 MAX_VARIABLES = 24
+
+# Sets a field in a record's __init__, past Record.__setattr__.  Unlike
+# writing self.__dict__, it keeps the fields in the instance's compact inline
+# storage: a FoldedKey takes 112 bytes, not 248 with a materialized dict.
+_bind = object.__setattr__
+
+
+class Record:
+    """Base of the package's immutable value records.
+
+    A subclass names its fields, in order, in ``_fields``; its ``__init__``
+    checks its arguments and sets each field with ``_bind``.  Two records are
+    equal when they are of the same class with equal fields, a record hashes
+    by its fields, its repr is ``Name(field=value, ...)``, and assigning or
+    deleting an attribute raises AttributeError.  A
+    ``functools.cached_property`` still works, as it writes the instance dict.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        # The field values, read in C: equality and hashing run on every
+        # dict and set lookup of a record.
+        cls._values = property(attrgetter(*cls._fields))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values == other._values
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot set {name!r}")
+
+    def __delattr__(self, name) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot delete {name!r}")
 
 
 class AnfSyntaxError(ValueError):
@@ -24,8 +68,7 @@ class AnfSyntaxError(ValueError):
         self.position = position
 
 
-@dataclass(frozen=True)
-class AnfExpression:
+class AnfExpression(Record):
     """A multilinear XOR-of-monomials expression over variables x1..x24.
 
     ``terms`` is a frozenset of monomials; each monomial is a frozenset of
@@ -34,13 +77,14 @@ class AnfExpression:
     this form is canonical.
     """
 
-    terms: frozenset[frozenset[int]]
+    _fields = ("terms",)
 
-    def __post_init__(self) -> None:
-        for mono in self.terms:
+    def __init__(self, terms: frozenset[frozenset[int]]) -> None:
+        for mono in terms:
             for idx in mono:
                 if not 1 <= idx <= MAX_VARIABLES:
                     raise ValueError(f"variable index {idx} out of range 1..{MAX_VARIABLES}")
+        _bind(self, "terms", terms)
 
     @property
     def max_index(self) -> int:
@@ -154,22 +198,22 @@ def anf_parse(text: str) -> AnfExpression:
     return AnfExpression(frozenset(terms))
 
 
-@dataclass(frozen=True)
-class BooleanFunction:
+class BooleanFunction(Record):
     """A Boolean function on ``j`` variables with truth table ``table``.
 
     Bit x of ``table`` is the value at input x; inputs pack variable i
     (1-based) into bit i-1.
     """
 
-    j: int
-    table: int
+    _fields = ("j", "table")
 
-    def __post_init__(self) -> None:
-        if not 1 <= self.j <= MAX_VARIABLES:
-            raise ValueError(f"variable count must be in 1..{MAX_VARIABLES}, got {self.j}")
-        if not 0 <= self.table < (1 << (1 << self.j)):
+    def __init__(self, j: int, table: int) -> None:
+        if not 1 <= j <= MAX_VARIABLES:
+            raise ValueError(f"variable count must be in 1..{MAX_VARIABLES}, got {j}")
+        if not 0 <= table < (1 << (1 << j)):
             raise ValueError("truth table does not fit 2**j bits")
+        _bind(self, "j", j)
+        _bind(self, "table", table)
 
     def value(self, x: int) -> int:
         if not 0 <= x < (1 << self.j):
@@ -254,8 +298,7 @@ def exp_sum_bruteforce(f: BooleanFunction) -> int:
     return f.size - 2 * ones
 
 
-@dataclass(frozen=True)
-class WeightProfile:
+class WeightProfile(Record):
     """Signed counts of a function by input weight.
 
     ``values[m]`` is (number of weight-m inputs with value 0) minus (number
@@ -263,22 +306,22 @@ class WeightProfile:
     value and has the same parity as C(j, m); the total is the sign sum.
     """
 
-    j: int
-    values: tuple[int, ...]
+    _fields = ("j", "values")
 
-    def __post_init__(self) -> None:
-        if self.j < 0:
+    def __init__(self, j: int, values: tuple[int, ...]) -> None:
+        if j < 0:
             raise ValueError("variable count must be nonnegative")
-        vals = tuple(int(v) for v in self.values)
-        object.__setattr__(self, "values", vals)
-        if len(vals) != self.j + 1:
-            raise ValueError(f"expected {self.j + 1} entries, got {len(vals)}")
+        vals = tuple(int(v) for v in values)
+        if len(vals) != j + 1:
+            raise ValueError(f"expected {j + 1} entries, got {len(vals)}")
         for m, v in enumerate(vals):
-            bound = comb(self.j, m)
+            bound = comb(j, m)
             if abs(v) > bound:
                 raise ValueError(f"entry {m} exceeds layer size {bound}")
             if (v - bound) % 2:
                 raise ValueError(f"entry {m} has wrong parity for layer size {bound}")
+        _bind(self, "j", j)
+        _bind(self, "values", vals)
 
     @property
     def total(self) -> int:

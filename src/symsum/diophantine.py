@@ -12,10 +12,11 @@ those moves, so a normalized folded vector is a canonical class key.
 from __future__ import annotations
 
 import itertools
-from dataclasses import InitVar, dataclass
 from enum import Enum
 from math import comb, gcd, prod
 from operator import mul
+
+from .boolean_core import Record, _bind
 
 
 def _binomial_half_row(n: int) -> list[int]:
@@ -58,15 +59,15 @@ class BudgetExceeded(RuntimeError):
     """An enumeration was refused because its size metric is over budget."""
 
 
-@dataclass(frozen=True)
-class GammaAlphabet:
+class GammaAlphabet(Record):
     """The level-j entry alphabet: |x| <= 2**(j-1), or {-1, 1} at level 0."""
 
-    j: int
+    _fields = ("j",)
 
-    def __post_init__(self) -> None:
-        if self.j < 0:
+    def __init__(self, j: int) -> None:
+        if j < 0:
             raise ValueError("alphabet level must be nonnegative")
+        _bind(self, "j", j)
 
     @property
     def bound(self) -> int:
@@ -88,26 +89,26 @@ class GammaAlphabet:
         return len(self.members)
 
 
-@dataclass(frozen=True)
-class SolutionVector:
+class SolutionVector(Record):
     """Entries x_0..x_n with sum of x_l * C(n, l) equal to zero.
 
     ``half_row``, C(n, 0..n // 2), lets a caller that checks many vectors of
-    one n build that row once; without it the check builds its own.
+    one n build that row once; without it the check builds its own.  It is
+    not a field.
     """
 
-    n: int
-    entries: tuple[int, ...]
-    half_row: InitVar[list[int] | None] = None
+    _fields = ("n", "entries")
 
-    def __post_init__(self, half_row: list[int] | None) -> None:
-        entries = tuple(int(x) for x in self.entries)
-        object.__setattr__(self, "entries", entries)
-        if self.n < 1:
+    def __init__(self, n: int, entries: tuple[int, ...], *,
+                 half_row: list[int] | None = None) -> None:
+        entries = tuple(int(x) for x in entries)
+        _bind(self, "n", n)
+        _bind(self, "entries", entries)
+        if n < 1:
             raise ValueError("need n >= 1")
-        if len(entries) != self.n + 1:
-            raise ValueError(f"expected {self.n + 1} entries, got {len(entries)}")
-        acc = _folded_sum(self.n, *self.fold(), half_row)
+        if len(entries) != n + 1:
+            raise ValueError(f"expected {n + 1} entries, got {len(entries)}")
+        acc = _folded_sum(n, *self.fold(), half_row)
         if acc != 0:
             raise ValueError(f"not a solution: weighted sum is {acc}")
 
@@ -141,8 +142,7 @@ def _normalize_components(comps: tuple[int, ...]) -> tuple[tuple[int, ...], bool
     return scaled, False
 
 
-@dataclass(frozen=True)
-class FoldedKey:
+class FoldedKey(Record):
     """Canonical equivalence-class key: the normalized folded vector.
 
     ``half`` holds the normalized pair sums, ``center`` the normalized middle
@@ -151,32 +151,44 @@ class FoldedKey:
     SolutionVector.
     """
 
-    n: int
-    half: tuple[int, ...]
-    center: int | None
-    is_zero: bool
-    half_row: InitVar[list[int] | None] = None
+    _fields = ("n", "half", "center", "is_zero")
 
-    def __post_init__(self, half_row: list[int] | None) -> None:
-        half = tuple(int(c) for c in self.half)
-        object.__setattr__(self, "half", half)
-        hl = (self.n + 1) // 2
+    def __init__(self, n: int, half: tuple[int, ...], center: int | None, is_zero: bool, *,
+                 half_row: list[int] | None = None) -> None:
+        half = tuple(int(c) for c in half)
+        hl = (n + 1) // 2
         if len(half) != hl:
             raise ValueError(f"expected {hl} folded entries, got {len(half)}")
-        if (self.center is None) != (self.n % 2 == 1):
+        if (center is None) != (n % 2 == 1):
             raise ValueError("center entry present exactly when n is even")
-        comps = half if self.center is None else half + (self.center,)
-        if self.is_zero != all(c == 0 for c in comps):
+        comps = half if center is None else half + (center,)
+        if is_zero != all(c == 0 for c in comps):
             raise ValueError("zero flag inconsistent with components")
-        if not self.is_zero:
+        if not is_zero:
             norm, _ = _normalize_components(comps)
             if norm != comps:
                 raise ValueError("components are not normalized")
-        acc = _folded_sum(self.n, half, self.center, half_row)
+        acc = _folded_sum(n, half, center, half_row)
         if acc != 0:
             raise ValueError(
                 f"folded components do not satisfy the equation: weighted sum is {acc}"
             )
+        _bind(self, "n", n)
+        _bind(self, "half", half)
+        _bind(self, "center", center)
+        _bind(self, "is_zero", is_zero)
+
+    @classmethod
+    def _unchecked(cls, n: int, half: tuple[int, ...], center: int | None,
+                   is_zero: bool) -> "FoldedKey":
+        """A key whose caller has made its shape and normalization and kept
+        its weighted sum zero, bound without ``__init__``'s checks."""
+        key = cls.__new__(cls)
+        _bind(key, "n", n)
+        _bind(key, "half", half)
+        _bind(key, "center", center)
+        _bind(key, "is_zero", is_zero)
+        return key
 
     def to_json(self) -> dict:
         return {
@@ -198,9 +210,7 @@ def canonical_key(v: SolutionVector) -> FoldedKey:
     comps = half if center is None else half + (center,)
     norm, zero = _normalize_components(comps)
     half, center = (norm, None) if center is None else (norm[:-1], norm[-1])
-    key = object.__new__(FoldedKey)  # FoldedKey(...) would run its checks
-    key.__dict__.update(n=v.n, half=half, center=center, is_zero=zero)
-    return key
+    return FoldedKey._unchecked(v.n, half, center, zero)
 
 
 def zero_key(n: int) -> FoldedKey:
@@ -506,8 +516,8 @@ def enumerate_classes(n: int, j: int, budget: float | None = None) -> dict[Folde
             entries[n - l] = s // 2
         if center is not None:
             entries[n // 2] = center
-        key = FoldedKey(n, norm[:hl], norm[hl] if even else None, zero, row)
-        out[key] = SolutionVector(n, tuple(entries), row)
+        key = FoldedKey(n, norm[:hl], norm[hl] if even else None, zero, half_row=row)
+        out[key] = SolutionVector(n, tuple(entries), half_row=row)
     return out
 
 

@@ -17,12 +17,11 @@ All arithmetic is exact (Python integers).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from math import comb
 from operator import add, mul
 
-from .boolean_core import WeightProfile
+from .boolean_core import Record, WeightProfile, _bind
 from .diophantine import _binomial_half_row
 
 
@@ -60,21 +59,20 @@ def sign_row(masks: list[int], degrees) -> list[int]:
     return [1 - 2 * ((mask & degree_mask).bit_count() & 1) for mask in masks]
 
 
-@dataclass(frozen=True)
-class SymmetricSpec:
+class SymmetricSpec(Record):
     """A strictly increasing tuple of elementary symmetric degrees."""
 
-    degrees: tuple[int, ...]
+    _fields = ("degrees",)
 
-    def __post_init__(self) -> None:
-        degs = tuple(int(k) for k in self.degrees)
-        object.__setattr__(self, "degrees", degs)
+    def __init__(self, degrees: tuple[int, ...]) -> None:
+        degs = tuple(int(k) for k in degrees)
         if not degs:
             raise ValueError("at least one degree is required")
         if any(k < 1 for k in degs):
             raise ValueError("degrees must be positive")
         if any(a >= b for a, b in zip(degs, degs[1:])):
             raise ValueError("degrees must be strictly increasing")
+        _bind(self, "degrees", degs)
 
     @classmethod
     def of(cls, *degrees: int) -> "SymmetricSpec":
@@ -137,8 +135,7 @@ def exp_sum_symmetric(n: int, spec: SymmetricSpec) -> int:
     return periodic_binomial_sums(spec.sign_row, n, n)[0]
 
 
-@dataclass(frozen=True)
-class DeltaVector:
+class DeltaVector(Record):
     """Periodic weights that a perturbation induces on the binomial row.
 
     ``values[a]`` is sum over m of profile[m] * sign(a + m); the vector is
@@ -146,25 +143,25 @@ class DeltaVector:
     most 2**j, so a halved view is available; for j = 0 entries are odd.
     """
 
-    j: int
-    r: int
-    values: tuple[int, ...]
+    _fields = ("j", "r", "values")
 
-    def __post_init__(self) -> None:
-        vals = tuple(int(v) for v in self.values)
-        object.__setattr__(self, "values", vals)
-        if self.j < 0:
+    def __init__(self, j: int, r: int, values: tuple[int, ...]) -> None:
+        vals = tuple(int(v) for v in values)
+        if j < 0:
             raise ValueError("variable count must be nonnegative")
-        if len(vals) != self.period:
-            raise ValueError(f"expected {self.period} entries, got {len(vals)}")
-        bound = 1 << self.j
+        if len(vals) != 1 << r:
+            raise ValueError(f"expected {1 << r} entries, got {len(vals)}")
+        bound = 1 << j
         for a, v in enumerate(vals):
             if abs(v) > bound:
                 raise ValueError(f"entry {a} exceeds bound {bound}")
-            if self.j >= 1 and v % 2:
+            if j >= 1 and v % 2:
                 raise ValueError(f"entry {a} must be even when j >= 1")
-            if self.j == 0 and v % 2 == 0:
+            if j == 0 and v % 2 == 0:
                 raise ValueError(f"entry {a} must be odd when j = 0")
+        _bind(self, "j", j)
+        _bind(self, "r", r)
+        _bind(self, "values", vals)
 
     @property
     def period(self) -> int:

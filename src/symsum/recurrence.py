@@ -16,11 +16,10 @@ elements of that ring over the basis xi^0 .. xi^(2^(r-1) - 1).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, gcd
 
-from .boolean_core import WeightProfile
+from .boolean_core import Record, WeightProfile, _bind
 from .expsum import SymmetricSpec, delta_vector, periodic_binomial_sums
 
 
@@ -56,8 +55,7 @@ def _poly_divmod(num: tuple[int, ...], den: tuple[int, ...]) -> tuple[tuple[int,
     return tuple(quot), tuple(rem)
 
 
-@dataclass(frozen=True)
-class RecurrencePoly:
+class RecurrencePoly(Record):
     """A monic characteristic polynomial, constant coefficient first.
 
     A sequence x satisfies it when sum over d of coeffs[d] * x[n - degree + d]
@@ -65,16 +63,16 @@ class RecurrencePoly:
     sequence itself is identically zero.
     """
 
-    coeffs: tuple[int, ...]
-    label: str | None = None
+    _fields = ("coeffs", "label")
 
-    def __post_init__(self) -> None:
-        coeffs = tuple(int(c) for c in self.coeffs)
-        object.__setattr__(self, "coeffs", coeffs)
+    def __init__(self, coeffs: tuple[int, ...], label: str | None = None) -> None:
+        coeffs = tuple(int(c) for c in coeffs)
         if not coeffs:
             raise ValueError("polynomial needs at least one coefficient")
         if coeffs[-1] != 1:
             raise ValueError("polynomial must be monic")
+        _bind(self, "coeffs", coeffs)
+        _bind(self, "label", label)
 
     @property
     def degree(self) -> int:
@@ -244,8 +242,7 @@ def minimality_certificate(k: int, horizon: int) -> bool:
 # exact cyclotomic coefficients
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CyclotomicValue:
+class CyclotomicValue(Record):
     """Element of Z[xi, 1/2] with xi = exp(i*pi / 2**(r-1)).
 
     Stored as integer coordinates over the power basis xi^0..xi^(2^(r-1)-1)
@@ -253,18 +250,16 @@ class CyclotomicValue:
     on construction.
     """
 
-    r: int
-    coeffs: tuple[int, ...]
-    denom: int = 1
+    _fields = ("r", "coeffs", "denom")
 
-    def __post_init__(self) -> None:
-        if self.r < 1:
+    def __init__(self, r: int, coeffs: tuple[int, ...], denom: int = 1) -> None:
+        if r < 1:
             raise ValueError("root order exponent must be at least 1")
-        half = 1 << (self.r - 1)
-        coeffs = tuple(int(c) for c in self.coeffs)
+        half = 1 << (r - 1)
+        coeffs = tuple(int(c) for c in coeffs)
         if len(coeffs) != half:
             raise ValueError(f"expected {half} coordinates, got {len(coeffs)}")
-        den = int(self.denom)
+        den = int(denom)
         if den == 0:
             raise ValueError("zero denominator")
         if den < 0:
@@ -277,8 +272,9 @@ class CyclotomicValue:
         if g > 1:
             coeffs = tuple(c // g for c in coeffs)
             den //= g
-        object.__setattr__(self, "coeffs", coeffs)
-        object.__setattr__(self, "denom", den)
+        _bind(self, "r", r)
+        _bind(self, "coeffs", coeffs)
+        _bind(self, "denom", den)
 
     @property
     def half(self) -> int:

@@ -10,12 +10,10 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import dataclasses
 import hashlib
 import json
 import os
 import sys
-from dataclasses import dataclass
 from math import comb
 from pathlib import Path
 from typing import BinaryIO
@@ -36,7 +34,7 @@ from .balance import (
     verify_even_linear_family,
     verify_x1_family,
 )
-from .boolean_core import WeightProfile, anf_parse, anf_to_function, weight_profile
+from .boolean_core import Record, WeightProfile, _bind, anf_parse, anf_to_function, weight_profile
 from .diophantine import (
     BudgetExceeded,
     SolutionVector,
@@ -171,8 +169,7 @@ class SystemExit2(Exception):
 # search campaigns
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Campaign:
+class Campaign(Record):
     """An exhaustive sweep over degree sets and variable counts.
 
     ``n_convention`` fixes what the n bound limits: "total" bounds the full
@@ -181,25 +178,28 @@ class Campaign:
     beyond the perturbed block (top degree at most the inner count).
     """
 
-    k_max: int
-    n_max: int
-    n_convention: str
-    perturbations: tuple[tuple[str, tuple[int, ...]], ...]
-    sporadic_only: bool = False
+    _fields = ("k_max", "n_max", "n_convention", "perturbations", "sporadic_only")
 
-    def __post_init__(self) -> None:
-        if self.k_max < 1 or self.n_max < 1:
+    def __init__(self, k_max: int, n_max: int, n_convention: str,
+                 perturbations: tuple[tuple[str, tuple[int, ...]], ...],
+                 sporadic_only: bool = False) -> None:
+        if k_max < 1 or n_max < 1:
             raise ValueError("bounds must be positive")
-        if self.n_convention not in ("total", "inner"):
+        if n_convention not in ("total", "inner"):
             raise ValueError("n_convention must be 'total' or 'inner'")
         seen: dict[tuple[int, ...], str] = {}  # descriptor by profile
-        for desc, values in self.perturbations:
+        for desc, values in perturbations:
             WeightProfile(len(values) - 1, values)
             if desc in seen.values():
                 raise ValueError(f"perturbation given more than once: {desc}")
             if seen.setdefault(tuple(values), desc) != desc:
                 raise ValueError(f"perturbations {seen[tuple(values)]} and {desc} have the "
                                  f"same weight profile {list(values)}")
+        _bind(self, "k_max", k_max)
+        _bind(self, "n_max", n_max)
+        _bind(self, "n_convention", n_convention)
+        _bind(self, "perturbations", perturbations)
+        _bind(self, "sporadic_only", sporadic_only)
 
     def to_json(self) -> dict:
         return {
@@ -293,13 +293,18 @@ def _balanced_degree_sets(lead: int, top: int, values: tuple[int, ...],
     for bits, s, p in patterns(range(lead + 1, split)):
         table.setdefault(p, {}).setdefault(s, []).append(bits)
     hits = []
+    # The dependent bits' weight depends only on their parity word, and many
+    # (high pattern, parity group) pairs share a word.
+    dependent_sums: dict[int, int] = {}
     for high, s_high, p_high in patterns(range(split, top + 1)):
         for p_low, by_sum in table.items():
             dependent = fixed ^ p_low ^ p_high
-            rest = target - s_high - sum(
-                w for i, w in enumerate(dependent_weights) if dependent >> i & 1
-            )
-            for low in by_sum.get(rest, ()):
+            d_sum = dependent_sums.get(dependent)
+            if d_sum is None:
+                d_sum = dependent_sums[dependent] = sum(
+                    w for i, w in enumerate(dependent_weights) if dependent >> i & 1
+                )
+            for low in by_sum.get(target - s_high - d_sum, ()):
                 b = 1 << lead | low | high
                 hits.append(tuple(
                     k for k in range(lead, top + 1) if (masks[k] & b).bit_count() & 1
@@ -307,15 +312,25 @@ def _balanced_degree_sets(lead: int, top: int, values: tuple[int, ...],
     return hits
 
 
-@dataclass
-class ScanCounters:
-    candidates: int = 0
-    balanced: int = 0
-    trivial: int = 0
-    sporadic: int = 0
+class ScanCounters(Record):
+    """Counts of a scan.  Mutable, as a run adds each chunk's counts to its
+    total, so it is not hashable."""
+
+    _fields = ("candidates", "balanced", "trivial", "sporadic")
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
+
+    def __init__(self, candidates: int = 0, balanced: int = 0, trivial: int = 0,
+                 sporadic: int = 0) -> None:
+        self.candidates = candidates
+        self.balanced = balanced
+        self.trivial = trivial
+        self.sporadic = sporadic
 
     def to_json(self) -> dict:
-        return dataclasses.asdict(self)
+        return {"candidates": self.candidates, "balanced": self.balanced,
+                "trivial": self.trivial, "sporadic": self.sporadic}
 
     def add(self, other: "ScanCounters") -> None:
         self.candidates += other.candidates
