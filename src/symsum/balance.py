@@ -104,54 +104,69 @@ def classify_range(spec: SymmetricSpec, profile: WeightProfile, n_lo: int, n_hi:
 
     The sign sums come from one sweep over the range, made by the call; only
     the indices where the sweep gives zero are classified, each as the
-    iterator reaches it, so one witness is held at a time.  Raises
-    VerificationError when the witness of such a zero fails its equation:
-    both are the same sum, so that is an internal fault.
+    iterator reaches it.  The first zero builds the witness row for n_hi
+    (``witness_row``, read off the Lucas signs, not off the period the sweep
+    folds); each zero's witness is its prefix, since entry l does not depend
+    on the length.  Raises VerificationError when the witness of such a zero
+    fails its equation: both are the same sum, so that is an internal fault.
     """
     j = profile.j
     if n_lo <= j:
         raise ValueError("need more variables than the perturbation touches")
     sums = periodic_binomial_sums(delta_vector(spec, profile).values, n_lo - j, n_hi - j)
-    masks = _subset_masks(n_hi)
-    return (
-        classify_zero(
-            spec.degrees, profile.values, n_total, perturbation,
-            f"sign-sum sweep gives 0 at n_total={n_total} (inner n={n_total - j}, "
-            f"degrees {list(spec.degrees)}) for profile {list(profile.values)} "
-            f"but its witness fails its equation",
-            masks, diophantine._binomial_half_row(n_total - j),
-        ) if s == 0 else BalanceVerdict(
-            n_total, spec.degrees, j, perturbation, s, BalanceStatus.NOT_BALANCED, None, None
-        )
-        for n_total, s in zip(range(n_lo, n_hi + 1), sums)
-    )
+
+    def verdicts() -> Iterator[BalanceVerdict]:
+        row = None
+        for n_total, s in zip(range(n_lo, n_hi + 1), sums):
+            if s:
+                yield BalanceVerdict(n_total, spec.degrees, j, perturbation, s,
+                                     BalanceStatus.NOT_BALANCED, None, None)
+                continue
+            if row is None:
+                row = witness_row(spec.degrees, profile.values, n_hi - j + 1,
+                                  _subset_masks(n_hi))
+            inner_n = n_total - j
+            yield classify_zero(
+                spec.degrees, j, n_total, perturbation,
+                f"sign-sum sweep gives 0 at n_total={n_total} (inner n={inner_n}, "
+                f"degrees {list(spec.degrees)}) for profile {list(profile.values)} "
+                f"but its witness fails its equation",
+                row[:inner_n + 1], diophantine._binomial_half_row(inner_n),
+            )
+
+    return verdicts()
 
 
-def classify_zero(degrees: tuple[int, ...], values: tuple[int, ...], n_total: int,
-                  perturbation: str, context: str, masks: list[int],
-                  half_row: list[int]) -> BalanceVerdict:
+def witness_row(degrees: tuple[int, ...], values: tuple[int, ...], length: int,
+                masks: list[int]) -> list[int]:
+    """``delta_row`` of the profile ``values`` at indices 0..length - 1, halved
+    when it perturbs j >= 1 variables: the presentation-scale witness of a
+    zero at inner_n = length - 1, and of any smaller inner_n as its prefix.
+    ``masks`` is ``_subset_masks`` of length + j - 1 or more."""
+    row = delta_row(degrees, values, length, masks)
+    return [x // 2 for x in row] if len(values) > 1 else row
+
+
+def classify_zero(degrees: tuple[int, ...], j: int, n_total: int, perturbation: str,
+                  context: str, witness: list[int], half_row: list[int]) -> BalanceVerdict:
     """Verdict of a zero sign sum: trivial or sporadic, with witness and key.
 
-    The witness is ``delta_row`` along indices 0..inner_n, halved when the
-    profile ``values`` perturbs j >= 1 variables.  Its equation sum over l of
+    ``witness`` is the ``witness_row`` along indices 0..inner_n = n_total - j
+    of a profile on j variables.  Its equation sum over l of
     x_l * C(inner_n, l) = 0 is the sign sum S / 2 (S itself at j = 0), so a
     claimed zero that is false fails it: VerificationError "<context>: <reason>".
-    ``masks`` is ``_subset_masks`` of n_total or more and ``half_row`` the
-    half row C(inner_n, 0..inner_n // 2) that the equation check reads; a
-    caller classifying many zeros builds each once.
+    ``half_row`` is the half row C(inner_n, 0..inner_n // 2) that the equation
+    check reads; a caller classifying many zeros builds each once.
     """
-    j = len(values) - 1
     inner_n = n_total - j
-    witness = delta_row(degrees, values, inner_n + 1, masks)
-    if j:
-        witness = [x // 2 for x in witness]
     try:
-        key = canonical_key(SolutionVector(inner_n, witness, half_row=half_row))
+        vector = SolutionVector(inner_n, witness, half_row=half_row)
+        key = canonical_key(vector)
         trivial = _is_trivial_key(key)
     except ValueError as exc:
         raise VerificationError(f"{context}: {exc}") from exc
     status = BalanceStatus.TRIVIAL if trivial else BalanceStatus.SPORADIC
-    return BalanceVerdict(n_total, degrees, j, perturbation, 0, status, tuple(witness), key)
+    return BalanceVerdict(n_total, degrees, j, perturbation, 0, status, vector.entries, key)
 
 
 def mirror_parity(values: tuple[int, ...]) -> int | None:

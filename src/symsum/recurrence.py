@@ -16,10 +16,10 @@ elements of that ring over the basis xi^0 .. xi^(2^(r-1) - 1).
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 from math import comb, gcd
 
 from .boolean_core import Record, WeightProfile, _bind
+from .diophantine import _binomial_half_row
 from .expsum import SymmetricSpec, delta_vector, periodic_binomial_sums
 
 
@@ -324,13 +324,18 @@ class CyclotomicValue(Record):
         return CyclotomicValue(self.r, tuple(out), self.denom * other.denom)
 
     def power(self, n: int) -> "CyclotomicValue":
-        """self**n.  A base a*xi^e + b*xi^f of at most two terms expands by the
-        binomial row, C(n, i) * a^(n-i) * b^i at xi^(e*n + i*(f-e)), summed by i mod
-        2^r / gcd(f-e, 2^r) and folded by xi^half = -1; others use repeated squaring."""
+        """self**n.  A one-term base a*xi^e gives a^n at xi^(e*n).  A two-term base
+        a*xi^e + b*xi^f with |a| = |b| expands by the binomial theorem as a^n times
+        the sum over i of C(n, i) * (b/a)^i at xi^(e*n + i*(f-e)), which depends on
+        i only through i mod m, m = 2^r / gcd(f-e, 2^r): the half row
+        C(n, 0..n // 2) is folded into its m residue-class sums, C(n, i) added at
+        i and at n - i, and (b/a)^i = (b/a)^(i mod m) as b/a = +-1 and m is even.
+        Every other base uses repeated squaring."""
         if n < 0:
             raise ValueError("negative powers not supported")
         terms = [(i, c) for i, c in enumerate(self.coeffs) if c] or [(0, 0)]  # zero is 0*xi^0
-        if len(terms) > 2:
+        (e, a), (f, b) = terms[0], terms[-1]  # e == f for one term
+        if len(terms) > 2 or abs(a) != abs(b):
             acc = CyclotomicValue.from_int(self.r, 1)
             base = self
             while n:
@@ -339,15 +344,19 @@ class CyclotomicValue(Record):
                 base = base * base
                 n >>= 1
             return acc
-        (e, a), (f, b) = terms[0], terms[-1]  # e == f for one term
-        row = [a ** n]  # row[i] = C(n, i) * a^(n-i) * b^i
-        if f > e:
-            for i in range(n):
-                row.append(row[i] * (n - i) * b // ((i + 1) * a))
-        m = 2 * self.half // gcd(f - e, 2 * self.half)
         out = [0] * self.half
-        for t in range(min(m, n + 1)):
-            _add_xi_power(out, e * n + t * (f - e), sum(row[t::m]))
+        if e == f:
+            _add_xi_power(out, e * n, a ** n)
+        else:
+            m = 2 * self.half // gcd(f - e, 2 * self.half)
+            sums = [0] * m
+            for i, c in enumerate(_binomial_half_row(n)):
+                sums[i % m] += c
+                if 2 * i != n:
+                    sums[(n - i) % m] += c
+            an = a ** n
+            for t, c in enumerate(sums):
+                _add_xi_power(out, e * n + t * (f - e), -an * c if b != a and t & 1 else an * c)
         return CyclotomicValue(self.r, tuple(out), self.denom ** n)
 
     @property
@@ -361,6 +370,8 @@ class CyclotomicValue(Record):
     def as_fraction(self) -> Fraction:
         if not self.is_rational:
             raise ValueError("value is irrational")
+        from fractions import Fraction
+
         return Fraction(self.coeffs[0], self.denom)
 
     def conjugate(self) -> "CyclotomicValue":

@@ -10,13 +10,12 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import hashlib
+import io
 import json
 import os
 import sys
 from math import comb
 from pathlib import Path
-from typing import BinaryIO
 
 from . import diophantine
 from .balance import (
@@ -33,6 +32,7 @@ from .balance import (
     singmaster_gap,
     verify_even_linear_family,
     verify_x1_family,
+    witness_row,
 )
 from .boolean_core import Record, WeightProfile, _bind, anf_parse, anf_to_function, weight_profile
 from .diophantine import (
@@ -213,6 +213,8 @@ class Campaign(Record):
         }
 
     def digest(self) -> str:
+        import hashlib  # only search needs it, and it loads OpenSSL
+
         return hashlib.sha256(
             json.dumps(self.to_json(), sort_keys=True).encode()
         ).hexdigest()[:16]
@@ -378,14 +380,15 @@ def _scan_leading_degree(campaign: Campaign, lead: int) -> tuple[ScanCounters, l
         if parity is not None and sign_bits_mirror(masks, degs, n_total, parity):
             counters.trivial += 1
             continue
-        inner = n_total - len(values) + 1
+        j = len(values) - 1
+        inner = n_total - j
         if inner not in half_rows:
             half_rows[inner] = diophantine._binomial_half_row(inner)
         verdict = classify_zero(
-            degs, values, n_total, desc,
+            degs, j, n_total, desc,
             f"census engine and classifier disagree on degrees {list(degs)} "
             f"at n={n_total} ({desc})",
-            masks, half_rows[inner],
+            witness_row(degs, values, inner + 1, masks), half_rows[inner],
         )
         if verdict.status is BalanceStatus.SPORADIC:
             counters.sporadic += 1
@@ -474,7 +477,7 @@ def run_search(campaign: Campaign, out_path: Path | None = None,
 
 
 def _write_checkpoint(path: Path, digest: str, chunks_done: int,
-                      counters: ScanCounters, out: BinaryIO | None) -> None:
+                      counters: ScanCounters, out: io.BufferedWriter | None) -> None:
     """Replace the checkpoint atomically: an interrupted write leaves the
     previous checkpoint in place.  ``out``, the open --out file or None, is
     first flushed to disk, and its length is recorded."""

@@ -182,17 +182,21 @@ class TestClassify:
 
     def test_range_matches_per_term_oracle(self, rng):
         # every index of a sweep from n = j + 1, the first index a profile
-        # admits, including sweeps of length one
+        # admits, including sweeps of length one, and of a sweep from a later
+        # index: each zero's witness is a prefix of one row for n_hi, which
+        # must start at inner index 0 whatever n_lo is
         balanced = 0
         for _ in range(40):
             spec = random_spec(rng, 7)
             j = rng.randint(0, 3)
             prof = random_profile(rng, j) if j else UNPERTURBED
             dv = delta_vector(spec, prof)
-            for n_hi in (j + 1, j + 1 + rng.randint(1, 40)):
-                verdicts = list(classify_range(spec, prof, j + 1, n_hi, "desc"))
-                assert len(verdicts) == n_hi - j
-                for n_total, v in enumerate(verdicts, j + 1):
+            later = rng.randint(j + 2, 30)
+            for n_lo, n_hi in ((j + 1, j + 1), (j + 1, j + 1 + rng.randint(1, 40)),
+                               (later, rng.randint(later, 70))):
+                verdicts = list(classify_range(spec, prof, n_lo, n_hi, "desc"))
+                assert len(verdicts) == n_hi - n_lo + 1
+                for n_total, v in enumerate(verdicts, n_lo):
                     n = n_total - j
                     s = sum(dv.at(l) * comb(n, l) for l in range(n + 1))
                     assert (v.n_total, v.degrees, v.j, v.perturbation, v.sign_sum) == (

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -27,7 +28,7 @@ from symsum.diophantine import (
     enumerate_classes,
 )
 from symsum.expsum import DeltaVector, SymmetricSpec, delta_vector
-from symsum.recurrence import CyclotomicValue, RecurrencePoly
+from symsum.recurrence import CyclotomicValue, RecurrencePoly, d0
 from symsum.search_cli import Campaign, ScanCounters
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -153,13 +154,29 @@ def test_cached_sign_row_leaves_equality_alone():
     assert repr(spec) == "SymmetricSpec(degrees=(2, 3))"
 
 
-def test_cli_import_loads_neither_dataclasses_nor_inspect():
+def _loaded_by_cli_import(names: set[str]) -> str:
+    """The sorted list of ``names`` found in sys.modules after a fresh
+    interpreter imports symsum.search_cli, as printed."""
     # -S keeps the site-packages .pth files, and whatever they import, out.
     code = (
         f"import sys; sys.path.insert(0, {str(SRC)!r}); import symsum.search_cli; "
-        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+        f"print(sorted({set(names)!r} & set(sys.modules)))"
     )
     proc = subprocess.run([sys.executable, "-S", "-c", code],
                           capture_output=True, text=True, check=False)
     assert (proc.returncode, proc.stderr) == (0, "")
-    assert proc.stdout == "[]\n"
+    return proc.stdout
+
+
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    assert _loaded_by_cli_import({"dataclasses", "inspect"}) == "[]\n"
+
+
+def test_cli_import_loads_no_hashlib_fractions_or_typing():
+    # hashlib (with OpenSSL) is imported by Campaign.digest, fractions (with
+    # decimal) by the functions that return a Fraction
+    assert _loaded_by_cli_import({"hashlib", "fractions", "decimal", "typing"}) == "[]\n"
+    campaign = Campaign(17, 17, "total", (("x1", (1, -1)), ("x1x2", (1, -2, 1))), True)
+    assert campaign.digest() == "d29640b9dd8f5bfb"
+    assert type(d0(SymmetricSpec.of(2, 3), X1)) is Fraction
+    assert type(CyclotomicValue.from_int(2, 3).as_fraction()) is Fraction

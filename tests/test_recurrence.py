@@ -365,7 +365,8 @@ class TestPower:
     @staticmethod
     def bases(r: int, rng: random.Random) -> list[CyclotomicValue]:
         """Zero, one-term and two-term bases, with non-unit coefficients and
-        denominators above 1."""
+        denominators above 1; the two-term bases a*xi^e + b*xi^f with |a| = |b|
+        (the half-row route) have b = a and b = -a, unit and not."""
         half = 1 << (r - 1)
         out = [CyclotomicValue.zero(r), sparse_value(r, {0: 1}), sparse_value(r, {half - 1: -3}, 2)]
         if half > 1:
@@ -374,6 +375,8 @@ class TestPower:
             e, f = sorted(rng.sample(range(half), 2))
             out.append(sparse_value(r, {e: rng.choice((-5, 3, 7)), f: rng.choice((-2, 4))},
                                     rng.choice((2, 6))))
+            e, f = sorted(rng.sample(range(half), 2))
+            out += [sparse_value(r, {e: 3, f: -3}, 2), sparse_value(r, {e: -3, f: -3}, 2)]
         return out
 
     def test_matches_repeated_multiplication(self, rng):
@@ -384,8 +387,8 @@ class TestPower:
                     assert base.power(n) == product_power(base, n), (r, base, n)
 
     def test_matches_the_squaring_route(self, rng):
-        # x*y has up to four terms, so its power takes the squaring route;
-        # x and y alone take the binomial route
+        # x*y with more than two terms takes the squaring route; x and y alone
+        # take the one-term, the half-row or the squaring route
         squared = 0
         for r in range(3, 7):
             for x, y in itertools.combinations(self.bases(r, rng), 2):
