@@ -238,13 +238,6 @@ def eventual_balance(spec: SymmetricSpec, profile: WeightProfile, residue: int) 
     return EventualBalanceReport(res, period, True, z, None)
 
 
-def eventual_balance_at(spec: SymmetricSpec, profile: WeightProfile, n_total: int) -> EventualBalanceReport:
-    """Residue criterion evaluated at the residue of a concrete index."""
-    if n_total <= profile.j:
-        raise ValueError("need more variables than the perturbation touches")
-    return eventual_balance(spec, profile, (n_total - profile.j) % spec.period)
-
-
 class WindowEntry(Record):
     """One index of a balance window report.
 

@@ -328,11 +328,6 @@ class WeightProfile(Record):
         """Sign sum of the underlying function."""
         return sum(self.values)
 
-    @classmethod
-    def constant_zero(cls, j: int = 0) -> "WeightProfile":
-        """Profile of the all-zero function on j variables."""
-        return cls(j, tuple(comb(j, m) for m in range(j + 1)))
-
 
 def weight_profile(f: BooleanFunction) -> WeightProfile:
     """Weight-layer sign counts of a function."""
@@ -381,13 +376,6 @@ def symmetric_function(n: int, degrees) -> BooleanFunction:
     for x in range(1 << n):
         table |= parity_by_weight[x.bit_count()] << x
     return BooleanFunction(n, table)
-
-
-def xor_functions(f: BooleanFunction, g: BooleanFunction) -> BooleanFunction:
-    """Pointwise XOR of two functions on the same variable count."""
-    if f.j != g.j:
-        raise ValueError("functions must share a variable count")
-    return BooleanFunction(f.j, f.table ^ g.table)
 
 
 def all_functions(j: int):

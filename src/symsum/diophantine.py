@@ -12,7 +12,6 @@ those moves, so a normalized folded vector is a canonical class key.
 from __future__ import annotations
 
 import itertools
-from enum import Enum
 from math import comb, gcd, prod
 from operator import mul
 
@@ -147,14 +146,16 @@ class FoldedKey(Record):
 
     ``half`` holds the normalized pair sums, ``center`` the normalized middle
     entry for even n (None for odd n), and ``is_zero`` marks the class of
-    vectors folding to zero everywhere.  ``half_row`` is as for
-    SolutionVector.
+    vectors folding to zero everywhere.  The constructor checks the shape,
+    the normalization and the equation; ``canonical_key`` builds the key of
+    a checked SolutionVector without them.
     """
 
     _fields = ("n", "half", "center", "is_zero")
 
-    def __init__(self, n: int, half: tuple[int, ...], center: int | None, is_zero: bool, *,
-                 half_row: list[int] | None = None) -> None:
+    def __init__(self, n: int, half: tuple[int, ...], center: int | None, is_zero: bool) -> None:
+        if n < 1:
+            raise ValueError("need n >= 1")
         half = tuple(int(c) for c in half)
         hl = (n + 1) // 2
         if len(half) != hl:
@@ -168,7 +169,7 @@ class FoldedKey(Record):
             norm, _ = _normalize_components(comps)
             if norm != comps:
                 raise ValueError("components are not normalized")
-        acc = _folded_sum(n, half, center, half_row)
+        acc = _folded_sum(n, half, center, None)
         if acc != 0:
             raise ValueError(
                 f"folded components do not satisfy the equation: weighted sum is {acc}"
@@ -245,37 +246,6 @@ def _is_trivial_key(key: FoldedKey) -> bool:
     half = key.n // 2
     return (key.n % 2 == 0 and key.center == (-1) ** half
             and key.half == ((2, -2) * half)[:half])
-
-
-class TrivialForm(str, Enum):
-    """Structural shapes of the always-present solution families."""
-
-    ANTISYMMETRIC_ODD = "antisymmetric_odd"
-    ALTERNATING = "alternating"
-    ANTISYMMETRIC_EVEN = "antisymmetric_even_center_zero"
-
-
-def trivial_forms(v: SolutionVector) -> frozenset[TrivialForm]:
-    """Structural trivial shapes the entries literally match (possibly none).
-
-    The check is syntactic, not up-to-equivalence: x_{n-l} = -x_l throughout
-    (which forces a zero center when n is even), or x_l = (-1)**l * m for a
-    fixed m.  A vector can match several shapes at once -- the zero vector
-    matches every shape its length allows -- and a vector can match none yet
-    still satisfy is_trivial_solution, which compares class keys instead.
-    """
-    e = v.entries
-    n = v.n
-    out: set[TrivialForm] = set()
-    if all(e[n - l] == -e[l] for l in range(n + 1)):
-        out.add(
-            TrivialForm.ANTISYMMETRIC_ODD
-            if n % 2 == 1
-            else TrivialForm.ANTISYMMETRIC_EVEN
-        )
-    if all(e[l] == (-1) ** l * e[0] for l in range(n + 1)):
-        out.add(TrivialForm.ALTERNATING)
-    return frozenset(out)
 
 
 def _check_trivial_level(j: int) -> None:
@@ -458,7 +428,8 @@ def enumerate_classes(n: int, j: int, budget: float | None = None) -> dict[Folde
     center (even n) over the alphabet, and the first pair sum is forced by
     the equation.  Every in-range folded vector is realizable by splitting
     each pair sum into ceil/floor halves, so the sweep sees exactly the
-    classes of actual solutions.
+    classes of actual solutions.  Each class is keyed by ``canonical_key``
+    of its representative, whose construction makes the one equation check.
     """
     _check_class_cell(n, j, budget)
     hl = (n + 1) // 2
@@ -476,13 +447,13 @@ def enumerate_classes(n: int, j: int, budget: float | None = None) -> dict[Folde
         max_tail[i] = max_tail[i + 1] + fold_b * weights[i]
     slack = fold_b * weights[0] + (center_b * center_w if even else 0)
 
-    found: dict[tuple[int, ...], tuple[tuple[int, ...], int | None, bool]] = {}
+    found: dict[tuple[int, ...], tuple[tuple[int, ...], int | None]] = {}
 
     def emit(half: tuple[int, ...], center: int | None) -> None:
         comps = half if center is None else half + (center,)
-        norm, zero = _normalize_components(comps)
+        norm, _ = _normalize_components(comps)
         if norm not in found:
-            found[norm] = (half, center, zero)
+            found[norm] = (half, center)
 
     # Each loop runs over the range its bound allows, by floor division:
     # lo <= s <= hi exactly when |acc + s * w| <= lim (and likewise for the
@@ -506,18 +477,16 @@ def enumerate_classes(n: int, j: int, budget: float | None = None) -> dict[Folde
 
     walk(1, 0, ())
 
-    # The key is the normalized fold the sweep already has; canonical_key
-    # would fold and normalize each representative again.
     out: dict[FoldedKey, SolutionVector] = {}
-    for norm, (half, center, zero) in found.items():
+    for half, center in found.values():
         entries = [0] * (n + 1)
         for l, s in enumerate(half):
             entries[l] = (s + 1) // 2
             entries[n - l] = s // 2
         if center is not None:
             entries[n // 2] = center
-        key = FoldedKey(n, norm[:hl], norm[hl] if even else None, zero, half_row=row)
-        out[key] = SolutionVector(n, tuple(entries), half_row=row)
+        rep = SolutionVector(n, tuple(entries), half_row=row)
+        out[canonical_key(rep)] = rep
     return out
 
 

@@ -18,18 +18,10 @@ All arithmetic is exact (Python integers).
 from __future__ import annotations
 
 from functools import cached_property
-from math import comb
 from operator import add, mul
 
 from .boolean_core import Record, WeightProfile, _bind
 from .diophantine import _binomial_half_row
-
-
-def binomial(n: int, l: int) -> int:
-    """C(n, l), zero outside 0 <= l <= n."""
-    if l < 0 or l > n:
-        return 0
-    return comb(n, l)
 
 
 def binom_parity(l: int, k: int) -> int:
@@ -140,7 +132,7 @@ class DeltaVector(Record):
 
     ``values[a]`` is sum over m of profile[m] * sign(a + m); the vector is
     2**r-periodic.  For j >= 1 every entry is even with absolute value at
-    most 2**j, so a halved view is available; for j = 0 entries are odd.
+    most 2**j; for j = 0 entries are odd.
     """
 
     _fields = ("j", "r", "values")
@@ -170,12 +162,6 @@ class DeltaVector(Record):
     def at(self, l: int) -> int:
         """Entry at any index, folded into the period."""
         return self.values[l & (self.period - 1)]
-
-    def halved(self) -> tuple[int, ...]:
-        """values / 2, the scale used for presentation; requires j >= 1."""
-        if self.j < 1:
-            raise ValueError("halved view requires at least one perturbed variable")
-        return tuple(v // 2 for v in self.values)
 
 
 def delta_row(degrees, values, length: int, masks: list[int] | None = None) -> list[int]:

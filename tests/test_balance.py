@@ -21,7 +21,6 @@ from symsum import (
     classify_range,
     delta_vector,
     eventual_balance,
-    eventual_balance_at,
     exp_sum_profile,
     fibonacci,
     is_trivial_solution,
@@ -233,7 +232,7 @@ class TestEventualBalance:
         assert rep.period == 8
 
     def test_failing_residue(self):
-        rep = eventual_balance_at(SymmetricSpec.of(14), X1X2, 24)
+        rep = eventual_balance(SymmetricSpec.of(14), X1X2, 22)
         assert rep.residue == 6
         assert not rep.holds
         assert rep.z is None
@@ -246,10 +245,6 @@ class TestEventualBalance:
     def test_nonzero_pattern_constant(self):
         rep = eventual_balance(SymmetricSpec.of(1), UNPERTURBED, 0)
         assert rep.holds and rep.z == -2
-
-    def test_at_requires_room(self):
-        with pytest.raises(ValueError):
-            eventual_balance_at(SymmetricSpec.of(4), X1X2, 2)
 
     def test_holding_residue_implies_balance_on_grid(self, rng):
         for _ in range(25):

@@ -22,7 +22,6 @@ from symsum import (
     symmetric_function,
     symmetric_sigma_eval,
     weight_profile,
-    xor_functions,
 )
 
 from conftest import function_from_profile
@@ -131,10 +130,6 @@ class TestWeightProfile:
         with pytest.raises(ValueError):
             WeightProfile(j, values)
 
-    def test_constant_zero_profile(self):
-        p = WeightProfile.constant_zero()
-        assert p.j == 0 and p.values == (1,)
-
 
 # ---------------------------------------------------------------------------
 # symmetric evaluation
@@ -219,12 +214,3 @@ def test_profile_sums_to_sign_sum(f):
 def test_mobius_round_trip(f):
     assert anf_to_function(function_to_anf(f), f.j) == f
 
-
-@given(boolean_functions(max_j=3), boolean_functions(max_j=3))
-@settings(max_examples=100, deadline=None)
-def test_xor_adds_tables(f, g):
-    if f.j != g.j:
-        return
-    h = xor_functions(f, g)
-    for x in range(f.size):
-        assert h.value(x) == f.value(x) ^ g.value(x)

@@ -25,6 +25,7 @@ from symsum import (
     anf_parse,
     anf_to_function,
     classify,
+    classify_range,
     weight_profile,
 )
 from symsum import search_cli
@@ -221,6 +222,29 @@ def test_unperturbed_oracle_is_not_vacuous(unperturbed_oracle):
     counters = unperturbed_oracle.counters.values()
     assert sum(c.balanced for c in counters) == 142
     assert sum(c.sporadic for c in counters) == 10
+
+
+@pytest.mark.parametrize("perturbation, hits", [(X1, 1723), (X1X2, 1206)], ids=["x1", "x1x2"])
+def test_engine_agrees_with_sweeps_where_most_bits_are_dependent(perturbation, hits):
+    # The oracle pass above stops at 17 variables.  Here the top degree is at
+    # most 10 and the variable count reaches 60, so up to 50 sign bits of a
+    # cell are dependent; one classify_range sweep per degree set, whose sign
+    # sums come from the periodic delta vector, is the reference.
+    desc, values = perturbation
+    campaign = Campaign(10, 60, "total", (perturbation,))
+    got = {
+        (rec.degrees, rec.n_total, rec.status, rec.witness)
+        for lead in range(1, 11) for rec in _scan_leading_degree(campaign, lead)[1]
+    }
+    profile = WeightProfile(len(values) - 1, values)
+    want = set()
+    for degs in iter_degree_sets(10):
+        n_lo = max(degs[-1] + 1, profile.j + 1)
+        for verdict in classify_range(SymmetricSpec(degs), profile, n_lo, 60, desc):
+            if verdict.status is not BalanceStatus.NOT_BALANCED:
+                want.add((verdict.degrees, verdict.n_total, verdict.status, verdict.witness))
+    assert len(want) == hits
+    assert got == want
 
 
 @pytest.mark.parametrize("profile", [X1[1], X1X2[1]])

@@ -15,7 +15,6 @@ from symsum import (
     FoldedKey,
     GammaAlphabet,
     SolutionVector,
-    TrivialForm,
     alternating_key,
     canonical_key,
     class_enumeration_metric,
@@ -29,7 +28,6 @@ from symsum import (
     gamma_via_integral,
     is_trivial_solution,
     trivial_count,
-    trivial_forms,
     zero_key,
 )
 from symsum import diophantine
@@ -186,6 +184,14 @@ class TestCanonicalKey:
         with pytest.raises(ValueError):
             FoldedKey(4, (2, 2), -1, False)  # fails the equation
 
+    @pytest.mark.parametrize("n, half, center", [(-2, (), 0), (-1, (), None), (0, (), 0)])
+    def test_key_needs_a_variable(self, n, half, center):
+        # n = -1 and n = 0 pass the shape checks alone; both records refuse them
+        with pytest.raises(ValueError, match="need n >= 1"):
+            FoldedKey(n, half, center, True)
+        with pytest.raises(ValueError, match="need n >= 1"):
+            SolutionVector(n, (0,) * max(n + 1, 0))
+
     def test_to_json(self):
         key = canonical_key(SolutionVector(4, (1, 1, -1, 0, 1)))
         assert key.to_json() == {"n": 4, "half": [2, 1], "center": -1, "zero": False}
@@ -270,42 +276,6 @@ def test_nudged_alternating_vector_rejected_at_n_300():
 # the always-present families
 # ---------------------------------------------------------------------------
 
-class TestTrivialForms:
-    def test_antisymmetric_odd(self):
-        v = SolutionVector(5, (1, -1, 0, 0, 1, -1))
-        assert trivial_forms(v) == {TrivialForm.ANTISYMMETRIC_ODD}
-
-    def test_alternating_even(self):
-        v = SolutionVector(4, (2, -2, 2, -2, 2))
-        assert trivial_forms(v) == {TrivialForm.ALTERNATING}
-
-    def test_alternating_odd_is_also_antisymmetric(self):
-        v = SolutionVector(5, tuple((-1) ** l for l in range(6)))
-        assert trivial_forms(v) == {
-            TrivialForm.ALTERNATING,
-            TrivialForm.ANTISYMMETRIC_ODD,
-        }
-
-    def test_zero_vector_matches_both_applicable_shapes(self):
-        assert trivial_forms(SolutionVector(4, (0,) * 5)) == {
-            TrivialForm.ALTERNATING,
-            TrivialForm.ANTISYMMETRIC_EVEN,
-        }
-        assert trivial_forms(SolutionVector(5, (0,) * 6)) == {
-            TrivialForm.ALTERNATING,
-            TrivialForm.ANTISYMMETRIC_ODD,
-        }
-
-    def test_sporadic_vector_matches_nothing(self):
-        assert trivial_forms(SolutionVector(4, (0, 1, -2, 2, 0))) == frozenset()
-
-    def test_equivalent_but_not_literal(self):
-        v = SolutionVector(12, EQUIVALENT_TO_ALTERNATING_N12)
-        assert trivial_forms(v) == frozenset()
-        assert is_trivial_solution(v)
-        assert canonical_key(v) == alternating_key(12)
-
-
 class TestIsTrivial:
     def test_basic_verdicts(self):
         assert is_trivial_solution(SolutionVector(4, (0,) * 5))
@@ -327,6 +297,13 @@ class TestIsTrivial:
             }
             for v in enumerate_solutions(n, j):
                 assert is_trivial_solution(v) == (canonical_key(v) in trivial_keys)
+
+    def test_equivalent_but_not_literal(self):
+        # neither antisymmetric nor alternating entry by entry, yet in the
+        # alternating class
+        v = SolutionVector(12, EQUIVALENT_TO_ALTERNATING_N12)
+        assert is_trivial_solution(v)
+        assert canonical_key(v) == alternating_key(12)
 
 
 class TestTrivialCount:
