@@ -16,7 +16,6 @@ from collections.abc import Iterator
 from enum import Enum
 from math import comb
 
-from . import diophantine
 from .boolean_core import BooleanFunction, Record, WeightProfile, _bind, weight_profile
 from .diophantine import FoldedKey, SolutionVector, _is_trivial_key, canonical_key
 from .expsum import (
@@ -131,7 +130,7 @@ def classify_range(spec: SymmetricSpec, profile: WeightProfile, n_lo: int, n_hi:
                 f"sign-sum sweep gives 0 at n_total={n_total} (inner n={inner_n}, "
                 f"degrees {list(spec.degrees)}) for profile {list(profile.values)} "
                 f"but its witness fails its equation",
-                row[:inner_n + 1], diophantine._binomial_half_row(inner_n),
+                row[:inner_n + 1],
             )
 
     return verdicts()
@@ -148,19 +147,17 @@ def witness_row(degrees: tuple[int, ...], values: tuple[int, ...], length: int,
 
 
 def classify_zero(degrees: tuple[int, ...], j: int, n_total: int, perturbation: str,
-                  context: str, witness: list[int], half_row: list[int]) -> BalanceVerdict:
+                  context: str, witness: list[int]) -> BalanceVerdict:
     """Verdict of a zero sign sum: trivial or sporadic, with witness and key.
 
     ``witness`` is the ``witness_row`` along indices 0..inner_n = n_total - j
     of a profile on j variables.  Its equation sum over l of
     x_l * C(inner_n, l) = 0 is the sign sum S / 2 (S itself at j = 0), so a
     claimed zero that is false fails it: VerificationError "<context>: <reason>".
-    ``half_row`` is the half row C(inner_n, 0..inner_n // 2) that the equation
-    check reads; a caller classifying many zeros builds each once.
     """
     inner_n = n_total - j
     try:
-        vector = SolutionVector(inner_n, witness, half_row=half_row)
+        vector = SolutionVector(inner_n, witness)
         key = canonical_key(vector)
         trivial = _is_trivial_key(key)
     except ValueError as exc:
@@ -184,7 +181,8 @@ def mirror_parity(values: tuple[int, ...]) -> int | None:
 def sign_bits_mirror(masks: list[int], degrees: tuple[int, ...], n_total: int,
                      parity: int) -> bool:
     """Whether the sign bits b_t of the degree set obey b_t XOR b_(N-t) =
-    ``parity`` for every t <= N = n_total (``masks`` as for classify_zero).
+    ``parity`` for every t <= N = n_total (``masks`` as for witness_row:
+    ``_subset_masks`` of n_total or more).
 
     With s_t = (-1)**b_t that is s_(N-t) = -eps * s_t, for a profile c of
     mirror parity ``parity`` on j variables.  Its witness x_l = sum over m

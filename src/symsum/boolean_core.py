@@ -28,8 +28,7 @@ class Record:
     checks its arguments and sets each field with ``_bind``.  Two records are
     equal when they are of the same class with equal fields, a record hashes
     by its fields, its repr is ``Name(field=value, ...)``, and assigning or
-    deleting an attribute raises AttributeError.  A
-    ``functools.cached_property`` still works, as it writes the instance dict.
+    deleting an attribute raises AttributeError.
     """
 
     __slots__ = ()

@@ -38,16 +38,11 @@ def _binomial_row(n: int) -> list[int]:
     return half + half[: n - n // 2][::-1]
 
 
-def _folded_sum(n: int, half, center: int | None, row: list[int] | None) -> int:
+def _folded_sum(n: int, half, center: int | None) -> int:
     """sum over l of x_l * C(n, l) for a vector given by its fold: pair sums
     x_l + x_(n-l) for l < (n + 1) // 2 and, for even n, the center entry.
-
-    ``row`` is the half row of n when the caller holds one; None builds it.
     """
-    if row is None:
-        row = _binomial_half_row(n)
-    elif len(row) != n // 2 + 1:
-        raise ValueError(f"half row of length {len(row)} given for n={n}")
+    row = _binomial_half_row(n)
     acc = sum(map(mul, half, row))
     if center is not None:
         acc += center * row[-1]
@@ -89,17 +84,11 @@ class GammaAlphabet(Record):
 
 
 class SolutionVector(Record):
-    """Entries x_0..x_n with sum of x_l * C(n, l) equal to zero.
-
-    ``half_row``, C(n, 0..n // 2), lets a caller that checks many vectors of
-    one n build that row once; without it the check builds its own.  It is
-    not a field.
-    """
+    """Entries x_0..x_n with sum of x_l * C(n, l) equal to zero."""
 
     _fields = ("n", "entries")
 
-    def __init__(self, n: int, entries: tuple[int, ...], *,
-                 half_row: list[int] | None = None) -> None:
+    def __init__(self, n: int, entries: tuple[int, ...]) -> None:
         entries = tuple(int(x) for x in entries)
         _bind(self, "n", n)
         _bind(self, "entries", entries)
@@ -107,7 +96,7 @@ class SolutionVector(Record):
             raise ValueError("need n >= 1")
         if len(entries) != n + 1:
             raise ValueError(f"expected {n + 1} entries, got {len(entries)}")
-        acc = _folded_sum(n, *self.fold(), half_row)
+        acc = _folded_sum(n, *self.fold())
         if acc != 0:
             raise ValueError(f"not a solution: weighted sum is {acc}")
 
@@ -169,7 +158,7 @@ class FoldedKey(Record):
             norm, _ = _normalize_components(comps)
             if norm != comps:
                 raise ValueError("components are not normalized")
-        acc = _folded_sum(n, half, center, None)
+        acc = _folded_sum(n, half, center)
         if acc != 0:
             raise ValueError(
                 f"folded components do not satisfy the equation: weighted sum is {acc}"
@@ -485,7 +474,7 @@ def enumerate_classes(n: int, j: int, budget: float | None = None) -> dict[Folde
             entries[n - l] = s // 2
         if center is not None:
             entries[n // 2] = center
-        rep = SolutionVector(n, tuple(entries), half_row=row)
+        rep = SolutionVector(n, tuple(entries))
         out[canonical_key(rep)] = rep
     return out
 

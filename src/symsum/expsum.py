@@ -17,7 +17,6 @@ All arithmetic is exact (Python integers).
 
 from __future__ import annotations
 
-from functools import cached_property
 from operator import add, mul
 
 from .boolean_core import Record, WeightProfile, _bind
@@ -84,7 +83,7 @@ class SymmetricSpec(Record):
         """Period 2**r of the sign pattern."""
         return 1 << self.r
 
-    @cached_property
+    @property
     def sign_row(self) -> tuple[int, ...]:
         """One full period of the sign pattern, index 0 first."""
         return tuple(sign_row(_subset_masks(self.period - 1), self.degrees))

@@ -17,7 +17,6 @@ import sys
 from math import comb
 from pathlib import Path
 
-from . import diophantine
 from .balance import (
     BalanceStatus,
     BalanceVerdict,
@@ -109,29 +108,34 @@ SPORADIC_WITNESSES_N9_X1X2 = {
 }
 
 
-def _parse_range(text: str) -> list[int]:
-    """Parse '5' or '2..10' into a list of integers."""
-    if ".." in text:
-        lo, _, hi = text.partition("..")
-        a, b = int(lo), int(hi)
-        if b < a:
-            raise ValueError(f"empty range {text!r}")
-        return list(range(a, b + 1))
-    return [int(text)]
+def _parse_range(text: str, flag: str) -> list[int]:
+    """Parse '5' or '2..10', the value of ``flag``, into a list of integers."""
+    lo, dots, hi = text.partition("..")
+    try:
+        a, b = int(lo), int(hi if dots else lo)
+    except ValueError:
+        raise SystemExit2(f"{flag} needs an integer or a range lo..hi, got {text!r}") from None
+    if b < a:
+        raise ValueError(f"empty range {text!r}")
+    return list(range(a, b + 1))
+
+
+def _parse_ints(text: str, flag: str) -> tuple[int, ...]:
+    """The comma-separated integers of ``flag``'s value, spaces ignored."""
+    try:
+        return tuple(int(p) for p in text.replace(" ", "").split(","))
+    except ValueError:
+        raise SystemExit2(f"{flag} needs comma-separated integers, got {text!r}") from None
 
 
 def _parse_degrees(text: str) -> SymmetricSpec:
-    return SymmetricSpec(tuple(int(p) for p in text.replace(" ", "").split(",") if p))
+    return SymmetricSpec(_parse_ints(text, "--degrees"))
 
 
 def _parse_profile(text: str) -> tuple[int, ...]:
-    fields = text.replace(" ", "").split(",")
-    if not any(fields):
+    if not text.replace(" ", "").strip(","):
         raise SystemExit2("--profile needs at least one weight")
-    try:
-        return tuple(int(p) for p in fields)
-    except ValueError:
-        raise SystemExit2(f"--profile needs comma-separated integers, got {text!r}") from None
+    return _parse_ints(text, "--profile")
 
 
 def _perturbation(values: tuple[int, ...] | None, anf: str | None,
@@ -192,6 +196,10 @@ class Campaign(Record):
             WeightProfile(len(values) - 1, values)
             if desc in seen.values():
                 raise ValueError(f"perturbation given more than once: {desc}")
+            negated = tuple(-c for c in values)
+            if negated in seen:
+                raise ValueError(f"perturbations {seen[negated]} and {desc} have negated "
+                                 f"weight profiles, so the same zeros and witness classes")
             if seen.setdefault(tuple(values), desc) != desc:
                 raise ValueError(f"perturbations {seen[tuple(values)]} and {desc} have the "
                                  f"same weight profile {list(values)}")
@@ -350,8 +358,7 @@ def _scan_leading_degree(campaign: Campaign, lead: int) -> tuple[ScanCounters, l
     degree sets that the output format fixes.
 
     One ``_subset_masks`` list, for the largest variable count, serves every
-    cell (the list for n is a prefix of the list for any larger n), and each
-    inner count's half row is built once, for the witness checks.  With
+    cell (the list for n is a prefix of the list for any larger n).  With
     ``sporadic_only``, a hit whose sign bits mirror (``sign_bits_mirror``)
     under a reversal-symmetric profile is counted trivial without a witness.
     """
@@ -371,7 +378,6 @@ def _scan_leading_degree(campaign: Campaign, lead: int) -> tuple[ScanCounters, l
         ]
     parities = [mirror_parity(values) if campaign.sporadic_only else None
                 for _, values in campaign.perturbations]
-    half_rows: dict[int, list[int]] = {}
     findings: list[BalanceVerdict] = []
     for degs, n_total, index in sorted(hits):
         desc, values = campaign.perturbations[index]
@@ -381,14 +387,11 @@ def _scan_leading_degree(campaign: Campaign, lead: int) -> tuple[ScanCounters, l
             counters.trivial += 1
             continue
         j = len(values) - 1
-        inner = n_total - j
-        if inner not in half_rows:
-            half_rows[inner] = diophantine._binomial_half_row(inner)
         verdict = classify_zero(
             degs, j, n_total, desc,
             f"census engine and classifier disagree on degrees {list(degs)} "
             f"at n={n_total} ({desc})",
-            witness_row(degs, values, inner + 1, masks), half_rows[inner],
+            witness_row(degs, values, n_total - j + 1, masks),
         )
         if verdict.status is BalanceStatus.SPORADIC:
             counters.sporadic += 1
@@ -505,7 +508,7 @@ def _write_checkpoint(path: Path, digest: str, chunks_done: int,
 def cmd_expsum(args) -> int:
     spec = _parse_degrees(args.degrees)
     desc, profile = _perturbation_from_args(args)
-    n_values = _parse_range(args.n)  # ascending, so the first is the smallest
+    n_values = _parse_range(args.n, "--n")  # ascending, so the first is the smallest
     if n_values[0] <= profile.j:
         raise SystemExit2(f"n={n_values[0]} does not exceed the perturbed block j={profile.j}")
     sums = periodic_binomial_sums(
@@ -523,7 +526,7 @@ def cmd_expsum(args) -> int:
 def cmd_classify(args) -> int:
     spec = _parse_degrees(args.degrees)
     desc, profile = _perturbation_from_args(args)
-    n_values = _parse_range(args.n)  # ascending, so the first is the smallest
+    n_values = _parse_range(args.n, "--n")  # ascending, so the first is the smallest
     if n_values[0] <= profile.j:
         raise SystemExit2(f"n={n_values[0]} does not exceed the perturbed block j={profile.j}")
     for verdict in classify_range(spec, profile, n_values[0], n_values[-1], desc):
@@ -548,8 +551,8 @@ def _print_grid(title: str, n_values: list[int], j_values: list[int],
 
 
 def cmd_gamma(args) -> int:
-    n_values = _parse_range(args.n)
-    j_values = _parse_range(args.j)
+    n_values = _parse_range(args.n, "--n")
+    j_values = _parse_range(args.j, "--j")
     if args.cross_check and min(j_values) < 1:
         raise SystemExit2("--cross-check needs j >= 1")
     budget = args.budget
@@ -579,8 +582,8 @@ def cmd_gamma(args) -> int:
 
 
 def cmd_omega(args) -> int:
-    n_values = _parse_range(args.n)
-    j_values = _parse_range(args.j)
+    n_values = _parse_range(args.n, "--n")
+    j_values = _parse_range(args.j, "--j")
     if min(j_values) < 1:
         raise SystemExit2("classes need j >= 1")
     if args.classes_out and (len(n_values) != 1 or len(j_values) != 1):

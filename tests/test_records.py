@@ -23,7 +23,6 @@ from symsum.diophantine import (
     FoldedKey,
     GammaAlphabet,
     SolutionVector,
-    _binomial_half_row,
     canonical_key,
     enumerate_classes,
 )
@@ -123,16 +122,6 @@ def test_scan_counters_are_mutable_and_unhashable():
     assert counters.to_json() == {"candidates": 5, "balanced": 3, "trivial": 2, "sporadic": 2}
     with pytest.raises(TypeError):
         hash(counters)
-
-
-def test_half_row_is_not_a_field():
-    entries = (0, 1, -2, 2, 0)
-    row = _binomial_half_row(4)
-    plain, given = SolutionVector(4, entries), SolutionVector(4, entries, half_row=row)
-    assert plain == given and hash(plain) == hash(given)
-    assert "half_row" not in vars(given)
-    with pytest.raises(ValueError, match="half row of length"):
-        SolutionVector(4, entries, half_row=row[:-1])
 
 
 def test_unchecked_key_equals_the_checked_one():

@@ -5,10 +5,12 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+import os
 import signal
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -26,6 +28,17 @@ from symsum import balance, diophantine, search_cli
 from symsum.search_cli import Campaign, main, run_search
 
 from conftest import brute_force_sign_sum, read_findings
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def child_env() -> dict[str, str]:
+    """This process's environment with ``src`` first on PYTHONPATH, so that a
+    child interpreter imports the checkout's symsum."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return env
+
 
 DEGREE4_ROW = (2, 4, 8, 14, 20, 20, 0, -68, -232, -560)
 DEGREE5_ROW = (2, 4, 8, 16, 30, 52, 84, 128, 188, 280)
@@ -120,6 +133,38 @@ def test_malformed_profile_field_is_a_usage_error(capsys, argv, text):
     assert code == 2
     assert out == ""
     assert err == f"error: --profile needs comma-separated integers, got {text!r}\n"
+
+
+@pytest.mark.parametrize("command", ["expsum", "classify"])
+@pytest.mark.parametrize("text", ["", "3,,4", "3,4,", ",3", "3,a", "2.5"])
+def test_malformed_degrees_field_is_a_usage_error(capsys, command, text):
+    # an empty or non-integer field is refused, not dropped or reported by int()
+    code, out, err = run_main(capsys, [command, "--degrees", text, "--n", "5"])
+    assert code == 2
+    assert out == ""
+    assert err == f"error: --degrees needs comma-separated integers, got {text!r}\n"
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [(["expsum", "--degrees", "3", "--n"], "--n"),
+     (["classify", "--degrees", "3", "--n"], "--n"),
+     (["gamma", "--n", "3", "--j"], "--j"),
+     (["omega", "--j", "1", "--n"], "--n")],
+    ids=["expsum", "classify", "gamma", "omega"],
+)
+@pytest.mark.parametrize("text", ["", "a..5", "5..", "..5", "1.5", "2..3..4"])
+def test_malformed_range_is_a_usage_error(capsys, argv, flag, text):
+    code, out, err = run_main(capsys, argv + [text])
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {flag} needs an integer or a range lo..hi, got {text!r}\n"
+
+
+def test_spaced_degrees_and_range_still_parse(capsys):
+    code, out, _ = run_main(capsys, ["expsum", "--degrees", " 3, 4", "--n", " 4 .. 5 "])
+    assert code == 0
+    assert out == run_main(capsys, ["expsum", "--degrees", "3,4", "--n", "4..5"])[1]
 
 
 @pytest.mark.parametrize("command", ["expsum", "classify"])
@@ -447,6 +492,21 @@ class TestSearch:
                        "weight profile [1, -1]\n")
         assert not out_path.exists()
 
+    def test_negated_profiles_are_a_usage_error(self, capsys, tmp_path):
+        # c and -c have the same zeros and the same witness classes
+        out_path = tmp_path / "findings.jsonl"
+        code, out, err = run_main(
+            capsys,
+            ["search", "--k-max", "8", "--n-max", "9", "--sporadic-only", "--profile", "1,-1",
+             "--profile=-1,1", "--out", str(out_path)],
+        )
+        assert (code, out) == (2, "")
+        assert err == ("error: perturbations profile:1,-1 and profile:-1,1 have negated "
+                       "weight profiles, so the same zeros and witness classes\n")
+        assert not out_path.exists()
+        with pytest.raises(ValueError, match="negated"):
+            self.small_campaign(perturbations=(("a", (1, -2, 1)), ("b", (-1, 2, -1))))
+
     def test_two_runs_give_identical_output(self, capsys, tmp_path):
         outs = []
         for name in ("a.jsonl", "b.jsonl"):
@@ -746,7 +806,8 @@ class TestSearch:
             out, ck = tmp_path / f"run{kill_after}.jsonl", tmp_path / f"run{kill_after}.json"
             run_argv = argv + ["--out", str(out), "--checkpoint", str(ck)]
             proc = subprocess.Popen([sys.executable, "-c", child] + run_argv,
-                                    stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+                                    stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+                                    env=child_env())
             try:
                 deadline = time.monotonic() + 30
                 while not (ck.exists() and json.loads(ck.read_text())["chunks_done"] >= kill_after):
@@ -1032,6 +1093,7 @@ def test_installed_entry_point_smoke():
         capture_output=True,
         text=True,
         check=False,
+        env=child_env(),
     )
     # console_entry reads sys.argv[1:]; -c leaves the flags there
     assert proc.returncode == 0
@@ -1045,6 +1107,7 @@ def test_python_m_symsum_runs_without_warnings():
         capture_output=True,
         text=True,
         check=False,
+        env=child_env(),
     )
     assert proc.returncode == 0
     assert proc.stderr == ""
