@@ -42,7 +42,6 @@ from .diophantine import (
     FoldedKey,
     GammaAlphabet,
     SolutionVector,
-    alternating_key,
     canonical_key,
     class_enumeration_metric,
     count_classes,
@@ -53,9 +52,7 @@ from .diophantine import (
     enumerate_trivial_solutions,
     gamma_integral_metric,
     gamma_via_integral,
-    is_trivial_solution,
     trivial_count,
-    zero_key,
 )
 from .expsum import (
     DeltaVector,

@@ -17,7 +17,7 @@ from enum import Enum
 from math import comb
 
 from .boolean_core import BooleanFunction, Record, WeightProfile, _bind, weight_profile
-from .diophantine import FoldedKey, SolutionVector, _is_trivial_key, canonical_key
+from .diophantine import FoldedKey, SolutionVector
 from .expsum import (
     SymmetricSpec,
     _subset_masks,
@@ -158,11 +158,10 @@ def classify_zero(degrees: tuple[int, ...], j: int, n_total: int, perturbation: 
     inner_n = n_total - j
     try:
         vector = SolutionVector(inner_n, witness)
-        key = canonical_key(vector)
-        trivial = _is_trivial_key(key)
     except ValueError as exc:
         raise VerificationError(f"{context}: {exc}") from exc
-    status = BalanceStatus.TRIVIAL if trivial else BalanceStatus.SPORADIC
+    key = vector.key
+    status = BalanceStatus.TRIVIAL if key.is_trivial else BalanceStatus.SPORADIC
     return BalanceVerdict(n_total, degrees, j, perturbation, 0, status, vector.entries, key)
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 from math import comb, gcd, prod
-from operator import mul
+from operator import add, mul
 
 from .boolean_core import Record, _bind
 
@@ -38,15 +38,12 @@ def _binomial_row(n: int) -> list[int]:
     return half + half[: n - n // 2][::-1]
 
 
-def _folded_sum(n: int, half, center: int | None) -> int:
+def _folded_sum(n: int, comps: tuple[int, ...]) -> int:
     """sum over l of x_l * C(n, l) for a vector given by its fold: pair sums
-    x_l + x_(n-l) for l < (n + 1) // 2 and, for even n, the center entry.
+    x_l + x_(n-l) for l < (n + 1) // 2, then the center entry for even n, so
+    that component l weighs C(n, l).
     """
-    row = _binomial_half_row(n)
-    acc = sum(map(mul, half, row))
-    if center is not None:
-        acc += center * row[-1]
-    return acc
+    return sum(map(mul, comps, _binomial_half_row(n)))
 
 
 class BudgetExceeded(RuntimeError):
@@ -84,7 +81,9 @@ class GammaAlphabet(Record):
 
 
 class SolutionVector(Record):
-    """Entries x_0..x_n with sum of x_l * C(n, l) equal to zero."""
+    """Entries x_0..x_n with sum of x_l * C(n, l) equal to zero, and ``key``,
+    their class key from ``canonical_key``: not a field, so vectors in one
+    class share a key but stay unequal."""
 
     _fields = ("n", "entries")
 
@@ -96,20 +95,10 @@ class SolutionVector(Record):
             raise ValueError("need n >= 1")
         if len(entries) != n + 1:
             raise ValueError(f"expected {n + 1} entries, got {len(entries)}")
-        acc = _folded_sum(n, *self.fold())
-        if acc != 0:
-            raise ValueError(f"not a solution: weighted sum is {acc}")
+        _bind(self, "key", canonical_key(self))
 
     def in_alphabet(self, alphabet: GammaAlphabet) -> bool:
         return all(x in alphabet for x in self.entries)
-
-    def fold(self) -> tuple[tuple[int, ...], int | None]:
-        """Pair sums (x_l + x_{n-l}) for the first half, and the center entry
-        when n is even."""
-        hl = (self.n + 1) // 2
-        half = tuple(self.entries[l] + self.entries[self.n - l] for l in range(hl))
-        center = self.entries[self.n // 2] if self.n % 2 == 0 else None
-        return half, center
 
 
 def _normalize_components(comps: tuple[int, ...]) -> tuple[tuple[int, ...], bool]:
@@ -136,8 +125,8 @@ class FoldedKey(Record):
     ``half`` holds the normalized pair sums, ``center`` the normalized middle
     entry for even n (None for odd n), and ``is_zero`` marks the class of
     vectors folding to zero everywhere.  The constructor checks the shape,
-    the normalization and the equation; ``canonical_key`` builds the key of
-    a checked SolutionVector without them.
+    the normalization and the equation, for keys built from outside input;
+    ``canonical_key`` makes a vector's key itself and binds it without them.
     """
 
     _fields = ("n", "half", "center", "is_zero")
@@ -158,7 +147,7 @@ class FoldedKey(Record):
             norm, _ = _normalize_components(comps)
             if norm != comps:
                 raise ValueError("components are not normalized")
-        acc = _folded_sum(n, half, center)
+        acc = _folded_sum(n, comps)
         if acc != 0:
             raise ValueError(
                 f"folded components do not satisfy the equation: weighted sum is {acc}"
@@ -171,8 +160,8 @@ class FoldedKey(Record):
     @classmethod
     def _unchecked(cls, n: int, half: tuple[int, ...], center: int | None,
                    is_zero: bool) -> "FoldedKey":
-        """A key whose caller has made its shape and normalization and kept
-        its weighted sum zero, bound without ``__init__``'s checks."""
+        """A key bound without ``__init__``'s checks, for ``canonical_key``,
+        which made its shape and normalization and checked its fold's sum."""
         key = cls.__new__(cls)
         _bind(key, "n", n)
         _bind(key, "half", half)
@@ -188,53 +177,37 @@ class FoldedKey(Record):
             "zero": self.is_zero,
         }
 
+    @property
+    def is_trivial(self) -> bool:
+        """Whether the class holds an always-present family: the zero class, of
+        the antisymmetric vectors (x_{n-l} = -x_l) and, at odd n, the
+        alternating ones ((-1)**l * m); or at even n the alternating class,
+        with pair sums 2 * (-1)**l and center (-1)**(n/2), already normalized."""
+        if self.is_zero:
+            return True
+        half = self.n // 2
+        return (self.n % 2 == 0 and self.center == (-1) ** half
+                and self.half == ((2, -2) * half)[:half])
+
 
 def canonical_key(v: SolutionVector) -> FoldedKey:
     """Class key of a solution under scaling, sign, and symmetric rearrangement.
 
-    The key is built without FoldedKey's checks: ``v`` passed the equation
-    check when it was made, dividing its fold by a common factor and a sign
-    keeps the sum zero, and the shape and normalization are made here.
+    Folds ``v`` once into pair sums x_l + x_(n-l), l < (n + 1) // 2, and the
+    center for even n; checks the equation on that fold (ValueError "not a
+    solution: ..."); and divides the fold by its gcd and sign, which keeps the
+    sum zero, so the key is bound without FoldedKey's checks.
     """
-    half, center = v.fold()
-    comps = half if center is None else half + (center,)
-    norm, zero = _normalize_components(comps)
-    half, center = (norm, None) if center is None else (norm[:-1], norm[-1])
-    return FoldedKey._unchecked(v.n, half, center, zero)
-
-
-def zero_key(n: int) -> FoldedKey:
+    n, x = v.n, v.entries
     hl = (n + 1) // 2
-    return FoldedKey(n, (0,) * hl, 0 if n % 2 == 0 else None, True)
-
-
-def alternating_key(n: int) -> FoldedKey:
-    """Key of the alternating solution (+1, -1, +1, ...)."""
-    return canonical_key(SolutionVector(n, tuple((-1) ** l for l in range(n + 1))))
-
-
-def is_trivial_solution(v: SolutionVector) -> bool:
-    """Whether the solution belongs to one of the always-present families.
-
-    For every n the antisymmetric vectors (x_{n-l} = -x_l, center zero when n
-    is even) are solutions, and for even n so are the alternating vectors
-    ((-1)**l * m).  A solution is trivial when its class key matches one of
-    those; for odd n the alternating family folds into the antisymmetric one.
-    """
-    return _is_trivial_key(canonical_key(v))
-
-
-def _is_trivial_key(key: FoldedKey) -> bool:
-    """Whether a class key is the zero class or, for even n, the alternating one.
-
-    For even n the alternating vector folds to pair sums 2 * (-1)**l and the
-    center (-1)**(n/2), already normalized, so its key is read off directly.
-    """
-    if key.is_zero:
-        return True
-    half = key.n // 2
-    return (key.n % 2 == 0 and key.center == (-1) ** half
-            and key.half == ((2, -2) * half)[:half])
+    comps = tuple(map(add, x[:hl], reversed(x)))
+    if n % 2 == 0:
+        comps += (x[hl],)
+    acc = _folded_sum(n, comps)
+    if acc != 0:
+        raise ValueError(f"not a solution: weighted sum is {acc}")
+    norm, zero = _normalize_components(comps)
+    return FoldedKey._unchecked(n, norm[:hl], None if n % 2 else norm[hl], zero)
 
 
 def _check_trivial_level(j: int) -> None:
@@ -417,8 +390,9 @@ def enumerate_classes(n: int, j: int, budget: float | None = None) -> dict[Folde
     center (even n) over the alphabet, and the first pair sum is forced by
     the equation.  Every in-range folded vector is realizable by splitting
     each pair sum into ceil/floor halves, so the sweep sees exactly the
-    classes of actual solutions.  Each class is keyed by ``canonical_key``
-    of its representative, whose construction makes the one equation check.
+    classes of actual solutions.  Each class is keyed by its
+    representative's ``key``, made with the representative's one fold and
+    equation check.
     """
     _check_class_cell(n, j, budget)
     hl = (n + 1) // 2
@@ -475,7 +449,7 @@ def enumerate_classes(n: int, j: int, budget: float | None = None) -> dict[Folde
         if center is not None:
             entries[n // 2] = center
         rep = SolutionVector(n, tuple(entries))
-        out[canonical_key(rep)] = rep
+        out[rep.key] = rep
     return out
 
 

@@ -37,7 +37,6 @@ from .boolean_core import Record, WeightProfile, _bind, anf_parse, anf_to_functi
 from .diophantine import (
     BudgetExceeded,
     SolutionVector,
-    canonical_key,
     class_enumeration_metric,
     count_classes,
     count_solutions,
@@ -442,11 +441,18 @@ def run_search(campaign: Campaign, out_path: Path | None = None,
             raise SystemExit2("checkpoint belongs to a different campaign")
         if not 0 <= state["chunks_done"] <= campaign.k_max:  # the digest fixes k_max
             raise SystemExit2(f"checkpoint {checkpoint_path} has chunks_done outside 0..{campaign.k_max}")
+        counts = state["counters"]  # every hit is balanced and one of trivial, sporadic
+        if min(counts.values()) < 0 or counts["balanced"] != counts["trivial"] + counts["sporadic"]:
+            raise SystemExit2(f"checkpoint {checkpoint_path} has a negative counter or "
+                              "balanced unequal to trivial + sporadic")
         out_bytes = state["out_bytes"]
         if (out_bytes is None) != (out_path is None):
             had = "without" if out_bytes is None else "with"
             raise SystemExit2(f"checkpoint was written {had} --out; resume {had} it")
         if out_path is not None:
+            if out_bytes < len(header):
+                raise SystemExit2(f"checkpoint {checkpoint_path} has out_bytes {out_bytes}, "
+                                  f"short of the {len(header)}-byte campaign header")
             with out_path.open("rb") as fh:  # a missing file raises OSError: exit 2
                 if fh.readline() != header:
                     raise SystemExit2(f"--out file {out_path} has another campaign's header")
@@ -668,7 +674,7 @@ def cmd_tables(args) -> int:
     # Every witness in both tables lies in one solution class on 7 points:
     # the class of x_4 = 1, x_5 = -2, x_6 = 1.  Printed reference vectors are
     # class representatives, so rows are compared by class, not verbatim.
-    shared_class = canonical_key(SolutionVector(7, (0, 0, 0, 0, 1, -2, 1, 0)))
+    shared_class = SolutionVector(7, (0, 0, 0, 0, 1, -2, 1, 0)).key
     failures = 0
     for label, n_total, prof, expected in (
         ("single flip, 8 variables", 8, X1_PROFILE, SPORADIC_WITNESSES_N8_X1),
@@ -686,8 +692,8 @@ def cmd_tables(args) -> int:
         if missing or extra:
             problems.append(f"degree sets differ: missing={missing} extra={extra}")
         for degs in sorted(set(got) & set(expected)):
-            key = canonical_key(SolutionVector(inner, got[degs]))
-            want = canonical_key(SolutionVector(inner, expected[degs]))
+            key = SolutionVector(inner, got[degs]).key
+            want = SolutionVector(inner, expected[degs]).key
             if key != want:
                 problems.append(f"{list(degs)}: witness class differs from the reference row")
             elif key != shared_class:
@@ -754,7 +760,7 @@ def cmd_verify_families(args) -> int:
         # 14 points.
         row = [0] * 15
         row[4], row[5], row[6] = 1, 1, -1
-        want = canonical_key(SolutionVector(14, tuple(row)))
+        want = SolutionVector(14, tuple(row)).key
         for degs in fixtures:
             v = classify(SymmetricSpec(degs), profile, 15)
             if v.status is not BalanceStatus.SPORADIC:

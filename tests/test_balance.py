@@ -23,7 +23,6 @@ from symsum import (
     eventual_balance,
     exp_sum_profile,
     fibonacci,
-    is_trivial_solution,
     luca_szalay_gap,
     parity_function,
     periodic_binomial_sums,
@@ -57,8 +56,8 @@ def oracle_classify(spec, profile, n_total):
     entries = tuple(dv.at(l) // scale for l in range(n + 1))
     assert sum(x * comb(n, l) for l, x in enumerate(entries)) == 0
     vec = SolutionVector(n, entries)
-    status = BalanceStatus.TRIVIAL if is_trivial_solution(vec) else BalanceStatus.SPORADIC
-    return status, entries, canonical_key(vec)
+    status = BalanceStatus.TRIVIAL if vec.key.is_trivial else BalanceStatus.SPORADIC
+    return status, entries, vec.key
 
 
 def direct_adjacent_gap(n: int, k: int) -> int:

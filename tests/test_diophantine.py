@@ -15,7 +15,6 @@ from symsum import (
     FoldedKey,
     GammaAlphabet,
     SolutionVector,
-    alternating_key,
     canonical_key,
     class_enumeration_metric,
     count_classes,
@@ -26,9 +25,7 @@ from symsum import (
     enumerate_trivial_solutions,
     gamma_integral_metric,
     gamma_via_integral,
-    is_trivial_solution,
     trivial_count,
-    zero_key,
 )
 from symsum import diophantine
 from symsum.diophantine import (
@@ -36,12 +33,22 @@ from symsum.diophantine import (
     _binomial_row,
     _box_count,
     _check_class_cell,
-    _is_trivial_key,
     _normalize_components,
 )
 from symsum.search_cli import DEFAULT_OMEGA_BUDGET
 
 EQUIVALENT_TO_ALTERNATING_N12 = (0, 0, 0, -2, 2, 0, 1, -2, 0, 0, 2, -2, 2)
+
+
+def zero_key(n: int) -> FoldedKey:
+    """The zero class, built through FoldedKey's checks."""
+    return FoldedKey(n, (0,) * ((n + 1) // 2), 0 if n % 2 == 0 else None, True)
+
+
+def alternating_key(n: int) -> FoldedKey:
+    """Key of the alternating solution (+1, -1, +1, ...)."""
+    return SolutionVector(n, tuple((-1) ** l for l in range(n + 1))).key
+
 
 # gamma cells past the default budget, recorded by the partial-sum route
 RAISED_BUDGET_COUNTS = {
@@ -124,12 +131,23 @@ class TestSolutionVector:
         assert not v.in_alphabet(GammaAlphabet(1))
 
     def test_fold(self):
-        half, center = SolutionVector(4, (1, 1, -1, 0, 1)).fold()
-        assert half == (2, 1)
-        assert center == -1
-        half, center = SolutionVector(3, (1, -1, 1, -1)).fold()
-        assert half == (0, 0)
-        assert center is None
+        key = SolutionVector(4, (1, 1, -1, 0, 1)).key
+        assert key.half == (2, 1)
+        assert key.center == -1
+        key = SolutionVector(3, (1, -1, 1, -1)).key
+        assert key.half == (0, 0)
+        assert key.center is None
+        assert key.is_zero
+
+    def test_key_is_not_a_field(self):
+        x = (0, 1, -2, 2, 0)
+        v, doubled = SolutionVector(4, x), SolutionVector(4, tuple(2 * c for c in x))
+        assert v != doubled and hash(v) != hash(doubled)
+        assert v.key == doubled.key and hash(v.key) == hash(doubled.key)
+        assert repr(v) == "SolutionVector(n=4, entries=(0, 1, -2, 2, 0))"
+        with pytest.raises(AttributeError):
+            v.key = doubled.key
+        assert v.key == doubled.key
 
 
 # ---------------------------------------------------------------------------
@@ -170,7 +188,7 @@ class TestCanonicalKey:
             for j in range(1, 4):
                 for key in enumerate_classes(n, j):
                     want = key.is_zero or key == alternating_key(n)
-                    assert _is_trivial_key(key) == want, key
+                    assert key.is_trivial == want, key
                     alternating += want and not key.is_zero
         assert alternating == 15  # even n in 2..10, each at j = 1, 2, 3
 
@@ -278,15 +296,15 @@ def test_nudged_alternating_vector_rejected_at_n_300():
 
 class TestIsTrivial:
     def test_basic_verdicts(self):
-        assert is_trivial_solution(SolutionVector(4, (0,) * 5))
-        assert is_trivial_solution(SolutionVector(4, (1, -1, 1, -1, 1)))
-        assert is_trivial_solution(SolutionVector(5, (1, 0, -2, 2, 0, -1)))
-        assert not is_trivial_solution(SolutionVector(4, (0, 1, -2, 2, 0)))
+        assert SolutionVector(4, (0,) * 5).key.is_trivial
+        assert SolutionVector(4, (1, -1, 1, -1, 1)).key.is_trivial
+        assert SolutionVector(5, (1, 0, -2, 2, 0, -1)).key.is_trivial
+        assert not SolutionVector(4, (0, 1, -2, 2, 0)).key.is_trivial
 
     def test_odd_alternating_folds_to_zero(self):
         v = SolutionVector(5, tuple(2 * (-1) ** l for l in range(6)))
         assert canonical_key(v).is_zero
-        assert is_trivial_solution(v)
+        assert v.key.is_trivial
 
     def test_matches_structural_forms_on_small_grids(self):
         # a key-level trivial solution is exactly one equivalent to a
@@ -296,13 +314,13 @@ class TestIsTrivial:
                 canonical_key(v) for v in enumerate_trivial_solutions(n, j)
             }
             for v in enumerate_solutions(n, j):
-                assert is_trivial_solution(v) == (canonical_key(v) in trivial_keys)
+                assert v.key.is_trivial == (canonical_key(v) in trivial_keys)
 
     def test_equivalent_but_not_literal(self):
         # neither antisymmetric nor alternating entry by entry, yet in the
         # alternating class
         v = SolutionVector(12, EQUIVALENT_TO_ALTERNATING_N12)
-        assert is_trivial_solution(v)
+        assert v.key.is_trivial
         assert canonical_key(v) == alternating_key(12)
 
 
@@ -322,7 +340,7 @@ class TestTrivialCount:
                 alphabet = GammaAlphabet(j)
                 for v in got:
                     assert v.in_alphabet(alphabet)
-                    assert is_trivial_solution(v)
+                    assert v.key.is_trivial
 
     def test_level_zero_has_no_trivial_vectors(self):
         with pytest.raises(ValueError):

@@ -89,3 +89,41 @@ def test_named_code_resolves():
         if name not in values and not any(hasattr(space, name) for space in spaces)
     )
     assert not unresolved, unresolved
+
+
+def test_code_names_resolve():
+    # Every backticked `module.attr` of a package module, or `Class.attr` of
+    # an exported class, must resolve, and so must every backticked
+    # snake_case name of two or more parts of two or more characters each:
+    # as a package module, an attribute of a module or of one of its classes,
+    # or a BalanceStatus value.  A reference to a deleted function or method
+    # fails here.
+    import inspect
+
+    import symsum
+    from symsum import balance, boolean_core, diophantine, expsum, recurrence, search_cli
+
+    modules = {m.__name__.rpartition(".")[2]: m
+               for m in (balance, boolean_core, diophantine, expsum, recurrence, search_cli)}
+    text = README.read_text()
+    owners = {**modules, **dict(inspect.getmembers(symsum, inspect.isclass))}
+    refs = set(re.findall(r"`(\w+)\.(\w+)", text))
+    dotted = sorted((owner, attr) for owner, attr in refs if owner in owners)
+    assert len(dotted) >= 14, dotted
+    assert not [ref for ref in dotted if not hasattr(owners[ref[0]], ref[1])]
+
+    spaces = [symsum, *modules.values()]
+    spaces += [cls for m in modules.values() for _, cls in inspect.getmembers(m, inspect.isclass)
+               if cls.__module__ == m.__name__]
+    values = {status.value for status in symsum.BalanceStatus}
+    names = {
+        name for name in re.findall(r"`([A-Za-z_]\w*)[`(]", text)
+        if re.fullmatch(r"_?[a-z0-9]{2,}(_[a-z0-9]{2,})+", name)
+    }
+    assert len(names) >= 20, sorted(names)
+    unresolved = sorted(
+        name for name in names
+        if name not in modules and name not in values
+        and not any(hasattr(space, name) for space in spaces)
+    )
+    assert not unresolved, unresolved

@@ -6,6 +6,7 @@ from __future__ import annotations
 import subprocess
 import sys
 from fractions import Fraction
+from math import gcd
 from pathlib import Path
 
 import pytest
@@ -25,6 +26,8 @@ from symsum.diophantine import (
     SolutionVector,
     canonical_key,
     enumerate_classes,
+    enumerate_solutions,
+    enumerate_trivial_solutions,
 )
 from symsum.expsum import DeltaVector, SymmetricSpec, delta_vector
 from symsum.recurrence import CyclotomicValue, RecurrencePoly, d0
@@ -132,6 +135,25 @@ def test_unchecked_key_equals_the_checked_one():
             assert type(unchecked) is FoldedKey
             assert unchecked == key == checked and hash(unchecked) == hash(checked)
             assert repr(unchecked) == repr(checked)
+    # every solution and trivial solution of a small cell, beyond the class
+    # representatives: non-primitive, negative-first and zero-fold vectors
+    seen = {"non-primitive": 0, "negative first": 0, "zero fold": 0}
+    for n in range(1, 7):
+        for j in range(3):
+            vectors = list(enumerate_solutions(n, j))
+            if j:
+                vectors += enumerate_trivial_solutions(n, j)
+            for v in vectors:
+                key = v.key
+                checked = FoldedKey(key.n, key.half, key.center, key.is_zero)
+                for other in (canonical_key(v), checked):
+                    assert type(other) is FoldedKey
+                    assert key == other and hash(key) == hash(other)
+                    assert repr(key) == repr(other)
+                seen["non-primitive"] += gcd(*v.entries) > 1
+                seen["negative first"] += v.entries[0] < 0
+                seen["zero fold"] += key.is_zero and any(v.entries)
+    assert all(seen.values()), seen
 
 
 def test_cached_sign_row_leaves_equality_alone():

@@ -716,6 +716,9 @@ class TestSearch:
         "counters a list", "a counter missing", "an unknown counter", "a counter a string",
         "out_bytes a string", "digest a number",
         "chunks_done negative", "chunks_done past the last chunk",
+        "out_bytes inside the header", "out_bytes negative",
+        "a counter negative", "candidates negative", "a negative counter in a true sum",
+        "balanced not trivial plus sporadic",
     ])
     def test_resume_refuses_malformed_checkpoints(self, capsys, tmp_path, case):
         # a checkpoint is outside input: a wrong shape exits 2 before --out is touched
@@ -742,6 +745,14 @@ class TestSearch:
             "digest a number": {**state, "digest": 0},
             "chunks_done negative": {**state, "chunks_done": -1},
             "chunks_done past the last chunk": {**state, "chunks_done": 4},
+            "out_bytes inside the header": {**state, "out_bytes": 3},
+            "out_bytes negative": {**state, "out_bytes": -7},
+            "a counter negative": {**state, "counters": {**counters, "sporadic": -40}},
+            "candidates negative": {**state, "counters": {**counters, "candidates": -1}},
+            "a negative counter in a true sum": {**state, "counters": {
+                **counters, "trivial": -1, "sporadic": counters["balanced"] + 1}},
+            "balanced not trivial plus sporadic": {**state, "counters": {
+                **counters, "balanced": counters["balanced"] + 1}},
         }[case]
         ck.write_text(json.dumps(bad))
         code, stdout, err = run_main(capsys, argv + flags + ["--resume"])
