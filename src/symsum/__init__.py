@@ -17,7 +17,6 @@ from .balance import (
     periodic_propagation,
     singmaster_gap,
     singmaster_parameters,
-    single_variable,
     verify_even_linear_family,
     verify_x1_family,
 )

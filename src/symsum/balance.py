@@ -305,11 +305,6 @@ def parity_function(j: int) -> BooleanFunction:
     return BooleanFunction(j, table)
 
 
-def single_variable() -> BooleanFunction:
-    """The function x1 on one variable."""
-    return BooleanFunction(1, 0b10)
-
-
 def verify_x1_family(k: int, m_values) -> list[int]:
     """Verify the single-variable perturbation of degree k is trivially
     balanced at every index 2**r * m + k - 1.

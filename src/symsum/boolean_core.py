@@ -10,6 +10,7 @@ balanced exactly when this sum is zero.
 from __future__ import annotations
 
 import itertools
+import re
 from math import comb
 from operator import attrgetter
 
@@ -90,11 +91,6 @@ class AnfExpression(Record):
         """Largest variable index used, or 0 for a constant expression."""
         return max((idx for mono in self.terms for idx in mono), default=0)
 
-    @property
-    def degree(self) -> int:
-        """Largest monomial size, or 0 for a constant expression."""
-        return max((len(mono) for mono in self.terms), default=0)
-
     def __str__(self) -> str:
         if not self.terms:
             return "0"
@@ -103,37 +99,11 @@ class AnfExpression(Record):
         return " + ".join(parts)
 
 
-def _tokenize_anf(text: str) -> list[tuple[str, str, int]]:
-    """Split an expression into (kind, value, position) tokens."""
-    tokens: list[tuple[str, str, int]] = []
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch in " \t\r\n":
-            i += 1
-            continue
-        if ch in "+*":
-            tokens.append(("op", ch, i))
-            i += 1
-            continue
-        if ch == "1":
-            tokens.append(("one", "1", i))
-            i += 1
-            continue
-        if ch in "xX":
-            start = i
-            i += 1
-            digits = ""
-            while i < n and text[i].isdigit():
-                digits += text[i]
-                i += 1
-            if not digits:
-                raise AnfSyntaxError("expected digits after 'x'", start)
-            tokens.append(("var", digits, start))
-            continue
-        raise AnfSyntaxError(f"unexpected character {ch!r}", i)
-    return tokens
+# One token of an expression: a variable x<k>, or any other character but
+# whitespace, which the scan skips.  ``\d*`` lets a bare 'x' be refused by name.
+_ANF_TOKEN = re.compile(r"[xX]\d*|[^ \t\r\n]")
+# The kinds of token that may follow each kind; the start of input counts as '+'.
+_ANF_NEXT = {"+": "x1", "*": "x", "x": "+*", "1": "+"}
 
 
 def anf_parse(text: str) -> AnfExpression:
@@ -141,60 +111,33 @@ def anf_parse(text: str) -> AnfExpression:
 
     Grammar: terms are joined by '+'; a term is either the constant '1' or
     one or more variables ``x<k>`` joined by '*'.  Whitespace is ignored.
-    Repeated monomials cancel in pairs.  Raises AnfSyntaxError with the
-    offending position on malformed input.
+    Repeated monomials cancel in pairs, and a variable repeated inside a
+    product counts once (x*x = x).  Raises AnfSyntaxError with the offending
+    position on malformed input.
     """
-    tokens = _tokenize_anf(text)
-    if not tokens:
-        raise AnfSyntaxError("empty expression", 0)
-
     terms: set[frozenset[int]] = set()
-
-    def flush(mono: set[int] | None, is_one: bool, pos: int) -> None:
-        if mono is None and not is_one:
-            raise AnfSyntaxError("empty term", pos)
-        key = frozenset() if is_one else frozenset(mono or ())
-        if key in terms:
-            terms.remove(key)
-        else:
-            terms.add(key)
-
-    idx = 0
-    while idx < len(tokens):
-        kind, value, pos = tokens[idx]
-        if kind == "one":
-            flush(None, True, pos)
-            idx += 1
-        elif kind == "var":
-            mono: set[int] = set()
-            while True:
-                kind, value, pos = tokens[idx]
-                if kind != "var":
-                    raise AnfSyntaxError("expected variable inside product", pos)
-                var = int(value)
-                if not 1 <= var <= MAX_VARIABLES:
-                    raise AnfSyntaxError(
-                        f"variable index {var} out of range 1..{MAX_VARIABLES}", pos
-                    )
-                mono.symmetric_difference_update({var})
-                idx += 1
-                if idx < len(tokens) and tokens[idx][:2] == ("op", "*"):
-                    idx += 1
-                    if idx >= len(tokens):
-                        raise AnfSyntaxError("dangling '*'", tokens[idx - 1][2])
-                else:
-                    break
-            flush(mono, False, pos)
-        else:
-            raise AnfSyntaxError(f"unexpected {value!r}", pos)
-        if idx < len(tokens):
-            kind, value, pos = tokens[idx]
-            if (kind, value) != ("op", "+"):
-                raise AnfSyntaxError(f"expected '+' before {value!r}", pos)
-            idx += 1
-            if idx >= len(tokens):
-                raise AnfSyntaxError("dangling '+'", pos)
-    return AnfExpression(frozenset(terms))
+    mono: frozenset[int] = frozenset()
+    prev, pos = "+", None
+    for match in _ANF_TOKEN.finditer(text):
+        token, pos = match[0], match.start()
+        kind = "x" if token[0] in "xX" else token
+        if kind not in _ANF_NEXT[prev]:
+            raise AnfSyntaxError(f"unexpected {token!r}", pos)
+        if kind == "x":
+            if len(token) == 1:
+                raise AnfSyntaxError("expected digits after 'x'", pos)
+            var = int(token[1:])
+            if not 1 <= var <= MAX_VARIABLES:
+                raise AnfSyntaxError(f"variable index {var} out of range 1..{MAX_VARIABLES}", pos)
+            mono = (mono if prev == "*" else frozenset()) | {var}
+        elif kind == "1":
+            mono = frozenset()
+        elif kind == "+":
+            terms ^= {mono}
+        prev = kind
+    if prev in "+*":
+        raise AnfSyntaxError("empty expression" if pos is None else f"dangling {prev!r}", pos or 0)
+    return AnfExpression(frozenset(terms ^ {mono}))
 
 
 class BooleanFunction(Record):

@@ -441,10 +441,11 @@ def run_search(campaign: Campaign, out_path: Path | None = None,
             raise SystemExit2("checkpoint belongs to a different campaign")
         if not 0 <= state["chunks_done"] <= campaign.k_max:  # the digest fixes k_max
             raise SystemExit2(f"checkpoint {checkpoint_path} has chunks_done outside 0..{campaign.k_max}")
-        counts = state["counters"]  # every hit is balanced and one of trivial, sporadic
-        if min(counts.values()) < 0 or counts["balanced"] != counts["trivial"] + counts["sporadic"]:
-            raise SystemExit2(f"checkpoint {checkpoint_path} has a negative counter or "
-                              "balanced unequal to trivial + sporadic")
+        counts = state["counters"]  # every hit is a balanced candidate, trivial or sporadic
+        if not (min(counts.values()) >= 0 and counts["trivial"] + counts["sporadic"]
+                == counts["balanced"] <= counts["candidates"]):
+            raise SystemExit2(f"checkpoint {checkpoint_path} has a negative counter, balanced "
+                              "unequal to trivial + sporadic, or more balanced than candidates")
         out_bytes = state["out_bytes"]
         if (out_bytes is None) != (out_path is None):
             had = "without" if out_bytes is None else "with"

@@ -10,6 +10,7 @@ import pytest
 
 from symsum import (
     BalanceStatus,
+    BooleanFunction,
     GammaAlphabet,
     SolutionVector,
     SymmetricSpec,
@@ -29,7 +30,6 @@ from symsum import (
     periodic_propagation,
     singmaster_gap,
     singmaster_parameters,
-    single_variable,
     verify_even_linear_family,
     verify_x1_family,
     weight_profile,
@@ -125,7 +125,7 @@ class TestClassify:
         assert v.witness is None and v.key is None
 
     def test_function_route_matches_profile_route(self):
-        v1 = classify(SymmetricSpec.of(5), weight_profile(single_variable()), 20)
+        v1 = classify(SymmetricSpec.of(5), weight_profile(parity_function(1)), 20)
         v2 = classify(SymmetricSpec.of(5), X1, 20)
         assert v1.status == v2.status
         assert v1.witness == v2.witness
@@ -389,12 +389,12 @@ class TestFamilies:
             periodic_propagation(SymmetricSpec((14,)), weight_profile(parity_function(2)), 24, 1)
         with pytest.raises(VerificationError):
             # base is not balanced at all
-            periodic_propagation(SymmetricSpec((4,)), weight_profile(single_variable()), 10, 1)
+            periodic_propagation(SymmetricSpec((4,)), weight_profile(parity_function(1)), 10, 1)
 
     def test_helper_functions(self):
         assert parity_function(3).weight() == 4
-        assert single_variable().weight() == 1
-        assert parity_function(1).table == single_variable().table
+        assert parity_function(1).weight() == 1
+        assert parity_function(1) == BooleanFunction(1, 0b10)  # the function x1
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from symsum import (
+    MAX_VARIABLES,
     AnfSyntaxError,
     BooleanFunction,
     WeightProfile,
@@ -19,6 +20,7 @@ from symsum import (
     anf_to_function,
     exp_sum_bruteforce,
     function_to_anf,
+    main,
     symmetric_function,
     symmetric_sigma_eval,
     weight_profile,
@@ -52,16 +54,53 @@ class TestAnfParse:
     def test_whitespace_ignored(self):
         assert anf_parse(" x1 * x2 +x3 ") == anf_parse("x1*x2+x3")
 
-    @pytest.mark.parametrize("bad", ["", "x", "x1 +", "* x1", "x1 x2", "y1", "x1**x2"])
+    @pytest.mark.parametrize("bad", [
+        "", " ", "x", "x1 +", "* x1", "x1 x2", "y1", "x1**x2",
+        "11", "1*x1", "+x1", "x1++x2", "x1*", "x1 * 1",
+    ])
     def test_syntax_errors_carry_position(self, bad):
         with pytest.raises(AnfSyntaxError) as err:
             anf_parse(bad)
-        assert err.value.position >= 0
+        assert 0 <= err.value.position < max(len(bad), 1)
 
     @pytest.mark.parametrize("bad", ["x0", "x25"])
     def test_variable_index_bounds(self, bad):
         with pytest.raises(AnfSyntaxError):
             anf_parse(bad)
+
+    def test_repeated_variable_counts_once(self):
+        # over GF(2), x*x = x
+        assert anf_parse("x1*x1") == anf_parse("x1")
+        assert anf_parse("x1*x2*x1") == anf_parse("x1*x2")
+        assert anf_parse("x1*x1 + x1").terms == frozenset()
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_rendered_terms_parse_to_their_set(self, data):
+        # a product is the union of its variables; terms combine by XOR
+        index = st.one_of(st.integers(1, 3), st.integers(1, MAX_VARIABLES))
+        products = data.draw(st.lists(st.lists(index, max_size=5), min_size=1, max_size=6))
+        space = st.sampled_from(["", " ", "\t", "  ", "\n", "\r"])
+
+        def pad(token):
+            return data.draw(space) + token + data.draw(space)
+
+        def var(i):
+            return data.draw(st.sampled_from("xX")) + "0" * data.draw(st.integers(0, 2)) + str(i)
+
+        text = "+".join(
+            "*".join(pad(var(i)) for i in p) if p else pad("1") for p in products)
+        expected = set()
+        for p in products:
+            expected ^= {frozenset(p)}
+        assert anf_parse(text).terms == expected, text
+
+    def test_repeated_variable_on_the_command_line(self, capsys):
+        lines = []
+        for anf in ("x1*x1", "x1"):
+            assert main(["classify", "--degrees", "3", "--n", "5", "--anf", anf]) == 0
+            lines.append(capsys.readouterr().out)
+        assert lines[0] == lines[1] != ""
 
     def test_str_round_trip(self):
         for text in ("x1*x2 + x3", "1", "0", "x2"):

@@ -718,7 +718,7 @@ class TestSearch:
         "chunks_done negative", "chunks_done past the last chunk",
         "out_bytes inside the header", "out_bytes negative",
         "a counter negative", "candidates negative", "a negative counter in a true sum",
-        "balanced not trivial plus sporadic",
+        "balanced not trivial plus sporadic", "more balanced than candidates",
     ])
     def test_resume_refuses_malformed_checkpoints(self, capsys, tmp_path, case):
         # a checkpoint is outside input: a wrong shape exits 2 before --out is touched
@@ -753,6 +753,9 @@ class TestSearch:
                 **counters, "trivial": -1, "sporadic": counters["balanced"] + 1}},
             "balanced not trivial plus sporadic": {**state, "counters": {
                 **counters, "balanced": counters["balanced"] + 1}},
+            "more balanced than candidates": {**state, "counters": {
+                **counters, "balanced": counters["balanced"] + 10**6,
+                "trivial": counters["trivial"] + 10**6}},
         }[case]
         ck.write_text(json.dumps(bad))
         code, stdout, err = run_main(capsys, argv + flags + ["--resume"])
