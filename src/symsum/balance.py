@@ -16,8 +16,8 @@ from collections.abc import Iterator
 from enum import Enum
 from math import comb
 
-from .boolean_core import BooleanFunction, Record, WeightProfile, _bind, weight_profile
-from .diophantine import FoldedKey, SolutionVector
+from .boolean_core import BooleanFunction, Record, WeightProfile, weight_profile
+from .diophantine import SolutionVector
 from .expsum import (
     SymmetricSpec,
     _subset_masks,
@@ -46,18 +46,6 @@ class BalanceVerdict(Record):
     """
 
     _fields = ("n_total", "degrees", "j", "perturbation", "sign_sum", "status", "witness", "key")
-
-    def __init__(self, n_total: int, degrees: tuple[int, ...], j: int, perturbation: str,
-                 sign_sum: int, status: BalanceStatus, witness: tuple[int, ...] | None,
-                 key: FoldedKey | None) -> None:
-        _bind(self, "n_total", n_total)
-        _bind(self, "degrees", degrees)
-        _bind(self, "j", j)
-        _bind(self, "perturbation", perturbation)
-        _bind(self, "sign_sum", sign_sum)
-        _bind(self, "status", status)
-        _bind(self, "witness", witness)
-        _bind(self, "key", key)
 
     @property
     def balanced(self) -> bool:
@@ -212,13 +200,6 @@ class EventualBalanceReport(Record):
 
     _fields = ("residue", "period", "holds", "z", "first_failure")
 
-    def __init__(self, residue: int, period: int, holds: bool, z: int | None,
-                 first_failure: int | None) -> None:
-        _bind(self, "residue", residue)
-        _bind(self, "period", period)
-        _bind(self, "holds", holds)
-        _bind(self, "z", z)
-        _bind(self, "first_failure", first_failure)
 
 
 def eventual_balance(spec: SymmetricSpec, profile: WeightProfile, residue: int) -> EventualBalanceReport:
@@ -246,18 +227,6 @@ class WindowEntry(Record):
     _fields = ("n_total", "inner_n", "residue", "sign_sum", "balanced", "status",
                "criterion_holds", "z", "pre_threshold")
 
-    def __init__(self, n_total: int, inner_n: int, residue: int, sign_sum: int,
-                 balanced: bool, status: BalanceStatus, criterion_holds: bool,
-                 z: int | None, pre_threshold: bool) -> None:
-        _bind(self, "n_total", n_total)
-        _bind(self, "inner_n", inner_n)
-        _bind(self, "residue", residue)
-        _bind(self, "sign_sum", sign_sum)
-        _bind(self, "balanced", balanced)
-        _bind(self, "status", status)
-        _bind(self, "criterion_holds", criterion_holds)
-        _bind(self, "z", z)
-        _bind(self, "pre_threshold", pre_threshold)
 
 
 def balance_window_report(spec: SymmetricSpec, profile: WeightProfile,
@@ -277,19 +246,8 @@ def balance_window_report(spec: SymmetricSpec, profile: WeightProfile,
                 f"residue criterion promises balance at n_total={v.n_total} "
                 f"but sign sum is {v.sign_sum}"
             )
-        out.append(
-            WindowEntry(
-                n_total=v.n_total,
-                inner_n=v.inner_n,
-                residue=res,
-                sign_sum=v.sign_sum,
-                balanced=v.balanced,
-                status=v.status,
-                criterion_holds=rep.holds,
-                z=rep.z,
-                pre_threshold=v.balanced and not rep.holds,
-            )
-        )
+        out.append(WindowEntry(v.n_total, v.inner_n, res, v.sign_sum, v.balanced, v.status,
+                               rep.holds, rep.z, v.balanced and not rep.holds))
     return out
 
 

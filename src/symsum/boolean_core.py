@@ -12,12 +12,12 @@ from __future__ import annotations
 import itertools
 import re
 from math import comb
-from operator import attrgetter
+from operator import attrgetter, index
 
 MAX_VARIABLES = 24
 
-# Sets a field in a record's __init__, past Record.__setattr__.  Unlike
-# writing self.__dict__, it keeps the fields in the instance's compact inline
+# Sets a record's field, past Record.__setattr__.  Unlike writing
+# self.__dict__, it keeps the fields in the instance's compact inline
 # storage: a FoldedKey takes 112 bytes, not 248 with a materialized dict.
 _bind = object.__setattr__
 
@@ -25,11 +25,13 @@ _bind = object.__setattr__
 class Record:
     """Base of the package's immutable value records.
 
-    A subclass names its fields, in order, in ``_fields``; its ``__init__``
-    checks its arguments and sets each field with ``_bind``.  Two records are
-    equal when they are of the same class with equal fields, a record hashes
-    by its fields, its repr is ``Name(field=value, ...)``, and assigning or
-    deleting an attribute raises AttributeError.
+    A subclass names its fields, in order, in ``_fields``, and
+    ``Record.__init__`` binds one value to each, in that order: a subclass
+    that checks its arguments ends its own ``__init__`` with
+    ``super().__init__(...)``, and one that does not has no ``__init__``.  Two
+    records are equal when they are of the same class with equal fields, a
+    record hashes by its fields, its repr is ``Name(field=value, ...)``, and
+    assigning or deleting an attribute raises AttributeError.
     """
 
     __slots__ = ()
@@ -40,6 +42,14 @@ class Record:
         # The field values, read in C: equality and hashing run on every
         # dict and set lookup of a record.
         cls._values = property(attrgetter(*cls._fields))
+
+    def __init__(self, *values) -> None:
+        fields = self._fields
+        if len(values) != len(fields):
+            raise TypeError(f"{type(self).__name__} takes {len(fields)} field values "
+                            f"({', '.join(fields)}), got {len(values)}")
+        for name, value in zip(fields, values):
+            _bind(self, name, value)
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -84,7 +94,7 @@ class AnfExpression(Record):
             for idx in mono:
                 if not 1 <= idx <= MAX_VARIABLES:
                     raise ValueError(f"variable index {idx} out of range 1..{MAX_VARIABLES}")
-        _bind(self, "terms", terms)
+        super().__init__(terms)
 
     @property
     def max_index(self) -> int:
@@ -154,8 +164,7 @@ class BooleanFunction(Record):
             raise ValueError(f"variable count must be in 1..{MAX_VARIABLES}, got {j}")
         if not 0 <= table < (1 << (1 << j)):
             raise ValueError("truth table does not fit 2**j bits")
-        _bind(self, "j", j)
-        _bind(self, "table", table)
+        super().__init__(j, table)
 
     def value(self, x: int) -> int:
         if not 0 <= x < (1 << self.j):
@@ -175,7 +184,7 @@ class BooleanFunction(Record):
 
     @classmethod
     def from_bits(cls, values) -> "BooleanFunction":
-        values = tuple(int(v) for v in values)
+        values = tuple(map(index, values))
         size = len(values)
         if size < 2 or size & (size - 1):
             raise ValueError("truth table length must be a power of two, at least 2")
@@ -253,7 +262,7 @@ class WeightProfile(Record):
     def __init__(self, j: int, values: tuple[int, ...]) -> None:
         if j < 0:
             raise ValueError("variable count must be nonnegative")
-        vals = tuple(int(v) for v in values)
+        vals = tuple(map(index, values))
         if len(vals) != j + 1:
             raise ValueError(f"expected {j + 1} entries, got {len(vals)}")
         for m, v in enumerate(vals):
@@ -262,8 +271,7 @@ class WeightProfile(Record):
                 raise ValueError(f"entry {m} exceeds layer size {bound}")
             if (v - bound) % 2:
                 raise ValueError(f"entry {m} has wrong parity for layer size {bound}")
-        _bind(self, "j", j)
-        _bind(self, "values", vals)
+        super().__init__(j, vals)
 
     @property
     def total(self) -> int:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 from math import comb, gcd, prod
-from operator import add, mul
+from operator import add, index, mul
 
 from .boolean_core import Record, _bind
 
@@ -58,7 +58,7 @@ class GammaAlphabet(Record):
     def __init__(self, j: int) -> None:
         if j < 0:
             raise ValueError("alphabet level must be nonnegative")
-        _bind(self, "j", j)
+        super().__init__(j)
 
     @property
     def bound(self) -> int:
@@ -88,13 +88,12 @@ class SolutionVector(Record):
     _fields = ("n", "entries")
 
     def __init__(self, n: int, entries: tuple[int, ...]) -> None:
-        entries = tuple(int(x) for x in entries)
-        _bind(self, "n", n)
-        _bind(self, "entries", entries)
+        entries = tuple(map(index, entries))
         if n < 1:
             raise ValueError("need n >= 1")
         if len(entries) != n + 1:
             raise ValueError(f"expected {n + 1} entries, got {len(entries)}")
+        super().__init__(n, entries)
         _bind(self, "key", canonical_key(self))
 
     def in_alphabet(self, alphabet: GammaAlphabet) -> bool:
@@ -126,7 +125,8 @@ class FoldedKey(Record):
     entry for even n (None for odd n), and ``is_zero`` marks the class of
     vectors folding to zero everywhere.  The constructor checks the shape,
     the normalization and the equation, for keys built from outside input;
-    ``canonical_key`` makes a vector's key itself and binds it without them.
+    ``canonical_key`` makes a vector's key itself and binds it with
+    ``Record.__init__``, without them.
     """
 
     _fields = ("n", "half", "center", "is_zero")
@@ -134,7 +134,7 @@ class FoldedKey(Record):
     def __init__(self, n: int, half: tuple[int, ...], center: int | None, is_zero: bool) -> None:
         if n < 1:
             raise ValueError("need n >= 1")
-        half = tuple(int(c) for c in half)
+        half = tuple(map(index, half))
         hl = (n + 1) // 2
         if len(half) != hl:
             raise ValueError(f"expected {hl} folded entries, got {len(half)}")
@@ -152,22 +152,7 @@ class FoldedKey(Record):
             raise ValueError(
                 f"folded components do not satisfy the equation: weighted sum is {acc}"
             )
-        _bind(self, "n", n)
-        _bind(self, "half", half)
-        _bind(self, "center", center)
-        _bind(self, "is_zero", is_zero)
-
-    @classmethod
-    def _unchecked(cls, n: int, half: tuple[int, ...], center: int | None,
-                   is_zero: bool) -> "FoldedKey":
-        """A key bound without ``__init__``'s checks, for ``canonical_key``,
-        which made its shape and normalization and checked its fold's sum."""
-        key = cls.__new__(cls)
-        _bind(key, "n", n)
-        _bind(key, "half", half)
-        _bind(key, "center", center)
-        _bind(key, "is_zero", is_zero)
-        return key
+        super().__init__(n, half, center, is_zero)
 
     def to_json(self) -> dict:
         return {
@@ -207,7 +192,9 @@ def canonical_key(v: SolutionVector) -> FoldedKey:
     if acc != 0:
         raise ValueError(f"not a solution: weighted sum is {acc}")
     norm, zero = _normalize_components(comps)
-    return FoldedKey._unchecked(n, norm[:hl], None if n % 2 else norm[hl], zero)
+    key = FoldedKey.__new__(FoldedKey)
+    Record.__init__(key, n, norm[:hl], None if n % 2 else norm[hl], zero)
+    return key
 
 
 def _check_trivial_level(j: int) -> None:

@@ -17,9 +17,9 @@ All arithmetic is exact (Python integers).
 
 from __future__ import annotations
 
-from operator import add, mul
+from operator import add, index, mul
 
-from .boolean_core import Record, WeightProfile, _bind
+from .boolean_core import Record, WeightProfile
 from .diophantine import _binomial_half_row
 
 
@@ -56,14 +56,14 @@ class SymmetricSpec(Record):
     _fields = ("degrees",)
 
     def __init__(self, degrees: tuple[int, ...]) -> None:
-        degs = tuple(int(k) for k in degrees)
+        degs = tuple(map(index, degrees))
         if not degs:
             raise ValueError("at least one degree is required")
         if any(k < 1 for k in degs):
             raise ValueError("degrees must be positive")
         if any(a >= b for a, b in zip(degs, degs[1:])):
             raise ValueError("degrees must be strictly increasing")
-        _bind(self, "degrees", degs)
+        super().__init__(degs)
 
     @classmethod
     def of(cls, *degrees: int) -> "SymmetricSpec":
@@ -137,7 +137,7 @@ class DeltaVector(Record):
     _fields = ("j", "r", "values")
 
     def __init__(self, j: int, r: int, values: tuple[int, ...]) -> None:
-        vals = tuple(int(v) for v in values)
+        vals = tuple(map(index, values))
         if j < 0:
             raise ValueError("variable count must be nonnegative")
         if len(vals) != 1 << r:
@@ -150,9 +150,7 @@ class DeltaVector(Record):
                 raise ValueError(f"entry {a} must be even when j >= 1")
             if j == 0 and v % 2 == 0:
                 raise ValueError(f"entry {a} must be odd when j = 0")
-        _bind(self, "j", j)
-        _bind(self, "r", r)
-        _bind(self, "values", vals)
+        super().__init__(j, r, vals)
 
     @property
     def period(self) -> int:

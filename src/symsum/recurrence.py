@@ -17,8 +17,9 @@ from __future__ import annotations
 
 import itertools
 from math import comb, gcd
+from operator import index
 
-from .boolean_core import Record, WeightProfile, _bind
+from .boolean_core import Record, WeightProfile
 from .diophantine import _binomial_half_row
 from .expsum import SymmetricSpec, delta_vector, periodic_binomial_sums
 
@@ -66,13 +67,12 @@ class RecurrencePoly(Record):
     _fields = ("coeffs", "label")
 
     def __init__(self, coeffs: tuple[int, ...], label: str | None = None) -> None:
-        coeffs = tuple(int(c) for c in coeffs)
+        coeffs = tuple(map(index, coeffs))
         if not coeffs:
             raise ValueError("polynomial needs at least one coefficient")
         if coeffs[-1] != 1:
             raise ValueError("polynomial must be monic")
-        _bind(self, "coeffs", coeffs)
-        _bind(self, "label", label)
+        super().__init__(coeffs, label)
 
     @property
     def degree(self) -> int:
@@ -256,10 +256,10 @@ class CyclotomicValue(Record):
         if r < 1:
             raise ValueError("root order exponent must be at least 1")
         half = 1 << (r - 1)
-        coeffs = tuple(int(c) for c in coeffs)
+        coeffs = tuple(map(index, coeffs))
         if len(coeffs) != half:
             raise ValueError(f"expected {half} coordinates, got {len(coeffs)}")
-        den = int(denom)
+        den = index(denom)
         if den == 0:
             raise ValueError("zero denominator")
         if den < 0:
@@ -272,9 +272,7 @@ class CyclotomicValue(Record):
         if g > 1:
             coeffs = tuple(c // g for c in coeffs)
             den //= g
-        _bind(self, "r", r)
-        _bind(self, "coeffs", coeffs)
-        _bind(self, "denom", den)
+        super().__init__(r, coeffs, den)
 
     @property
     def half(self) -> int:

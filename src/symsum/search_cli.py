@@ -33,7 +33,7 @@ from .balance import (
     verify_x1_family,
     witness_row,
 )
-from .boolean_core import Record, WeightProfile, _bind, anf_parse, anf_to_function, weight_profile
+from .boolean_core import Record, WeightProfile, anf_parse, anf_to_function, weight_profile
 from .diophantine import (
     BudgetExceeded,
     SolutionVector,
@@ -115,7 +115,7 @@ def _parse_range(text: str, flag: str) -> list[int]:
     except ValueError:
         raise SystemExit2(f"{flag} needs an integer or a range lo..hi, got {text!r}") from None
     if b < a:
-        raise ValueError(f"empty range {text!r}")
+        raise SystemExit2(f"{flag} needs lo <= hi, got {text!r}")
     return list(range(a, b + 1))
 
 
@@ -187,7 +187,7 @@ class Campaign(Record):
                  perturbations: tuple[tuple[str, tuple[int, ...]], ...],
                  sporadic_only: bool = False) -> None:
         if k_max < 1 or n_max < 1:
-            raise ValueError("bounds must be positive")
+            raise ValueError(f"bounds must be positive, got k_max={k_max}, n_max={n_max}")
         if n_convention not in ("total", "inner"):
             raise ValueError("n_convention must be 'total' or 'inner'")
         seen: dict[tuple[int, ...], str] = {}  # descriptor by profile
@@ -202,11 +202,7 @@ class Campaign(Record):
             if seen.setdefault(tuple(values), desc) != desc:
                 raise ValueError(f"perturbations {seen[tuple(values)]} and {desc} have the "
                                  f"same weight profile {list(values)}")
-        _bind(self, "k_max", k_max)
-        _bind(self, "n_max", n_max)
-        _bind(self, "n_convention", n_convention)
-        _bind(self, "perturbations", perturbations)
-        _bind(self, "sporadic_only", sporadic_only)
+        super().__init__(k_max, n_max, n_convention, perturbations, sporadic_only)
 
     def to_json(self) -> dict:
         return {
@@ -332,10 +328,7 @@ class ScanCounters(Record):
 
     def __init__(self, candidates: int = 0, balanced: int = 0, trivial: int = 0,
                  sporadic: int = 0) -> None:
-        self.candidates = candidates
-        self.balanced = balanced
-        self.trivial = trivial
-        self.sporadic = sporadic
+        super().__init__(candidates, balanced, trivial, sporadic)
 
     def to_json(self) -> dict:
         return {"candidates": self.candidates, "balanced": self.balanced,
@@ -417,6 +410,9 @@ def run_search(campaign: Campaign, out_path: Path | None = None,
     after the last; resuming cuts ``out_path`` back to the length recorded
     there and skips the recorded number of finished chunks.
     """
+    if out_path is not None and checkpoint_path is not None and (
+            out_path.resolve() == checkpoint_path.resolve()):
+        raise SystemExit2(f"--out and --checkpoint name the same file: {out_path}")
     digest = campaign.digest()
     header = json.dumps({"type": "campaign", **campaign.to_json(), "digest": digest},
                         sort_keys=True).encode() + b"\n"

@@ -127,6 +127,29 @@ def test_scan_counters_are_mutable_and_unhashable():
         hash(counters)
 
 
+@pytest.mark.parametrize("extra", [-1, 1])
+def test_a_wrong_number_of_fields_raises_type_error(extra):
+    verdict = classify(SymmetricSpec.of(14), X1X2, 24)
+    values = verdict._values
+    assert BalanceVerdict(*values) == verdict
+    wrong = values[:extra] if extra < 0 else values + (None,)
+    with pytest.raises(TypeError, match="BalanceVerdict takes 8 field values"):
+        BalanceVerdict(*wrong)
+
+
+def test_integer_fields_refuse_floats():
+    # int() would truncate each of these to a different, valid record
+    for make in (lambda: SolutionVector(1, (0.9, -0.2)),
+                 lambda: SymmetricSpec((2.7,)),
+                 lambda: WeightProfile(1, (1.5, -1)),
+                 lambda: BooleanFunction.from_bits([0.5, 1])):
+        with pytest.raises(TypeError):
+            make()
+    numpy = pytest.importorskip("numpy")
+    assert SymmetricSpec(numpy.array([2, 3])).degrees == (2, 3)
+    assert type(SolutionVector(2, numpy.array([1, 0, -1])).entries[0]) is int
+
+
 def test_unchecked_key_equals_the_checked_one():
     for n in (4, 5, 8):
         for key, rep in enumerate_classes(n, 1).items():

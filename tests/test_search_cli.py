@@ -153,12 +153,13 @@ def test_malformed_degrees_field_is_a_usage_error(capsys, command, text):
      (["omega", "--j", "1", "--n"], "--n")],
     ids=["expsum", "classify", "gamma", "omega"],
 )
-@pytest.mark.parametrize("text", ["", "a..5", "5..", "..5", "1.5", "2..3..4"])
+@pytest.mark.parametrize("text", ["", "a..5", "5..", "..5", "1.5", "2..3..4", "5..2"])
 def test_malformed_range_is_a_usage_error(capsys, argv, flag, text):
     code, out, err = run_main(capsys, argv + [text])
     assert code == 2
     assert out == ""
-    assert err == f"error: {flag} needs an integer or a range lo..hi, got {text!r}\n"
+    need = "lo <= hi" if text == "5..2" else "an integer or a range lo..hi"
+    assert err == f"error: {flag} needs {need}, got {text!r}\n"
 
 
 def test_spaced_degrees_and_range_still_parse(capsys):
@@ -854,6 +855,27 @@ class TestSearch:
         assert err.startswith("verification failed: census engine and classifier disagree")
         assert err.rstrip().endswith("degrees [2] at n=8 (profile:1,-1): "
                                      "not a solution: weighted sum is -8")
+
+    def test_out_and_checkpoint_naming_one_file_are_refused(self, capsys, tmp_path, monkeypatch):
+        # the checkpoint would replace the findings written before it
+        monkeypatch.chdir(tmp_path)
+        argv = ["search", "--k-max", "6", "--n-max", "7"]
+        for out, checkpoint in (("x", "x"), ("./x", "x"), ("x", str(tmp_path / "x"))):
+            code, stdout, err = run_main(capsys, argv + ["--out", out, "--checkpoint", checkpoint])
+            assert (code, stdout) == (2, "")
+            assert err == f"error: --out and --checkpoint name the same file: {Path(out)}\n"
+            assert list(tmp_path.iterdir()) == []
+        (tmp_path / "x").write_text("kept\n")
+        code, stdout, err = run_main(capsys, argv + ["--out", "x", "--checkpoint", "./x", "--resume"])
+        assert (code, stdout) == (2, "")
+        assert "--out and --checkpoint" in err
+        assert (tmp_path / "x").read_text() == "kept\n"
+
+    @pytest.mark.parametrize("bounds", [("0", "3"), ("3", "-1")])
+    def test_search_bounds_must_be_positive(self, capsys, bounds):
+        code, out, err = run_main(capsys, ["search", "--k-max", bounds[0], "--n-max", bounds[1]])
+        assert (code, out) == (2, "")
+        assert err == f"error: bounds must be positive, got k_max={bounds[0]}, n_max={bounds[1]}\n"
 
     @pytest.mark.parametrize("flag", ["--out", "--checkpoint"])
     def test_unwritable_output_is_refused_before_any_chunk(
