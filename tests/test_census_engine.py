@@ -11,6 +11,7 @@ under the inner convention) are all covered for the price of one oracle pass.
 
 from __future__ import annotations
 
+import json
 from collections import Counter
 from math import comb
 from operator import mul
@@ -306,3 +307,28 @@ def test_mirror_counted_hits_are_zero_class_trivial(monkeypatch, convention, per
         count += len(mirrored)
         mirrored.clear()
     assert count > 100
+
+
+def test_independent_checker_passes_the_census_records_and_rejects_corrupt_ones(tmp_path):
+    # record_checker shares no code with symsum; it must pass every record of
+    # both k = n = 17 campaigns and reject one record corrupted in each field.
+    from record_checker import check_file
+
+    for perturbation, want in ((X1, 265), (X1X2, 606)):
+        out = tmp_path / "findings.jsonl"
+        search_cli.run_search(Campaign(17, 17, "total", (perturbation,), True), out)
+        assert check_file(out) == (want, [])
+    header, line, *rest = out.read_text().splitlines(keepends=True)
+    for field in ("witness", "key", "status"):
+        record = json.loads(line)
+        if field == "witness":
+            record["witness"][0] += 1
+        elif field == "key":
+            record["key"]["half"][0] += 1
+        else:
+            record["status"] = "trivial"
+        bad = tmp_path / f"bad-{field}.jsonl"
+        bad.write_text(header + json.dumps(record) + "\n" + "".join(rest))
+        count, problems = check_file(bad)
+        assert count == 606 and len(problems) == 1, field
+        assert problems[0].startswith(f"{bad}:2: {field} "), problems
