@@ -77,7 +77,7 @@ class GammaAlphabet(Record):
         return abs(x) <= self.bound
 
     def __len__(self) -> int:
-        return len(self.members)
+        return 2 if self.j == 0 else 2 * self.bound + 1
 
 
 class SolutionVector(Record):
@@ -241,7 +241,7 @@ def enumerate_trivial_solutions(n: int, j: int):
 
 def direct_enumeration_metric(n: int, j: int) -> int:
     """Size of the raw search space for full enumeration."""
-    return len(GammaAlphabet(j)) ** (n + 1)
+    return (2 if j == 0 else (1 << j) + 1) ** (n + 1)  # len() stops at sys.maxsize
 
 
 def class_enumeration_metric(n: int, j: int) -> int:

@@ -344,10 +344,11 @@ class ScanCounters(Record):
 def _scan_leading_degree(campaign: Campaign, lead: int) -> tuple[ScanCounters, list[BalanceVerdict]]:
     """Evaluate the campaign over the degree sets with least degree ``lead``.
 
-    Each (variable count, perturbation) cell covers the 2**(top - lead)
-    degree sets whose top degree that count admits.  Findings come in
-    (degree set, variable count, perturbation) order, the lex order of
-    degree sets that the output format fixes.
+    Each (perturbation, variable count) cell covers the 2**(top - lead)
+    degree sets whose top degree that count admits.  Each hit is counted and
+    mirror-tested or classified as the engine yields it; only the findings
+    are kept, sorted into (degree set, variable count, perturbation) order,
+    the lex order of degree sets that the output format fixes.
 
     One ``_subset_masks`` list, for the largest variable count, serves every
     cell (the list for n is a prefix of the list for any larger n).  With
@@ -355,44 +356,35 @@ def _scan_leading_degree(campaign: Campaign, lead: int) -> tuple[ScanCounters, l
     under a reversal-symmetric profile is counted trivial without a witness.
     """
     counters = ScanCounters()
-    cells = [(index, values, n_total)
-             for index, (_, values) in enumerate(campaign.perturbations)
-             for n_total in campaign.n_totals(lead, len(values) - 1)]
-    masks = _subset_masks(max((n_total for *_, n_total in cells), default=0))
-    hits = []
-    for index, values, n_total in cells:
+    masks = _subset_masks(max((n for _, values in campaign.perturbations
+                               for n in campaign.n_totals(lead, len(values) - 1)), default=0))
+    findings = []
+    for index, (desc, values) in enumerate(campaign.perturbations):
         j = len(values) - 1
-        top = campaign.top_degree(n_total, j)
-        counters.candidates += 1 << (top - lead)
-        hits += [
-            (degs, n_total, index)
-            for degs in _balanced_degree_sets(lead, top, values, n_total - j, masks)
-        ]
-    parities = [mirror_parity(values) if campaign.sporadic_only else None
-                for _, values in campaign.perturbations]
-    findings: list[BalanceVerdict] = []
-    for degs, n_total, index in sorted(hits):
-        desc, values = campaign.perturbations[index]
-        counters.balanced += 1
-        parity = parities[index]
-        if parity is not None and sign_bits_mirror(masks, degs, n_total, parity):
-            counters.trivial += 1
-            continue
-        j = len(values) - 1
-        verdict = classify_zero(
-            degs, j, n_total, desc,
-            f"census engine and classifier disagree on degrees {list(degs)} "
-            f"at n={n_total} ({desc})",
-            witness_row(degs, values, n_total - j + 1, masks),
-        )
-        if verdict.status is BalanceStatus.SPORADIC:
-            counters.sporadic += 1
-        else:
-            counters.trivial += 1
-        if campaign.sporadic_only and verdict.status is not BalanceStatus.SPORADIC:
-            continue
-        findings.append(verdict)
-    return counters, findings
+        parity = mirror_parity(values) if campaign.sporadic_only else None
+        for n_total in campaign.n_totals(lead, j):
+            top = campaign.top_degree(n_total, j)
+            counters.candidates += 1 << (top - lead)
+            for degs in _balanced_degree_sets(lead, top, values, n_total - j, masks):
+                counters.balanced += 1
+                if parity is not None and sign_bits_mirror(masks, degs, n_total, parity):
+                    counters.trivial += 1
+                    continue
+                verdict = classify_zero(
+                    degs, j, n_total, desc,
+                    f"census engine and classifier disagree on degrees {list(degs)} "
+                    f"at n={n_total} ({desc})",
+                    witness_row(degs, values, n_total - j + 1, masks),
+                )
+                if verdict.status is BalanceStatus.SPORADIC:
+                    counters.sporadic += 1
+                else:
+                    counters.trivial += 1
+                    if campaign.sporadic_only:
+                        continue
+                findings.append((degs, n_total, index, verdict))
+    findings.sort()  # the first three entries differ between any two findings
+    return counters, [verdict for *_, verdict in findings]
 
 
 def run_search(campaign: Campaign, out_path: Path | None = None,
@@ -410,9 +402,9 @@ def run_search(campaign: Campaign, out_path: Path | None = None,
     after the last; resuming cuts ``out_path`` back to the length recorded
     there and skips the recorded number of finished chunks.
     """
-    if out_path is not None and checkpoint_path is not None and (
-            out_path.resolve() == checkpoint_path.resolve()):
-        raise SystemExit2(f"--out and --checkpoint name the same file: {out_path}")
+    if out_path is not None and checkpoint_path is not None and out_path.resolve() in (
+            checkpoint_path.resolve(), _checkpoint_tmp(checkpoint_path).resolve()):
+        raise SystemExit2(f"--out and --checkpoint would write one file: {out_path}")
     digest = campaign.digest()
     header = json.dumps({"type": "campaign", **campaign.to_json(), "digest": digest},
                         sort_keys=True).encode() + b"\n"
@@ -482,6 +474,11 @@ def run_search(campaign: Campaign, out_path: Path | None = None,
     return counters, counters.sporadic if campaign.sporadic_only else counters.balanced
 
 
+def _checkpoint_tmp(path: Path) -> Path:
+    """The file a checkpoint is written to before it replaces ``path``."""
+    return path.with_name(f".{path.name}.tmp")
+
+
 def _write_checkpoint(path: Path, digest: str, chunks_done: int,
                       counters: ScanCounters, out: io.BufferedWriter | None) -> None:
     """Replace the checkpoint atomically: an interrupted write leaves the
@@ -496,7 +493,7 @@ def _write_checkpoint(path: Path, digest: str, chunks_done: int,
         "counters": counters.to_json(),
         "out_bytes": None if out is None else out.tell(),
     }
-    tmp = path.with_name(f".{path.name}.tmp")
+    tmp = _checkpoint_tmp(path)
     with tmp.open("w") as fh:
         fh.write(json.dumps(state, sort_keys=True))
         fh.flush()

@@ -654,3 +654,5 @@ class TestMetrics:
         assert class_enumeration_metric(4, 2) == 9 ** 2 * 5
         assert class_enumeration_metric(5, 2) == 9 ** 3
         assert gamma_integral_metric(4, 2) == 3 ** 5
+        # the level-64 alphabet, 2**64 + 1 members, is not built
+        assert direct_enumeration_metric(1, 64) == (2 ** 64 + 1) ** 2

@@ -33,6 +33,7 @@ from symsum import (
     satisfies,
     xi_power,
 )
+from symsum import recurrence
 
 from conftest import random_balanced_profile, random_profile, random_spec
 
@@ -178,6 +179,19 @@ class TestMinimality:
     def test_horizon_floor_enforced(self):
         with pytest.raises(ValueError):
             minimality_certificate(4, 10)
+
+    def test_a_redundant_factor_is_caught(self, monkeypatch):
+        # (X-2) divides none of the minimal polynomials at powers of two, so
+        # the sequence also satisfies the product without it
+        factors = recurrence.min_char_factors
+
+        def with_redundant_factor(k):
+            return factors(k) + [RecurrencePoly((-2, 1), "(X-2)^1")]
+
+        monkeypatch.setattr(recurrence, "min_char_factors", with_redundant_factor)
+        for k in (2, 4, 8, 16):
+            horizon = 2 * min_char_poly(k).degree + 4
+            assert not minimality_certificate(k, horizon)
 
 
 # ---------------------------------------------------------------------------

@@ -257,6 +257,10 @@ class TestGammaCommand:
         stars = [i for i, cell in enumerate(row) if cell == "*"]
         assert stars == list(range(stars[0], len(row)))
 
+    def test_huge_level_is_a_star_without_building_its_alphabet(self, capsys):
+        code, out, _ = run_main(capsys, ["gamma", "--n", "1", "--j", "40"])
+        assert (code, out) == (0, "count   n=1\nj=40      *\n")
+
     def test_cross_check(self, capsys):
         code, out, _ = run_main(
             capsys, ["gamma", "--n", "1..5", "--j", "1..2", "--cross-check"]
@@ -860,10 +864,12 @@ class TestSearch:
         # the checkpoint would replace the findings written before it
         monkeypatch.chdir(tmp_path)
         argv = ["search", "--k-max", "6", "--n-max", "7"]
-        for out, checkpoint in (("x", "x"), ("./x", "x"), ("x", str(tmp_path / "x"))):
+        # the checkpoint is first written to .x.tmp and then moved onto x
+        for out, checkpoint in (("x", "x"), ("./x", "x"), ("x", str(tmp_path / "x")),
+                                (".x.tmp", "x")):
             code, stdout, err = run_main(capsys, argv + ["--out", out, "--checkpoint", checkpoint])
             assert (code, stdout) == (2, "")
-            assert err == f"error: --out and --checkpoint name the same file: {Path(out)}\n"
+            assert err == f"error: --out and --checkpoint would write one file: {Path(out)}\n"
             assert list(tmp_path.iterdir()) == []
         (tmp_path / "x").write_text("kept\n")
         code, stdout, err = run_main(capsys, argv + ["--out", "x", "--checkpoint", "./x", "--resume"])
