@@ -37,7 +37,6 @@ from .boolean_core import (
     weight_profile,
 )
 from .diophantine import (
-    BudgetExceeded,
     FoldedKey,
     GammaAlphabet,
     SolutionVector,

@@ -46,10 +46,6 @@ def _folded_sum(n: int, comps: tuple[int, ...]) -> int:
     return sum(map(mul, comps, _binomial_half_row(n)))
 
 
-class BudgetExceeded(RuntimeError):
-    """An enumeration was refused because its size metric is over budget."""
-
-
 class GammaAlphabet(Record):
     """The level-j entry alphabet: |x| <= 2**(j-1), or {-1, 1} at level 0."""
 
@@ -305,18 +301,12 @@ def count_solutions(n: int, j: int) -> int:
     return _box_count(weights, [2 * b + 1] * (n + 1), b << n)
 
 
-def enumerate_solutions(n: int, j: int, budget: float | None = None):
+def enumerate_solutions(n: int, j: int):
     """Yield every solution over the level-j alphabet in lexicographic order.
 
     A depth-first sweep over the positions, pruned wherever the remaining
-    positions can no longer bring the partial sum back to zero.  Refuses with
-    BudgetExceeded when the direct metric is over the budget (10**7 when none
-    is given).
+    positions can no longer bring the partial sum back to zero.
     """
-    cap = budget if budget is not None else 10 ** 7
-    metric = direct_enumeration_metric(n, j)
-    if metric > cap:
-        raise BudgetExceeded(f"direct metric {metric} exceeds budget {cap}")
     members = GammaAlphabet(j).members
     weights = _binomial_row(n)
     big = max(abs(x) for x in members)
@@ -342,8 +332,8 @@ def enumerate_solutions(n: int, j: int, budget: float | None = None):
 # equivalence classes
 # ---------------------------------------------------------------------------
 
-def _check_class_cell(n: int, j: int, budget: float | None) -> None:
-    """Refuse class cells off the folded-box argument or over budget.
+def _check_class_cell(n: int, j: int) -> None:
+    """Refuse class cells off the folded-box argument.
 
     Level 0 is refused: over {-1, 1} the folded vectors do not fill a box of
     integers (pair sums are even and the center is never zero), so neither
@@ -351,10 +341,6 @@ def _check_class_cell(n: int, j: int, budget: float | None) -> None:
     """
     if n < 1 or j < 1:
         raise ValueError("need n >= 1 and j >= 1")
-    if budget is not None and class_enumeration_metric(n, j) > budget:
-        raise BudgetExceeded(
-            f"class metric {class_enumeration_metric(n, j)} exceeds budget {budget}"
-        )
 
 
 def _mobius(d: int) -> int:
@@ -370,7 +356,7 @@ def _mobius(d: int) -> int:
     return -mu if d > 1 else mu
 
 
-def enumerate_classes(n: int, j: int, budget: float | None = None) -> dict[FoldedKey, SolutionVector]:
+def enumerate_classes(n: int, j: int) -> dict[FoldedKey, SolutionVector]:
     """Map each solution class to one realizable representative.
 
     Sweeps the folded space directly: pair sums range over |s| <= 2**j, the
@@ -381,7 +367,7 @@ def enumerate_classes(n: int, j: int, budget: float | None = None) -> dict[Folde
     representative's ``key``, made with the representative's one fold and
     equation check.
     """
-    _check_class_cell(n, j, budget)
+    _check_class_cell(n, j)
     hl = (n + 1) // 2
     row = _binomial_half_row(n)
     weights = row[:hl]
@@ -440,7 +426,7 @@ def enumerate_classes(n: int, j: int, budget: float | None = None) -> dict[Folde
     return out
 
 
-def count_classes(n: int, j: int, budget: float | None = None) -> int:
+def count_classes(n: int, j: int) -> int:
     """Number of solution classes over the level-j alphabet.
 
     A class is the zero class or a primitive folded solution up to sign.  The
@@ -451,7 +437,7 @@ def count_classes(n: int, j: int, budget: float | None = None) -> int:
     the number of folded solutions with every component divisible by d, is a
     box count over the box with its bounds divided by d.
     """
-    _check_class_cell(n, j, budget)
+    _check_class_cell(n, j)
     hl = (n + 1) // 2
     weights = _binomial_half_row(n)
     bounds = [1 << j] * hl
@@ -471,7 +457,7 @@ def count_classes(n: int, j: int, budget: float | None = None) -> int:
     return 1 + primitive // 2
 
 
-def gamma_via_integral(n: int, j: int, budget: float | None = None) -> int:
+def gamma_via_integral(n: int, j: int) -> int:
     """Recount the solutions through the sign-averaged nonnegative form.
 
     Writes each entry as a sign times a value in [0, 2**(j-1)]; averaging the
@@ -484,15 +470,10 @@ def gamma_via_integral(n: int, j: int, budget: float | None = None) -> int:
     for -C(n, l), and every partial sum that the remaining weights can no
     longer bring back to zero is dropped.  Each leaf adds its pattern's count
     of zero sums; the two leaves under a node on the last weight are read off
-    that node's counts directly.  Refuses with BudgetExceeded when the
-    integral metric is over the budget.
+    that node's counts directly.
     """
     if n < 1 or j < 1:
         raise ValueError("need n >= 1 and j >= 1")
-    if budget is not None and gamma_integral_metric(n, j) > budget:
-        raise BudgetExceeded(
-            f"integral metric {gamma_integral_metric(n, j)} exceeds budget {budget}"
-        )
     bound = 1 << (j - 1)
     values = range(1, bound + 1)
     # math.comb, not the half-row kernel: this recount is the independent

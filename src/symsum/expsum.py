@@ -92,13 +92,24 @@ class SymmetricSpec(Record):
         return "[" + ",".join(str(k) for k in self.degrees) + "]"
 
 
+def _residue_sums(n: int, m: int) -> list[int]:
+    """sum over l = a mod m of C(n, l), for a = 0..m-1: the half row folded,
+    each entry added at l and at n - l."""
+    sums = [0] * m
+    for l, c in enumerate(_binomial_half_row(n)):
+        sums[l % m] += c
+        if 2 * l != n:
+            sums[(n - l) % m] += c
+    return sums
+
+
 def periodic_binomial_sums(weights, n_lo: int, n_hi: int) -> list[int]:
     """sum over l = 0..n of weights[l mod P] * C(n, l), for n = n_lo..n_hi.
 
     P = len(weights).  The residue-class sums A_n[a] = sum over l = a mod P
     of C(n, l) obey Pascal's rule A_(n+1)[a] = A_n[a] + A_n[a - 1 mod P], so
-    row n_lo is folded once (its half row, each entry added at l and n_lo - l)
-    and every further n costs P additions.  The list is empty when n_hi < n_lo.
+    row n_lo is folded once (``_residue_sums``) and every further n costs P
+    additions.  The list is empty when n_hi < n_lo.
     """
     if not weights:
         raise ValueError("need at least one weight")
@@ -106,12 +117,7 @@ def periodic_binomial_sums(weights, n_lo: int, n_hi: int) -> list[int]:
         raise ValueError("variable count must be nonnegative")
     if n_hi < n_lo:
         return []
-    period = len(weights)
-    acc = [0] * period
-    for l, c in enumerate(_binomial_half_row(n_lo)):
-        acc[l % period] += c
-        if 2 * l != n_lo:
-            acc[(n_lo - l) % period] += c
+    acc = _residue_sums(n_lo, len(weights))
     out = [sum(map(mul, weights, acc))]
     for _ in range(n_lo, n_hi):
         acc = list(map(add, acc, acc[-1:] + acc[:-1]))

@@ -19,8 +19,7 @@ from math import comb, gcd
 from operator import index
 
 from .boolean_core import Record, WeightProfile
-from .diophantine import _binomial_half_row
-from .expsum import SymmetricSpec, delta_vector, periodic_binomial_sums
+from .expsum import SymmetricSpec, _residue_sums, delta_vector, periodic_binomial_sums
 
 
 # ---------------------------------------------------------------------------
@@ -317,9 +316,9 @@ class CyclotomicValue(Record):
         """self**n.  A one-term base a*xi^e gives a^n at xi^(e*n).  A two-term base
         a*xi^e + b*xi^f with |a| = |b| expands by the binomial theorem as a^n times
         the sum over i of C(n, i) * (b/a)^i at xi^(e*n + i*(f-e)), which depends on
-        i only through i mod m, m = 2^r / gcd(f-e, 2^r): the half row
-        C(n, 0..n // 2) is folded into its m residue-class sums, C(n, i) added at
-        i and at n - i, and (b/a)^i = (b/a)^(i mod m) as b/a = +-1 and m is even.
+        i only through i mod m, m = 2^r / gcd(f-e, 2^r): row n is folded into its m
+        residue-class sums (``_residue_sums``), and (b/a)^i = (b/a)^(i mod m) as
+        b/a = +-1 and m is even.
         Every other base uses repeated squaring."""
         if n < 0:
             raise ValueError("negative powers not supported")
@@ -339,13 +338,8 @@ class CyclotomicValue(Record):
             _add_xi_power(out, e * n, a ** n)
         else:
             m = 2 * self.half // gcd(f - e, 2 * self.half)
-            sums = [0] * m
-            for i, c in enumerate(_binomial_half_row(n)):
-                sums[i % m] += c
-                if 2 * i != n:
-                    sums[(n - i) % m] += c
             an = a ** n
-            for t, c in enumerate(sums):
+            for t, c in enumerate(_residue_sums(n, m)):
                 _add_xi_power(out, e * n + t * (f - e), -an * c if b != a and t & 1 else an * c)
         return CyclotomicValue(self.r, tuple(out), self.denom ** n)
 

@@ -2,8 +2,8 @@
 class tables, exhaustive balanced-perturbation searches, and verification of
 the structural families.
 
-Exit codes: 0 on success, 1 when a verification or expectation fails or an
-internal check trips, 2 on usage errors.
+Exit codes: 0 on success, 1 on a failed check or any other exception (with its
+traceback), 2 on usage errors, budget refusals and I/O errors.
 """
 
 from __future__ import annotations
@@ -35,13 +35,13 @@ from .balance import (
 )
 from .boolean_core import Record, WeightProfile, anf_parse, anf_to_function, weight_profile
 from .diophantine import (
-    BudgetExceeded,
     SolutionVector,
     class_enumeration_metric,
     count_classes,
     count_solutions,
     direct_enumeration_metric,
     enumerate_classes,
+    gamma_integral_metric,
     gamma_via_integral,
 )
 from .expsum import (
@@ -107,8 +107,8 @@ SPORADIC_WITNESSES_N9_X1X2 = {
 }
 
 
-def _parse_range(text: str, flag: str) -> list[int]:
-    """Parse '5' or '2..10', the value of ``flag``, into a list of integers."""
+def _parse_range(text: str, flag: str, least: int | None = None) -> list[int]:
+    """The integers of '5' or '2..10', the value of ``flag``, none below ``least``."""
     lo, dots, hi = text.partition("..")
     try:
         a, b = int(lo), int(hi if dots else lo)
@@ -116,19 +116,32 @@ def _parse_range(text: str, flag: str) -> list[int]:
         raise SystemExit2(f"{flag} needs an integer or a range lo..hi, got {text!r}") from None
     if b < a:
         raise SystemExit2(f"{flag} needs lo <= hi, got {text!r}")
+    if least is not None and a < least:
+        raise SystemExit2(f"{flag} needs values >= {least}, got {text!r}")
     return list(range(a, b + 1))
 
 
 def _parse_ints(text: str, flag: str) -> tuple[int, ...]:
-    """The comma-separated integers of ``flag``'s value, spaces ignored."""
+    """The comma-separated integers of ``flag``'s value (a space inside one is refused)."""
     try:
-        return tuple(int(p) for p in text.replace(" ", "").split(","))
+        return tuple(int(p) for p in text.split(","))
     except ValueError:
         raise SystemExit2(f"{flag} needs comma-separated integers, got {text!r}") from None
 
 
+@contextlib.contextmanager
+def _usage_error(prefix: str = ""):
+    """Report a library ValueError raised while a flag's value, or a file it
+    names, is converted as a usage error; anywhere else it is a fault."""
+    try:
+        yield
+    except ValueError as exc:
+        raise SystemExit2(f"{prefix}{exc}") from None
+
+
 def _parse_degrees(text: str) -> SymmetricSpec:
-    return SymmetricSpec(_parse_ints(text, "--degrees"))
+    with _usage_error():
+        return SymmetricSpec(_parse_ints(text, "--degrees"))
 
 
 def _parse_profile(text: str) -> tuple[int, ...]:
@@ -159,8 +172,9 @@ def _perturbation_from_args(args) -> tuple[str, WeightProfile]:
         raise SystemExit2("--vars needs --anf")
     if args.anf is not None or args.profile is not None:
         values = None if args.profile is None else _parse_profile(args.profile)
-        desc, values = _perturbation(values, args.anf, args.vars)
-        return desc, WeightProfile(len(values) - 1, values)
+        with _usage_error():
+            desc, values = _perturbation(values, args.anf, args.vars)
+            return desc, WeightProfile(len(values) - 1, values)
     return "f=0", WeightProfile(0, (1,))
 
 
@@ -413,7 +427,8 @@ def run_search(campaign: Campaign, out_path: Path | None = None,
     if resume:
         if checkpoint_path is None or not checkpoint_path.exists():
             raise SystemExit2("--resume needs an existing --checkpoint file")
-        state = json.loads(checkpoint_path.read_text())
+        with _usage_error(f"checkpoint {checkpoint_path} is not JSON: "):
+            state = json.loads(checkpoint_path.read_bytes())
         if isinstance(state, dict) and "findings" in state:
             raise SystemExit2("checkpoint holds findings, a format that can no longer "
                               "be resumed; run the campaign again without --resume")
@@ -551,13 +566,12 @@ def _print_grid(title: str, n_values: list[int], j_values: list[int],
 
 
 def cmd_gamma(args) -> int:
-    n_values = _parse_range(args.n, "--n")
-    j_values = _parse_range(args.j, "--j")
+    n_values = _parse_range(args.n, "--n", 1)
+    j_values = _parse_range(args.j, "--j", 0)
     if args.cross_check and min(j_values) < 1:
         raise SystemExit2("--cross-check needs j >= 1")
-    budget = args.budget
     cells = {
-        (n, j): None if direct_enumeration_metric(n, j) > budget else count_solutions(n, j)
+        (n, j): None if direct_enumeration_metric(n, j) > args.budget else count_solutions(n, j)
         for j in j_values
         for n in n_values
     }
@@ -567,11 +581,12 @@ def cmd_gamma(args) -> int:
         for (n, j), v in cells.items():
             if v is None:
                 continue
-            try:
-                alt = gamma_via_integral(n, j, CROSS_CHECK_BUDGET)
-            except BudgetExceeded as exc:
-                print(f"cross-check n={n} j={j}: skipped ({exc})")
+            metric = gamma_integral_metric(n, j)
+            if metric > CROSS_CHECK_BUDGET:
+                print(f"cross-check n={n} j={j}: skipped "
+                      f"(integral metric {metric} exceeds budget {CROSS_CHECK_BUDGET})")
                 continue
+            alt = gamma_via_integral(n, j)
             ok = alt == v
             bad += 0 if ok else 1
             print(f"cross-check n={n} j={j}: direct={v} averaged={alt} "
@@ -582,15 +597,14 @@ def cmd_gamma(args) -> int:
 
 
 def cmd_omega(args) -> int:
-    n_values = _parse_range(args.n, "--n")
+    n_values = _parse_range(args.n, "--n", 1)
     j_values = _parse_range(args.j, "--j")
     if min(j_values) < 1:
         raise SystemExit2("classes need j >= 1")
     if args.classes_out and (len(n_values) != 1 or len(j_values) != 1):
         raise SystemExit2("--classes-out needs a single n and a single j")
-    budget = args.budget
     cells = {
-        (n, j): None if class_enumeration_metric(n, j) > budget else count_classes(n, j)
+        (n, j): None if class_enumeration_metric(n, j) > args.budget else count_classes(n, j)
         for j in j_values
         for n in n_values
     }
@@ -598,7 +612,10 @@ def cmd_omega(args) -> int:
         # built, and the file opened, before anything is printed: an
         # over-budget cell or an unwritable path leaves no output
         n, j = n_values[0], j_values[0]
-        classes = enumerate_classes(n, j, budget)
+        if cells[(n, j)] is None:
+            raise SystemExit2(f"class metric {class_enumeration_metric(n, j)} "
+                              f"exceeds budget {args.budget}")
+        classes = enumerate_classes(n, j)
         fh = Path(args.classes_out).open("w")
     _print_grid("class", n_values, j_values, cells, args.csv)
     if args.classes_out:
@@ -616,24 +633,16 @@ def cmd_omega(args) -> int:
     return 0
 
 
-def _campaign_from_args(args, convention: str) -> Campaign:
-    perturbations = [_perturbation(_parse_profile(text), None, None) for text in args.profile or []]
-    perturbations += [_perturbation(None, text, None) for text in args.anf or []]
-    if not perturbations:
-        perturbations.append(("profile:1,-1", X1_PROFILE))
-    return Campaign(
-        k_max=args.k_max,
-        n_max=args.n_max,
-        n_convention=convention,
-        perturbations=tuple(perturbations),
-        sporadic_only=args.sporadic_only,
-    )
-
-
 def cmd_search(args) -> int:
     out_path = Path(args.out) if args.out else None
     checkpoint = Path(args.checkpoint) if args.checkpoint else None
-    campaign = _campaign_from_args(args, args.n_convention)
+    with _usage_error():
+        perturbations = [_perturbation(_parse_profile(text), None, None)
+                         for text in args.profile or []]
+        perturbations += [_perturbation(None, text, None) for text in args.anf or []]
+        campaign = Campaign(args.k_max, args.n_max, args.n_convention,
+                            tuple(perturbations) or (("profile:1,-1", X1_PROFILE),),
+                            args.sporadic_only)
     counters, recorded = run_search(
         campaign, out_path, checkpoint, args.resume, log=lambda s: print(s, file=sys.stderr)
     )
@@ -786,6 +795,8 @@ def cmd_verify_families(args) -> int:
 
 
 def cmd_conjecture_scan(args) -> int:
+    if args.k_min < 1:
+        raise SystemExit2(f"--k-min needs a degree >= 1, got {args.k_min}")
     if args.k_min > args.k_max or args.n_max < 2:
         raise SystemExit2(f"nothing to scan: degrees {args.k_min}..{args.k_max}, n 2..{args.n_max}")
     rows = []
@@ -829,27 +840,33 @@ def _add_perturbation_flags(p: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # allow_abbrev=False everywhere: main lets an explicit flag override a
+    # --config one by its full spelling, which a prefix such as --prof dodges
     parser = argparse.ArgumentParser(
         prog="symsum",
         description="Exact sign sums of symmetric Boolean functions, balance "
         "classification, and bounded Diophantine solution tables.",
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("expsum", help="exact sign sums")
+    def command(name: str, func, summary: str) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=summary, allow_abbrev=False)
+        p.set_defaults(func=func)
+        return p
+
+    p = command("expsum", cmd_expsum, "exact sign sums")
     p.add_argument("--degrees", required=True, help="comma-separated degree set, e.g. '3,4'")
     p.add_argument("--n", required=True, help="variable count or range, e.g. '1..10'")
     _add_perturbation_flags(p)
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_expsum)
 
-    p = sub.add_parser("classify", help="balance classification with witness")
+    p = command("classify", cmd_classify, "balance classification with witness")
     p.add_argument("--degrees", required=True)
     p.add_argument("--n", required=True)
     _add_perturbation_flags(p)
-    p.set_defaults(func=cmd_classify)
 
-    p = sub.add_parser("gamma", help="solution-count table")
+    p = command("gamma", cmd_gamma, "solution-count table")
     p.add_argument("--n", required=True, help="range of n, e.g. '1..10'")
     p.add_argument("--j", required=True, help="range of alphabet levels, e.g. '1..7'")
     p.add_argument("--budget", type=_budget, default=DEFAULT_GAMMA_BUDGET,
@@ -857,17 +874,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--csv", action="store_true")
     p.add_argument("--cross-check", action="store_true",
                    help="recount computed cells through the sign-averaged form")
-    p.set_defaults(func=cmd_gamma)
 
-    p = sub.add_parser("omega", help="solution-class table")
+    p = command("omega", cmd_omega, "solution-class table")
     p.add_argument("--n", required=True)
     p.add_argument("--j", required=True)
     p.add_argument("--budget", type=_budget, default=DEFAULT_OMEGA_BUDGET)
     p.add_argument("--csv", action="store_true")
     p.add_argument("--classes-out", help="write one class per line (single cell only)")
-    p.set_defaults(func=cmd_omega)
 
-    p = sub.add_parser("search", help="exhaustive balanced-perturbation sweep")
+    p = command("search", cmd_search, "exhaustive balanced-perturbation sweep")
     p.add_argument("--k-max", type=int, required=True, help="largest degree")
     p.add_argument("--n-max", type=int, required=True, help="largest variable count")
     p.add_argument("--n-convention", choices=("total", "inner"), default="total",
@@ -880,19 +895,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--resume", action="store_true")
     p.add_argument("--expect-sporadic", type=int,
                    help="fail (exit 1) unless the sporadic count equals this")
-    p.set_defaults(func=cmd_search)
 
-    p = sub.add_parser("verify-families", help="verify structural balanced families")
-    p.set_defaults(func=cmd_verify_families)
+    command("verify-families", cmd_verify_families, "verify structural balanced families")
+    command("tables", cmd_tables, "regenerate the sporadic witness tables")
 
-    p = sub.add_parser("tables", help="regenerate the sporadic witness tables")
-    p.set_defaults(func=cmd_tables)
-
-    p = sub.add_parser("conjecture-scan", help="scan single-degree single-flip balance")
+    p = command("conjecture-scan", cmd_conjecture_scan,
+                "scan single-degree single-flip balance")
     p.add_argument("--k-min", type=int, default=1)
     p.add_argument("--k-max", type=int, default=10)
     p.add_argument("--n-max", type=int, default=100)
-    p.set_defaults(func=cmd_conjecture_scan)
 
     return parser
 
@@ -901,7 +912,11 @@ def _load_config(path: str) -> list[str]:
     """Turn key=value lines into one --key=value token each (bare flags use
     true/false), so a value starting with '-' is not read as a flag."""
     flags: list[str] = []
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), 1):
+    with _usage_error(f"{path}: "):
+        text = Path(path).read_text(encoding="utf-8")
+    if "\0" in text:  # no path or other flag value can hold one
+        raise SystemExit2(f"{path}: holds a NUL byte")
+    for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -936,7 +951,7 @@ def main(argv=None) -> int:
             argv = [argv[0]] + merged + argv[1:]
         args = build_parser().parse_args(argv)
         return args.func(args)
-    except (SystemExit2, BudgetExceeded, ValueError, OSError) as exc:
+    except (SystemExit2, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except VerificationError as exc:

@@ -1,0 +1,151 @@
+"""A catalogue of mutants, each of which the tests named with it must kill.
+
+A mutant is one exact substitution in one source file: a fault that an oracle
+or a refusal test exists to catch.  Run the catalogue by hand, from any
+directory, before a change that touches an oracle, the census engine or the
+CLI's error paths:
+
+    python tests/mutants.py
+
+For each mutant the script copies ``src``, ``tests``, ``perfbench`` and
+``pyproject.toml`` to a temporary directory (the ``pythonpath`` setting in
+``pyproject.toml`` makes pytest import that copy), applies the substitution,
+and runs only the named tests with ``-x``, one child process at a time.  The
+mutant is killed when they fail.  First it runs all the named tests on an
+unmutated copy, since a test that fails anyway kills nothing.
+
+It exits 1 when a mutant survives, when a run errs or times out, when the
+unmutated copy fails, or when an old text does not occur exactly once.
+pytest does not collect this file; ``tests/test_source.py`` checks in tier 1
+that every old text still occurs exactly once, so a refactor that moves a
+mutated line has to update its entry.  A mutant whose only killer would run
+an over-budget cell does not belong here.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+COPIED = ("src", "tests", "perfbench", "pyproject.toml")
+TIMEOUT_S = 600
+
+
+class Mutant(NamedTuple):
+    name: str
+    path: str  # relative to the repository root
+    old: str  # occurs exactly once in the file
+    new: str
+    tests: tuple[str, ...]  # pytest node ids, relative to the repository root
+
+
+MUTANTS = (
+    Mutant("Pascal step reversed", "src/symsum/expsum.py",
+           "acc[-1:] + acc[:-1]", "acc[1:] + acc[:1]",
+           ("tests/test_expsum.py",)),
+    Mutant("residue fold mirrors onto the wrong class", "src/symsum/expsum.py",
+           "if 2 * l != n:", "if 2 * l != n - 1:",
+           ("tests/test_expsum.py", "tests/test_recurrence.py")),
+    Mutant("Moebius sign", "src/symsum/diophantine.py",
+           "return -mu if d > 1 else mu", "return mu if d > 1 else mu",
+           ("tests/test_diophantine.py",)),
+    Mutant("box-count slot one bit narrow", "src/symsum/diophantine.py",
+           "k = prod(sizes).bit_length()", "k = prod(sizes).bit_length() - 1",
+           ("tests/test_diophantine.py",)),
+    Mutant("class key sign left negative", "src/symsum/diophantine.py",
+           "if c < 0:", "if c > 0:",
+           ("tests/test_diophantine.py",)),
+    Mutant("witness not halved", "src/symsum/balance.py",
+           "[x // 2 for x in row] if len(values) > 1 else row", "row",
+           ("tests/test_balance.py",)),
+    Mutant("engine ignores sign bits above t = 40", "src/symsum/search_cli.py",
+           "range(top + 1, n_total + 1)", "range(top + 1, min(n_total, 40) + 1)",
+           ("tests/test_census_engine.py"
+            "::test_engine_agrees_with_sweeps_where_most_bits_are_dependent",)),
+    Mutant("findings not sorted", "src/symsum/search_cli.py",
+           "findings.sort()", "pass",
+           ("tests/test_census_engine.py",)),
+    Mutant("mirrored hit not counted trivial", "src/symsum/search_cli.py",
+           "counters.trivial += 1\n                    continue", "continue",
+           ("tests/test_census_engine.py::test_mirror_counted_hits_are_zero_class_trivial",)),
+    Mutant("ValueError back in main's exit-2 clause", "src/symsum/search_cli.py",
+           "except (SystemExit2, OSError) as exc:",
+           "except (SystemExit2, ValueError, OSError) as exc:",
+           ("tests/test_search_cli.py::test_internal_value_error_is_not_a_usage_error",)),
+    Mutant("cross-check bound test dropped", "src/symsum/search_cli.py",
+           "if metric > CROSS_CHECK_BUDGET:", "if False:",
+           ("tests/test_search_cli.py::TestGammaCommand"
+            "::test_cross_check_skips_cells_over_the_recount_bound",)),
+    Mutant("spaces deleted inside a list field", "src/symsum/search_cli.py",
+           'text.split(",")', 'text.replace(" ", "").split(",")',
+           ("tests/test_search_cli.py::test_malformed_degrees_field_is_a_usage_error",)),
+    Mutant("subcommand flags may be abbreviated", "src/symsum/search_cli.py",
+           "sub.add_parser(name, help=summary, allow_abbrev=False)",
+           "sub.add_parser(name, help=summary)",
+           ("tests/test_search_cli.py::TestConfig::test_abbreviated_flags_are_refused",)),
+)
+
+
+def _copy(dest: Path) -> None:
+    """A fresh copy of the tree pytest needs, without bytecode caches."""
+    dest.mkdir()
+    for name in COPIED:
+        if (ROOT / name).is_dir():
+            shutil.copytree(ROOT / name, dest / name,
+                            ignore=shutil.ignore_patterns("__pycache__"))
+        else:
+            shutil.copy2(ROOT / name, dest / name)
+
+
+def _pytest(tree: Path, tests) -> int | None:
+    """pytest's exit code for the tests on the copy, or None on a timeout."""
+    env = {**os.environ, "PYTHONPATH": str(tree / "src")}
+    try:
+        return subprocess.run(
+            [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *tests],
+            cwd=tree, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+            timeout=TIMEOUT_S, check=False,
+        ).returncode
+    except subprocess.TimeoutExpired:
+        return None
+
+
+def main() -> int:
+    stale = [m.name for m in MUTANTS if (ROOT / m.path).read_text().count(m.old) != 1]
+    if stale:
+        print(f"old text not found exactly once: {stale}")
+        return 1
+    start = time.perf_counter()
+    failures = 0
+    with tempfile.TemporaryDirectory(prefix="mutants-") as tmp:
+        clean = Path(tmp) / "clean"
+        _copy(clean)
+        code = _pytest(clean, sorted({t for m in MUTANTS for t in m.tests}))
+        if code != 0:
+            print(f"the named tests fail without a mutant (pytest exit {code})")
+            return 1
+        for i, m in enumerate(MUTANTS):
+            tree = Path(tmp) / f"m{i}"
+            _copy(tree)
+            path = tree / m.path
+            path.write_text(path.read_text().replace(m.old, m.new))
+            t0 = time.perf_counter()
+            code = _pytest(tree, m.tests)
+            verdict = {1: "killed", 0: "SURVIVED", None: "TIMEOUT"}.get(code, f"ERROR {code}")
+            failures += code != 1
+            print(f"{verdict:8} {time.perf_counter() - t0:6.1f} s  {m.name}", flush=True)
+            shutil.rmtree(tree)
+    print(f"{len(MUTANTS) - failures} of {len(MUTANTS)} killed "
+          f"in {time.perf_counter() - start:.1f} s")
+    return 1 if failures else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -11,7 +11,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from symsum import (
-    BudgetExceeded,
     FoldedKey,
     GammaAlphabet,
     SolutionVector,
@@ -443,21 +442,12 @@ class TestEnumerateSolutions:
         ]
         assert [v.entries for v in enumerate_solutions(n, j)] == want
 
-    def test_budget_refusal(self):
-        with pytest.raises(BudgetExceeded):
-            list(enumerate_solutions(10, 3, budget=10))
-        with pytest.raises(BudgetExceeded):
-            list(enumerate_solutions(4, 2, budget=10))
-        # 9**11 is over the default 10**7 cap on the direct metric
-        with pytest.raises(BudgetExceeded, match="direct metric"):
-            list(enumerate_solutions(10, 3))
-
 
 def per_leaf_enumerate_classes(n: int, j: int) -> dict[FoldedKey, SolutionVector]:
     """The class sweep with a filter loop at every slot and leaf, and each
     key rebuilt by canonical_key: the sweep enumerate_classes replaced,
     kept as its oracle."""
-    _check_class_cell(n, j, None)
+    _check_class_cell(n, j)
     hl = (n + 1) // 2
     row = _binomial_half_row(n)
     weights = row[:hl]
@@ -541,12 +531,6 @@ class TestClasses:
         for n, j in ((3, 1), (4, 2), (5, 1), (6, 1)):
             keys = {canonical_key(v) for v in enumerate_solutions(n, j)}
             assert keys == set(enumerate_classes(n, j))
-
-    def test_budget_refusal(self):
-        with pytest.raises(BudgetExceeded):
-            enumerate_classes(10, 3, budget=10)
-        with pytest.raises(BudgetExceeded):
-            count_classes(10, 3, budget=10)
 
     def test_count_matches_enumeration_off_the_pinned_grid(self):
         cells = [(n, 1) for n in range(11, 14)] + [(11, 2), (12, 2)]
@@ -641,10 +625,6 @@ class TestIntegralRecount:
     def test_level_zero_rejected(self):
         with pytest.raises(ValueError):
             gamma_via_integral(4, 0)
-
-    def test_budget_refusal(self):
-        with pytest.raises(BudgetExceeded):
-            gamma_via_integral(12, 4, budget=10)
 
 
 class TestMetrics:

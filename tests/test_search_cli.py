@@ -24,7 +24,7 @@ from symsum import (
     classify,
     weight_profile,
 )
-from symsum import balance, diophantine, search_cli
+from symsum import balance, diophantine, expsum, search_cli
 from symsum.search_cli import Campaign, main, run_search
 
 from conftest import brute_force_sign_sum, read_findings
@@ -126,7 +126,7 @@ def test_empty_perturbation_is_a_usage_error(capsys, argv, flag, message):
     [["expsum", "--degrees", "3", "--n", "4"], ["search", "--k-max", "3", "--n-max", "4"]],
     ids=["expsum", "search"],
 )
-@pytest.mark.parametrize("text", ["1,,-1", "1,-1,", "1,a", "1,x", "1.5,-1"])
+@pytest.mark.parametrize("text", ["1,,-1", "1,-1,", "1,a", "1,x", "1.5,-1", "1,-2 1"])
 def test_malformed_profile_field_is_a_usage_error(capsys, argv, text):
     # an empty or non-integer field is refused, not dropped or reported by int()
     code, out, err = run_main(capsys, argv + ["--profile", text])
@@ -136,7 +136,7 @@ def test_malformed_profile_field_is_a_usage_error(capsys, argv, text):
 
 
 @pytest.mark.parametrize("command", ["expsum", "classify"])
-@pytest.mark.parametrize("text", ["", "3,,4", "3,4,", ",3", "3,a", "2.5"])
+@pytest.mark.parametrize("text", ["", "3,,4", "3,4,", ",3", "3,a", "2.5", "3 4"])
 def test_malformed_degrees_field_is_a_usage_error(capsys, command, text):
     # an empty or non-integer field is refused, not dropped or reported by int()
     code, out, err = run_main(capsys, [command, "--degrees", text, "--n", "5"])
@@ -160,6 +160,34 @@ def test_malformed_range_is_a_usage_error(capsys, argv, flag, text):
     assert out == ""
     need = "lo <= hi" if text == "5..2" else "an integer or a range lo..hi"
     assert err == f"error: {flag} needs {need}, got {text!r}\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["gamma", "--n", "0", "--j", "1"], "--n needs values >= 1, got '0'"),
+    (["gamma", "--n", "1", "--j", "-1"], "--j needs values >= 0, got '-1'"),
+    (["omega", "--n", "0", "--j", "1"], "--n needs values >= 1, got '0'"),
+    (["omega", "--n", "0..3", "--j", "1"], "--n needs values >= 1, got '0..3'"),
+])
+def test_range_below_its_flags_least_value_is_a_usage_error(capsys, argv, message):
+    # checked here, not left to the library's "need n >= 1" or to a negative shift
+    code, out, err = run_main(capsys, argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: {message}\n"
+
+
+def test_internal_value_error_is_not_a_usage_error(monkeypatch):
+    # a ValueError raised after the flags are converted is a fault: it
+    # propagates with its traceback, and the interpreter exits 1
+    real = expsum.delta_row
+
+    def odd_first_entry(*args):
+        row = real(*args)
+        row[0] += 1
+        return row
+
+    monkeypatch.setattr(expsum, "delta_row", odd_first_entry)
+    with pytest.raises(ValueError, match="entry 0 must be even when j >= 1"):
+        main(["expsum", "--degrees", "3", "--n", "5", "--profile", "1,-1"])
 
 
 def test_spaced_degrees_and_range_still_parse(capsys):
@@ -724,6 +752,7 @@ class TestSearch:
         "out_bytes inside the header", "out_bytes negative",
         "a counter negative", "candidates negative", "a negative counter in a true sum",
         "balanced not trivial plus sporadic", "more balanced than candidates",
+        "not JSON", "not UTF-8",
     ])
     def test_resume_refuses_malformed_checkpoints(self, capsys, tmp_path, case):
         # a checkpoint is outside input: a wrong shape exits 2 before --out is touched
@@ -761,8 +790,10 @@ class TestSearch:
             "more balanced than candidates": {**state, "counters": {
                 **counters, "balanced": counters["balanced"] + 10**6,
                 "trivial": counters["trivial"] + 10**6}},
+            "not JSON": b'{"digest": ',
+            "not UTF-8": b'{"digest": "\xff"}',
         }[case]
-        ck.write_text(json.dumps(bad))
+        ck.write_bytes(bad if isinstance(bad, bytes) else json.dumps(bad).encode())
         code, stdout, err = run_main(capsys, argv + flags + ["--resume"])
         assert (code, stdout) == (2, "")
         assert err.startswith(f"error: checkpoint {ck} ")
@@ -1012,6 +1043,7 @@ class TestVerificationCommands:
     @pytest.mark.parametrize("flags, message", [
         (["--k-min", "5", "--k-max", "4"], "nothing to scan: degrees 5..4, n 2..100"),
         (["--n-max", "1"], "nothing to scan: degrees 1..10, n 2..1"),
+        (["--k-min", "0"], "--k-min needs a degree >= 1, got 0"),
     ])
     def test_conjecture_scan_empty_range_is_a_usage_error(self, capsys, flags, message):
         code, out, err = run_main(capsys, ["conjecture-scan"] + flags)
@@ -1113,6 +1145,31 @@ class TestConfig:
         ok.write_text("degrees=4\n")
         assert run_main(capsys, ["--config", str(ok)])[0] == 2
         assert run_main(capsys, ["--config", str(tmp_path / "missing.cfg"), "expsum"])[0] == 2
+        latin = tmp_path / "latin.cfg"
+        latin.write_bytes("degrees = 4\n# café\n".encode("latin-1"))
+        code, out, err = run_main(capsys, ["--config", str(latin), "expsum", "--n", "3"])
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {latin}: 'utf-8' codec can't decode")
+        nul = tmp_path / "nul.cfg"
+        nul.write_text("k_max = 3\nn_max = 4\nout = a\0b\n")
+        assert run_main(capsys, ["--config", str(nul), "search"]) == (
+            2, "", f"error: {nul}: holds a NUL byte\n")
+
+    def test_abbreviated_flags_are_refused(self, capsys, tmp_path):
+        # An explicit flag overrides the config's only when spelled in full,
+        # so --prof would have scanned the config's profile as well.
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("k_max = 6\nn_max = 7\nprofile = 1,-1\nsporadic_only = true\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["--config", str(cfg), "search", "--prof", "1,-2,1"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
+        code, out, _ = run_main(capsys, ["--config", str(cfg), "search", "--profile", "1,-2,1"])
+        assert code == 0
+        assert json.loads(out)["balanced"] == 30
+        with pytest.raises(SystemExit) as exc:
+            main(["expsum", "--deg", "4", "--n", "3"])
+        assert exc.value.code == 2
 
     def test_unknown_arguments_exit_two(self, capsys):
         with pytest.raises(SystemExit) as exc:

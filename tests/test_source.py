@@ -82,3 +82,15 @@ def test_every_public_definition_is_named_somewhere():
     unnamed = sorted(f"{module}:{qualified}" for module, qualified, name in defined
                      if name not in named)
     assert not unnamed, f"public definitions never named: {unnamed}"
+
+
+def test_every_mutant_still_applies():
+    # tests/mutants.py is run by hand; a refactor that moves a mutated line
+    # must update its entry there rather than silently drop the mutant
+    from mutants import MUTANTS, ROOT
+
+    assert len({m.name for m in MUTANTS}) == len(MUTANTS) >= 10
+    counts = {m.name: (ROOT / m.path).read_text().count(m.old) for m in MUTANTS}
+    assert all(count == 1 for count in counts.values()), counts
+    missing = [t for m in MUTANTS for t in m.tests if not (ROOT / t.split("::")[0]).is_file()]
+    assert not missing, missing
