@@ -259,17 +259,24 @@ def _box_count(weights, sizes, target: int) -> int:
     t_i * weights[i] equal to target (weights >= 0, sizes >= 1).
 
     Reads one coefficient of prod_i (1 + y_i + ... + y_i**(m_i - 1)) with
-    y_i = z**w_i, packed into a single int with K-bit slots, coefficient k in
-    slot k (Kronecker substitution).  Every coefficient of every partial
-    product counts vectors, so it lies in [0, prod m_i]; with K the bit length
-    of prod m_i no slot can carry into the next.  Each factor costs O(log m)
-    shift-adds through S_2a = S_a * (1 + y**a) and S_(a+1) = 1 + y * S_a, and
-    slots above the target are dropped as they appear: the weights are
-    nonnegative, so those terms never come back down.
+    y_i = z**w_i, packed into a single int with K-bit slots (Kronecker
+    substitution).  Every coefficient of every partial product counts
+    vectors, so it lies in [0, prod m_i]; with K the bit length of prod m_i
+    no slot can carry into the next.  Each factor costs O(log m) shift-adds
+    through S_2a = S_a * (1 + y**a) and S_(a+1) = 1 + y * S_a.
+
+    Only a window of slots is kept, coefficient k in slot k - low: the
+    weights are nonnegative, so slots above the target never come back down,
+    and once the remaining factors can add at most ``rest``, slots below
+    target - rest can no longer reach it.  Those are shifted out after each
+    factor, so the later factors work on a shrinking window; after the last
+    one the window is the target's slot alone.
     """
-    if not 0 <= target <= sum((m - 1) * w for m, w in zip(sizes, weights)):
+    rest = sum((m - 1) * w for m, w in zip(sizes, weights))
+    if not 0 <= target <= rest:
         return 0
     k = prod(sizes).bit_length()
+    low = 0
     mask = (1 << (k * (target + 1))) - 1
     poly = 1
     for w, m in zip(weights, sizes):
@@ -281,8 +288,14 @@ def _box_count(weights, sizes, target: int) -> int:
             if bit == "1":
                 acc = poly + ((acc << step) & mask)
                 a += 1
+        rest -= (m - 1) * w
+        drop = target - rest - low
+        if drop > 0:
+            acc >>= k * drop
+            mask >>= k * drop
+            low += drop
         poly = acc
-    return (poly >> k * target) & ((1 << k) - 1)
+    return poly
 
 
 def count_solutions(n: int, j: int) -> int:
@@ -363,9 +376,15 @@ def enumerate_classes(n: int, j: int) -> dict[FoldedKey, SolutionVector]:
     center (even n) over the alphabet, and the first pair sum is forced by
     the equation.  Every in-range folded vector is realizable by splitting
     each pair sum into ceil/floor halves, so the sweep sees exactly the
-    classes of actual solutions.  Each class is keyed by its
-    representative's ``key``, made with the representative's one fold and
-    equation check.
+    classes of actual solutions.
+
+    The free entries, the tail s_1, s_2, ... and then the center, are walked
+    in lexicographic order, and a class is represented by the first leaf
+    that reaches it, keyed by that leaf's ``key``.  A class {+-k * p} meets
+    its first leaf at a member whose first nonzero tail entry is negative
+    (or at the zero vector, whose tail is all zero), so while the tail is
+    zero so far only values <= 0 are tried: the leaves skipped that way,
+    half of all, never start a class.
     """
     _check_class_cell(n, j)
     hl = (n + 1) // 2
@@ -383,23 +402,28 @@ def enumerate_classes(n: int, j: int) -> dict[FoldedKey, SolutionVector]:
         max_tail[i] = max_tail[i + 1] + fold_b * weights[i]
     slack = fold_b * weights[0] + (center_b * center_w if even else 0)
 
-    found: dict[tuple[int, ...], tuple[tuple[int, ...], int | None]] = {}
+    out: dict[FoldedKey, SolutionVector] = {}
 
     def emit(half: tuple[int, ...], center: int | None) -> None:
-        comps = half if center is None else half + (center,)
-        norm, _ = _normalize_components(comps)
-        if norm not in found:
-            found[norm] = (half, center)
+        entries = [0] * (n + 1)
+        for l, s in enumerate(half):
+            entries[l] = (s + 1) // 2
+            entries[n - l] = s // 2
+        if center is not None:
+            entries[n // 2] = center
+        rep = SolutionVector(n, tuple(entries))
+        out.setdefault(rep.key, rep)
 
     # Each loop runs over the range its bound allows, by floor division:
     # lo <= s <= hi exactly when |acc + s * w| <= lim (and likewise for the
     # center, whose bound is the forced first pair sum's |s0| <= 2**j).
-    def walk(idx: int, acc: int, chosen: tuple[int, ...]) -> None:
+    # ``zero`` says every tail entry chosen so far is zero.
+    def walk(idx: int, acc: int, chosen: tuple[int, ...], zero: bool) -> None:
         if idx == hl:
             if even:
                 lo = max(-center_b, -((fold_b + acc) // center_w))
                 hi = min(center_b, (fold_b - acc) // center_w)
-                for c in range(lo, hi + 1):
+                for c in range(lo, (0 if zero else hi) + 1):
                     emit((-(acc + c * center_w),) + chosen, c)
             elif -fold_b <= acc <= fold_b:
                 emit((-acc,) + chosen, None)
@@ -408,21 +432,10 @@ def enumerate_classes(n: int, j: int) -> dict[FoldedKey, SolutionVector]:
         lim = max_tail[idx + 1] + slack
         lo = max(-fold_b, -((lim + acc) // w))
         hi = min(fold_b, (lim - acc) // w)
-        for s in range(lo, hi + 1):
-            walk(idx + 1, acc + s * w, chosen + (s,))
+        for s in range(lo, (0 if zero else hi) + 1):
+            walk(idx + 1, acc + s * w, chosen + (s,), zero and s == 0)
 
-    walk(1, 0, ())
-
-    out: dict[FoldedKey, SolutionVector] = {}
-    for half, center in found.values():
-        entries = [0] * (n + 1)
-        for l, s in enumerate(half):
-            entries[l] = (s + 1) // 2
-            entries[n - l] = s // 2
-        if center is not None:
-            entries[n // 2] = center
-        rep = SolutionVector(n, tuple(entries))
-        out[rep.key] = rep
+    walk(1, 0, (), True)
     return out
 
 

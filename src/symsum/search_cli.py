@@ -59,6 +59,10 @@ DEFAULT_OMEGA_BUDGET = 1.5e8
 # n <= 8 and j <= 3.
 CROSS_CHECK_BUDGET = 2 * 10 ** 6
 CHECKPOINT_EVERY = 10 ** 6
+# Degrees that expsum and classify accept lie below this bound. A degree set's
+# sign row holds one subset mask per weight below its period P = 2**r, about
+# P**2 / 16 bytes in all: 16 MB at top degree 16383, where expsum peaks near 32 MB.
+DEGREE_BOUND = 1 << 14
 
 # The fixed grid that verify-families checks.
 X1_K_MAX, X1_M_MAX = 16, 4
@@ -141,7 +145,10 @@ def _usage_error(prefix: str = ""):
 
 def _parse_degrees(text: str) -> SymmetricSpec:
     with _usage_error():
-        return SymmetricSpec(_parse_ints(text, "--degrees"))
+        spec = SymmetricSpec(_parse_ints(text, "--degrees"))
+    if spec.top_degree >= DEGREE_BOUND:
+        raise SystemExit2(f"--degrees needs degrees below {DEGREE_BOUND}, got {spec.top_degree}")
+    return spec
 
 
 def _parse_profile(text: str) -> tuple[int, ...]:
@@ -427,8 +434,10 @@ def run_search(campaign: Campaign, out_path: Path | None = None,
     if resume:
         if checkpoint_path is None or not checkpoint_path.exists():
             raise SystemExit2("--resume needs an existing --checkpoint file")
-        with _usage_error(f"checkpoint {checkpoint_path} is not JSON: "):
+        try:
             state = json.loads(checkpoint_path.read_bytes())
+        except (ValueError, RecursionError) as exc:  # a deep nest exhausts the decoder
+            raise SystemExit2(f"checkpoint {checkpoint_path} is not JSON: {exc}") from None
         if isinstance(state, dict) and "findings" in state:
             raise SystemExit2("checkpoint holds findings, a format that can no longer "
                               "be resumed; run the campaign again without --resume")
@@ -619,17 +628,18 @@ def cmd_omega(args) -> int:
         fh = Path(args.classes_out).open("w")
     _print_grid("class", n_values, j_values, cells, args.csv)
     if args.classes_out:
+        encode = json.JSONEncoder(sort_keys=True).encode  # json.dumps's bytes, built once
         with fh:
             for key, rep in sorted(
                 classes.items(),
                 key=lambda kv: (kv[0].is_zero, kv[0].half, kv[0].center or 0),
             ):
-                fh.write(json.dumps({
+                fh.write(encode({
                     "n": n,
                     "j": j,
                     "key": key.to_json(),
                     "realizable_example": list(rep.entries),
-                }, sort_keys=True) + "\n")
+                }) + "\n")
     return 0
 
 

@@ -62,6 +62,13 @@ MUTANTS = (
     Mutant("class key sign left negative", "src/symsum/diophantine.py",
            "if c < 0:", "if c > 0:",
            ("tests/test_diophantine.py",)),
+    Mutant("box-count window shifts out one slot too many", "src/symsum/diophantine.py",
+           "drop = target - rest - low", "drop = target - rest - low + 1",
+           ("tests/test_diophantine.py",)),
+    Mutant("class sweep keeps the sign restriction past a nonzero entry",
+           "src/symsum/diophantine.py",
+           "zero and s == 0", "zero",
+           ("tests/test_diophantine.py",)),
     Mutant("witness not halved", "src/symsum/balance.py",
            "[x // 2 for x in row] if len(values) > 1 else row", "row",
            ("tests/test_balance.py",)),

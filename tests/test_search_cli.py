@@ -145,6 +145,24 @@ def test_malformed_degrees_field_is_a_usage_error(capsys, command, text):
     assert err == f"error: --degrees needs comma-separated integers, got {text!r}\n"
 
 
+@pytest.mark.parametrize("command", ["expsum", "classify"])
+def test_degrees_past_the_bound_are_refused(capsys, monkeypatch, command):
+    # the sign row of a top degree near 10**8 would take gigabytes, so it
+    # must be refused before any subset mask is built
+    def refuse(n):
+        raise AssertionError(f"subset masks built up to {n}")
+
+    monkeypatch.setattr(expsum, "_subset_masks", refuse)
+    monkeypatch.setattr(balance, "_subset_masks", refuse)
+    code, out, err = run_main(capsys, [command, "--degrees", "100000000", "--n", "5"])
+    assert (code, out) == (2, "")
+    assert err == "error: --degrees needs degrees below 16384, got 100000000\n"
+    assert search_cli.DEGREE_BOUND == 2 ** 14
+    assert search_cli._parse_degrees("3,16383").top_degree == 16383
+    with pytest.raises(search_cli.SystemExit2, match="below 16384, got 16384"):
+        search_cli._parse_degrees("16384")
+
+
 @pytest.mark.parametrize(
     "argv, flag",
     [(["expsum", "--degrees", "3", "--n"], "--n"),
@@ -752,7 +770,7 @@ class TestSearch:
         "out_bytes inside the header", "out_bytes negative",
         "a counter negative", "candidates negative", "a negative counter in a true sum",
         "balanced not trivial plus sporadic", "more balanced than candidates",
-        "not JSON", "not UTF-8",
+        "not JSON", "not UTF-8", "nested too deep for the decoder",
     ])
     def test_resume_refuses_malformed_checkpoints(self, capsys, tmp_path, case):
         # a checkpoint is outside input: a wrong shape exits 2 before --out is touched
@@ -792,11 +810,14 @@ class TestSearch:
                 "trivial": counters["trivial"] + 10**6}},
             "not JSON": b'{"digest": ',
             "not UTF-8": b'{"digest": "\xff"}',
+            "nested too deep for the decoder": b"[" * 100_000,
         }[case]
         ck.write_bytes(bad if isinstance(bad, bytes) else json.dumps(bad).encode())
         code, stdout, err = run_main(capsys, argv + flags + ["--resume"])
         assert (code, stdout) == (2, "")
         assert err.startswith(f"error: checkpoint {ck} ")
+        if isinstance(bad, bytes):
+            assert err.startswith(f"error: checkpoint {ck} is not JSON: ")
         assert out.read_bytes() == body
 
     def test_crash_in_first_chunk_leaves_a_resumable_header(self, tmp_path, monkeypatch):
