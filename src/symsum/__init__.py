@@ -32,8 +32,6 @@ from .boolean_core import (
     anf_to_function,
     exp_sum_bruteforce,
     function_to_anf,
-    symmetric_function,
-    symmetric_sigma_eval,
     weight_profile,
 )
 from .diophantine import (
@@ -69,7 +67,6 @@ from .recurrence import (
     d0,
     d_coefficients,
     epsilon,
-    extend,
     first_violation,
     lambda_value,
     master_recurrence,

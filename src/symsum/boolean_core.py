@@ -166,13 +166,6 @@ class BooleanFunction(Record):
             raise ValueError("truth table does not fit 2**j bits")
         super().__init__(j, table)
 
-    def value(self, x: int) -> int:
-        if not 0 <= x < (1 << self.j):
-            raise ValueError(f"input {x} out of range for {self.j} variables")
-        return (self.table >> x) & 1
-
-    __call__ = value
-
     @property
     def size(self) -> int:
         """Number of inputs, 2**j."""
@@ -198,16 +191,6 @@ class BooleanFunction(Record):
     def weight(self) -> int:
         """Number of inputs where the function is 1."""
         return self.table.bit_count()
-
-    def restrict_is_symmetric(self) -> bool:
-        """True when the value depends only on the input weight."""
-        by_weight: dict[int, int] = {}
-        for x in range(self.size):
-            w = x.bit_count()
-            v = (self.table >> x) & 1
-            if by_weight.setdefault(w, v) != v:
-                return False
-        return True
 
 
 def anf_to_function(expr: AnfExpression, j: int) -> BooleanFunction:
@@ -285,47 +268,6 @@ def weight_profile(f: BooleanFunction) -> WeightProfile:
     for x in range(f.size):
         values[x.bit_count()] += 1 - 2 * ((f.table >> x) & 1)
     return WeightProfile(f.j, tuple(values))
-
-
-def symmetric_sigma_eval(n: int, degrees, x: int) -> int:
-    """Value at input x of the XOR of elementary symmetric functions.
-
-    ``degrees`` lists the elementary degrees; the result is the GF(2) sum of
-    the elementary symmetric polynomials of those degrees in n variables,
-    evaluated at the assignment packed into x.
-    """
-    if n < 1:
-        raise ValueError("need at least one variable")
-    if not 0 <= x < (1 << n):
-        raise ValueError(f"input {x} out of range for {n} variables")
-    w = x.bit_count()
-    v = 0
-    for k in degrees:
-        # The weight-w slice of the degree-k elementary symmetric function
-        # sums C(w, k) monomials, so its value is the parity of C(w, k).
-        if k < 0:
-            raise ValueError("degrees must be nonnegative")
-        if k & ~w == 0:
-            v ^= 1
-    return v
-
-
-def symmetric_function(n: int, degrees) -> BooleanFunction:
-    """Truth table of the XOR of elementary symmetric functions."""
-    if not 1 <= n <= MAX_VARIABLES:
-        raise ValueError(f"variable count must be in 1..{MAX_VARIABLES}, got {n}")
-    degs = tuple(degrees)
-    parity_by_weight = [0] * (n + 1)
-    for w in range(n + 1):
-        v = 0
-        for k in degs:
-            if k & ~w == 0:
-                v ^= 1
-        parity_by_weight[w] = v
-    table = 0
-    for x in range(1 << n):
-        table |= parity_by_weight[x.bit_count()] << x
-    return BooleanFunction(n, table)
 
 
 def all_functions(j: int):

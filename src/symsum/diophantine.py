@@ -72,9 +72,6 @@ class GammaAlphabet(Record):
             return x in (-1, 1)
         return abs(x) <= self.bound
 
-    def __len__(self) -> int:
-        return 2 if self.j == 0 else 2 * self.bound + 1
-
 
 class SolutionVector(Record):
     """Entries x_0..x_n with sum of x_l * C(n, l) equal to zero, and ``key``,
@@ -237,7 +234,7 @@ def enumerate_trivial_solutions(n: int, j: int):
 
 def direct_enumeration_metric(n: int, j: int) -> int:
     """Size of the raw search space for full enumeration."""
-    return (2 if j == 0 else (1 << j) + 1) ** (n + 1)  # len() stops at sys.maxsize
+    return (2 if j == 0 else (1 << j) + 1) ** (n + 1)  # an alphabet member per entry x_0..x_n
 
 
 def class_enumeration_metric(n: int, j: int) -> int:

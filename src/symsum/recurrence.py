@@ -88,29 +88,6 @@ class RecurrencePoly(Record):
         _, rem = _poly_divmod(other.coeffs, self.coeffs)
         return rem == (0,)
 
-    def expanded(self) -> str:
-        if self.degree == 0:
-            return "1"
-        parts: list[str] = []
-        for d in range(self.degree, -1, -1):
-            c = self.coeffs[d]
-            if c == 0:
-                continue
-            mag = abs(c)
-            if d == 0:
-                body = str(mag)
-            else:
-                x = "X" if d == 1 else f"X^{d}"
-                body = x if mag == 1 else f"{mag}*{x}"
-            if not parts:
-                parts.append(body if c > 0 else f"-{body}")
-            else:
-                parts.append(f"+ {body}" if c > 0 else f"- {body}")
-        return " ".join(parts)
-
-    def __str__(self) -> str:
-        return self.label if self.label else self.expanded()
-
 
 def _binomial_shift_factor(width: int) -> RecurrencePoly:
     """((X-1)^width + 1) for an even width."""
@@ -192,23 +169,6 @@ def first_violation(seq, poly: RecurrencePoly) -> int | None:
 def satisfies(seq, poly: RecurrencePoly) -> bool:
     """Whether the sequence satisfies the recurrence at every checked index."""
     return first_violation(seq, poly) is None
-
-
-def extend(seed, poly: RecurrencePoly, count: int) -> list[int]:
-    """Continue a sequence by the recurrence; returns seed plus count values."""
-    vals = list(seed)
-    deg = poly.degree
-    if len(vals) < deg:
-        raise ValueError(f"seed must hold at least {deg} values")
-    for _ in range(count):
-        if deg == 0:
-            vals.append(0)
-            continue
-        acc = 0
-        for d in range(deg):
-            acc += poly.coeffs[d] * vals[len(vals) - deg + d]
-        vals.append(-acc)
-    return vals
 
 
 def minimality_certificate(k: int, horizon: int) -> bool:

@@ -59,9 +59,10 @@ DEFAULT_OMEGA_BUDGET = 1.5e8
 # n <= 8 and j <= 3.
 CROSS_CHECK_BUDGET = 2 * 10 ** 6
 CHECKPOINT_EVERY = 10 ** 6
-# Degrees that expsum and classify accept lie below this bound. A degree set's
-# sign row holds one subset mask per weight below its period P = 2**r, about
-# P**2 / 16 bytes in all: 16 MB at top degree 16383, where expsum peaks near 32 MB.
+# Degrees that expsum, classify and conjecture-scan accept lie below this
+# bound. A degree set's sign row holds one subset mask per weight below its
+# period P = 2**r, about P**2 / 16 bytes in all: 16 MB at top degree 16383,
+# where expsum peaks near 32 MB.
 DEGREE_BOUND = 1 << 14
 
 # The fixed grid that verify-families checks.
@@ -415,13 +416,15 @@ def run_search(campaign: Campaign, out_path: Path | None = None,
     returns the counters and the number of findings recorded.
 
     Degree sets are processed in chunks by leading degree, in order, so
-    findings come in lex order of degree sets.  They are kept only in
-    ``out_path``: its header first, then each chunk's findings as soon as
-    the chunk is done.  A checkpoint (protected by the campaign digest) is
-    written before the first chunk, after a chunk once at least
+    findings come in lex order of degree sets; the chunks past the largest
+    top degree that n_max admits hold no cell and are skipped.  Findings are
+    kept only in ``out_path``: its header first, then each chunk's findings
+    as soon as the chunk is done.  A checkpoint (protected by the campaign
+    digest) is written before the first chunk, after a chunk once at least
     CHECKPOINT_EVERY candidates were scanned since the previous write, and
-    after the last; resuming cuts ``out_path`` back to the length recorded
-    there and skips the recorded number of finished chunks.
+    at the end, with every chunk done; resuming cuts ``out_path`` back to
+    the length recorded there and skips the recorded number of finished
+    chunks.
     """
     if out_path is not None and checkpoint_path is not None and out_path.resolve() in (
             checkpoint_path.resolve(), _checkpoint_tmp(checkpoint_path).resolve()):
@@ -484,17 +487,21 @@ def run_search(campaign: Campaign, out_path: Path | None = None,
         if checkpoint_path is not None:  # fail before the first chunk, not after the last
             _write_checkpoint(checkpoint_path, digest, start_chunk, counters, out)
         last_checkpoint = counters.candidates
-        for lead in range(start_chunk + 1, campaign.k_max + 1):
+        # No cell's top degree, so no chunk's lead, passes the top degree at
+        # n_max variables for j = 0: j cancels out of both conventions.
+        last_lead = campaign.top_degree(campaign.n_max, 0)
+        for lead in range(start_chunk + 1, last_lead + 1):
             chunk_counters, findings = _scan_leading_degree(campaign, lead)
             counters.add(chunk_counters)
             if out is not None:
                 out.writelines(json.dumps(rec.to_record(), sort_keys=True).encode() + b"\n"
                                for rec in findings)
-            if checkpoint_path is not None and (
-                lead == campaign.k_max or counters.candidates - last_checkpoint >= CHECKPOINT_EVERY
-            ):
+            if checkpoint_path is not None and lead < last_lead and (
+                    counters.candidates - last_checkpoint >= CHECKPOINT_EVERY):
                 _write_checkpoint(checkpoint_path, digest, lead, counters, out)
                 last_checkpoint = counters.candidates
+        if checkpoint_path is not None:  # the chunks past last_lead are empty, so done
+            _write_checkpoint(checkpoint_path, digest, campaign.k_max, counters, out)
     return counters, counters.sporadic if campaign.sporadic_only else counters.balanced
 
 
@@ -607,9 +614,7 @@ def cmd_gamma(args) -> int:
 
 def cmd_omega(args) -> int:
     n_values = _parse_range(args.n, "--n", 1)
-    j_values = _parse_range(args.j, "--j")
-    if min(j_values) < 1:
-        raise SystemExit2("classes need j >= 1")
+    j_values = _parse_range(args.j, "--j", 1)
     if args.classes_out and (len(n_values) != 1 or len(j_values) != 1):
         raise SystemExit2("--classes-out needs a single n and a single j")
     cells = {
@@ -809,6 +814,8 @@ def cmd_conjecture_scan(args) -> int:
         raise SystemExit2(f"--k-min needs a degree >= 1, got {args.k_min}")
     if args.k_min > args.k_max or args.n_max < 2:
         raise SystemExit2(f"nothing to scan: degrees {args.k_min}..{args.k_max}, n 2..{args.n_max}")
+    if args.k_max >= DEGREE_BOUND:
+        raise SystemExit2(f"--k-max needs a degree below {DEGREE_BOUND}, got {args.k_max}")
     rows = []
     off_residue = 0
     profile = WeightProfile(1, X1_PROFILE)

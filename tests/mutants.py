@@ -82,6 +82,10 @@ MUTANTS = (
     Mutant("mirrored hit not counted trivial", "src/symsum/search_cli.py",
            "counters.trivial += 1\n                    continue", "continue",
            ("tests/test_census_engine.py::test_mirror_counted_hits_are_zero_class_trivial",)),
+    Mutant("chunk loop stops one lead early", "src/symsum/search_cli.py",
+           "range(start_chunk + 1, last_lead + 1)", "range(start_chunk + 1, last_lead)",
+           ("tests/test_search_cli.py::TestSearch"
+            "::test_chunks_past_the_largest_top_degree_are_skipped",)),
     Mutant("ValueError back in main's exit-2 clause", "src/symsum/search_cli.py",
            "except (SystemExit2, OSError) as exc:",
            "except (SystemExit2, ValueError, OSError) as exc:",
@@ -90,6 +94,10 @@ MUTANTS = (
            "if metric > CROSS_CHECK_BUDGET:", "if False:",
            ("tests/test_search_cli.py::TestGammaCommand"
             "::test_cross_check_skips_cells_over_the_recount_bound",)),
+    Mutant("conjecture-scan admits a degree at its bound", "src/symsum/search_cli.py",
+           "if args.k_max >= DEGREE_BOUND:", "if args.k_max > DEGREE_BOUND:",
+           ("tests/test_search_cli.py::TestVerificationCommands"
+            "::test_conjecture_scan_degree_past_the_bound_is_refused",)),
     Mutant("spaces deleted inside a list field", "src/symsum/search_cli.py",
            'text.split(",")', 'text.replace(" ", "").split(",")',
            ("tests/test_search_cli.py::test_malformed_degrees_field_is_a_usage_error",)),

@@ -1,8 +1,7 @@
-"""Truth tables, input syntax, weight sums, and symmetric evaluation."""
+"""Truth tables, input syntax and weight sums."""
 
 from __future__ import annotations
 
-import itertools
 from math import comb
 
 import pytest
@@ -21,8 +20,6 @@ from symsum import (
     exp_sum_bruteforce,
     function_to_anf,
     main,
-    symmetric_function,
-    symmetric_sigma_eval,
     weight_profile,
 )
 
@@ -168,39 +165,6 @@ class TestWeightProfile:
     def test_invalid_profiles_rejected(self, j, values):
         with pytest.raises(ValueError):
             WeightProfile(j, values)
-
-
-# ---------------------------------------------------------------------------
-# symmetric evaluation
-# ---------------------------------------------------------------------------
-
-class TestSymmetricSigmaEval:
-    def test_top_degree_at_full_weight(self):
-        assert symmetric_sigma_eval(4, (3,), 0b0111) == 1
-
-    def test_mixed_degrees_weight_two(self):
-        # C(2,2) + C(2,1) = 3, odd
-        assert symmetric_sigma_eval(3, (1, 2), 0b101) == 1
-
-    def test_weight_zero_is_zero(self):
-        for degrees in ((1,), (2, 3), (4,)):
-            assert symmetric_sigma_eval(6, degrees, 0) == 0
-
-    @pytest.mark.parametrize("n,degrees", [(5, (2,)), (6, (1, 4)), (6, (3, 5, 6))])
-    def test_against_subset_counting(self, n, degrees):
-        # parity of the number of k-subsets of the support, summed over k
-        for x in range(1 << n):
-            support = [i for i in range(n) if (x >> i) & 1]
-            count = sum(
-                sum(1 for _ in itertools.combinations(support, k)) for k in degrees
-            )
-            assert symmetric_sigma_eval(n, degrees, x) == count % 2
-
-    def test_symmetric_function_table_matches_eval(self):
-        f = symmetric_function(6, (2, 3))
-        for x in range(64):
-            assert f.value(x) == symmetric_sigma_eval(6, (2, 3), x)
-        assert f.restrict_is_symmetric()
 
 
 # ---------------------------------------------------------------------------

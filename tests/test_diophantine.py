@@ -94,16 +94,16 @@ class TestGammaAlphabet:
     def test_level_zero_is_signs_only(self):
         a = GammaAlphabet(0)
         assert a.members == (-1, 1)
-        assert len(a) == 2
+        assert len(a.members) == 2
         assert 1 in a and -1 in a and 0 not in a
 
     def test_positive_levels(self):
         a = GammaAlphabet(2)
         assert a.bound == 2
         assert a.members == (-2, -1, 0, 1, 2)
-        assert len(a) == 5
+        assert len(a.members) == 5
         assert 2 in a and -2 in a and 3 not in a
-        assert len(GammaAlphabet(5)) == 33
+        assert len(GammaAlphabet(5).members) == 33
 
     def test_negative_level_rejected(self):
         with pytest.raises(ValueError):

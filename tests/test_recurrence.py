@@ -23,7 +23,6 @@ from symsum import (
     epsilon,
     exp_sum_profile,
     exp_sum_symmetric,
-    extend,
     first_violation,
     lambda_value,
     master_recurrence,
@@ -110,13 +109,9 @@ class TestMinCharPoly:
             r = max(k.bit_length(), 1)
             assert min_char_poly(k).divides(master_recurrence(r))
 
-    def test_expanded_rendering(self):
-        assert min_char_poly(2).expanded() == "X^2 - 2*X + 2"
-        assert min_char_poly(1).expanded() == "1"
-
 
 # ---------------------------------------------------------------------------
-# recurrence checking and continuation
+# recurrence checking
 # ---------------------------------------------------------------------------
 
 class TestSatisfies:
@@ -139,31 +134,6 @@ class TestSatisfies:
     def test_degree_one_sequences_vanish_from_the_start(self):
         assert sign_sum_row(1, 20) == [0] * 20
         assert satisfies(sign_sum_row(1, 20), min_char_poly(1))
-
-
-class TestExtend:
-    def test_perturbed_degree_four_row(self):
-        # single-flip perturbation of the degree-4 function, starting at four
-        # total variables; the continuation reproduces the direct values
-        got = extend([0, 0, 2, 8], min_char_poly(4), 5)
-        assert got == [0, 0, 2, 8, 20, 40, 68, 96, 96]
-
-    def test_doubling(self):
-        assert extend([2], RecurrencePoly((-2, 1)), 3) == [2, 4, 8, 16]
-
-    def test_degree_zero_appends_zeros(self):
-        assert extend([], RecurrencePoly((1,)), 4) == [0, 0, 0, 0]
-
-    def test_short_seed_rejected(self):
-        with pytest.raises(ValueError):
-            extend([1, 2], min_char_poly(4), 1)
-
-    def test_matches_direct_values(self):
-        for k in (2, 3, 4, 6, 7, 8):
-            poly = min_char_poly(k)
-            direct = sign_sum_row(k, poly.degree + 12)
-            seeded = extend(direct[: poly.degree], poly, 12)
-            assert seeded == direct
 
 
 class TestMinimality:

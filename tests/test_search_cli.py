@@ -185,6 +185,7 @@ def test_malformed_range_is_a_usage_error(capsys, argv, flag, text):
     (["gamma", "--n", "1", "--j", "-1"], "--j needs values >= 0, got '-1'"),
     (["omega", "--n", "0", "--j", "1"], "--n needs values >= 1, got '0'"),
     (["omega", "--n", "0..3", "--j", "1"], "--n needs values >= 1, got '0..3'"),
+    (["omega", "--n", "3", "--j", "0..2"], "--j needs values >= 1, got '0..2'"),
 ])
 def test_range_below_its_flags_least_value_is_a_usage_error(capsys, argv, message):
     # checked here, not left to the library's "need n >= 1" or to a negative shift
@@ -613,6 +614,41 @@ class TestSearch:
             capsys, argv + ["--expect-sporadic", str(summary["sporadic"])]
         )
         assert code2 == 0
+
+    @pytest.mark.parametrize("convention, chunks", [("total", 4), ("inner", 5)])
+    def test_chunks_past_the_largest_top_degree_are_skipped(
+        self, capsys, tmp_path, monkeypatch, convention, chunks
+    ):
+        # at n_max = 5 no cell has a top degree above 4 (total) or 5 (inner)
+        leads = []
+        scan = search_cli._scan_leading_degree
+
+        def counted_scan(campaign, lead):
+            leads.append(lead)
+            return scan(campaign, lead)
+
+        monkeypatch.setattr(search_cli, "_scan_leading_degree", counted_scan)
+        ck = tmp_path / "ck.json"
+        argv = ["search", "--n-max", "5", "--n-convention", convention]
+        code, out, _ = run_main(capsys, argv + ["--k-max", "1000", "--checkpoint", str(ck)])
+        assert code == 0
+        assert leads == list(range(1, chunks + 1))
+        assert json.loads(ck.read_text())["chunks_done"] == 1000
+        assert run_main(capsys, argv + ["--k-max", str(chunks)]) == (0, out, "")
+
+    def test_campaign_without_a_cell_checkpoints_every_chunk_done(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        def no_scan(campaign, lead):
+            raise AssertionError(f"chunk {lead} scanned")
+
+        monkeypatch.setattr(search_cli, "_scan_leading_degree", no_scan)
+        ck = tmp_path / "ck.json"
+        argv = ["search", "--k-max", "9", "--n-max", "1", "--checkpoint", str(ck)]
+        code, out, _ = run_main(capsys, argv)
+        assert code == 0
+        assert json.loads(out)["candidates"] == 0
+        assert json.loads(ck.read_text())["chunks_done"] == 9
 
     def test_checkpoint_and_resume(self, capsys, tmp_path):
         ck = tmp_path / "ck.json"
@@ -1070,6 +1106,18 @@ class TestVerificationCommands:
         code, out, err = run_main(capsys, ["conjecture-scan"] + flags)
         assert (code, out) == (2, "")
         assert err.startswith(f"error: {message}")
+
+    def test_conjecture_scan_degree_past_the_bound_is_refused(self, capsys, monkeypatch):
+        # at k = 2**18 the sweep took gigabytes, so no sweep may start
+        def refuse(*args):
+            raise AssertionError("sweep started")
+
+        monkeypatch.setattr(search_cli, "classify_range", refuse)
+        code, out, err = run_main(
+            capsys, ["conjecture-scan", "--k-min", "16384", "--k-max", "16384", "--n-max", "2"]
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: --k-max needs a degree below 16384, got 16384\n"
 
     def test_conjecture_scan_matches_per_index_classification(self, capsys):
         code, out, _ = run_main(capsys, ["conjecture-scan", "--k-max", "8", "--n-max", "120"])
