@@ -24,6 +24,7 @@ from .expsum import (
     delta_row,
     delta_vector,
     periodic_binomial_sums,
+    sign_row,
 )
 
 
@@ -110,8 +111,8 @@ def classify_range(spec: SymmetricSpec, profile: WeightProfile, n_lo: int, n_hi:
                                      BalanceStatus.NOT_BALANCED, None, None)
                 continue
             if row is None:
-                row = witness_row(spec.degrees, profile.values, n_hi - j + 1,
-                                  _subset_masks(n_hi))
+                row = witness_row(sign_row(_subset_masks(n_hi), spec.degrees),
+                                  profile.values, n_hi - j + 1)
             inner_n = n_total - j
             yield classify_zero(
                 spec.degrees, j, n_total, perturbation,
@@ -124,13 +125,12 @@ def classify_range(spec: SymmetricSpec, profile: WeightProfile, n_lo: int, n_hi:
     return verdicts()
 
 
-def witness_row(degrees: tuple[int, ...], values: tuple[int, ...], length: int,
-                masks: list[int]) -> list[int]:
+def witness_row(signs: list[int], values: tuple[int, ...], length: int) -> list[int]:
     """``delta_row`` of the profile ``values`` at indices 0..length - 1, halved
     when it perturbs j >= 1 variables: the presentation-scale witness of a
     zero at inner_n = length - 1, and of any smaller inner_n as its prefix.
-    ``masks`` is ``_subset_masks`` of length + j - 1 or more."""
-    row = delta_row(degrees, values, length, masks)
+    ``signs`` is the degree set's ``sign_row`` of length + j - 1 or more weights."""
+    row = delta_row(signs, values, length)
     return [x // 2 for x in row] if len(values) > 1 else row
 
 
@@ -163,26 +163,6 @@ def mirror_parity(values: tuple[int, ...]) -> int | None:
     if reverse == tuple(-c for c in values):
         return 0
     return None
-
-
-def sign_bits_mirror(masks: list[int], degrees: tuple[int, ...], n_total: int,
-                     parity: int) -> bool:
-    """Whether the sign bits b_t of the degree set obey b_t XOR b_(N-t) =
-    ``parity`` for every t <= N = n_total (``masks`` as for witness_row:
-    ``_subset_masks`` of n_total or more).
-
-    With s_t = (-1)**b_t that is s_(N-t) = -eps * s_t, for a profile c of
-    mirror parity ``parity`` on j variables.  Its witness x_l = sum over m
-    of c_m * s_(l+m) is then antisymmetric: x_(N-j-l) = sum over m of
-    c_(j-m) * s_(N-l-m) = eps * sum over m of c_m * (-eps) * s_(l+m) = -x_l.
-    So the sign sum vanishes and the witness folds to zero: a trivial
-    balanced perturbation, shown by the symmetry alone, without the witness.
-    """
-    degree_mask = sum(1 << k for k in degrees)
-    return all(
-        ((masks[t] ^ masks[n_total - t]) & degree_mask).bit_count() & 1 == parity
-        for t in range(n_total // 2 + 1)
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -263,6 +243,19 @@ def parity_function(j: int) -> BooleanFunction:
     return BooleanFunction(j, table)
 
 
+def _expect_verdict(spec: SymmetricSpec, profile: WeightProfile, n_total: int,
+                    status: BalanceStatus, key=None) -> None:
+    """``classify`` at n_total; VerificationError unless the verdict has
+    ``status`` and, when ``key`` is given, that class key."""
+    verdict = classify(spec, profile, n_total)
+    where = f"degrees {list(spec.degrees)}, index {n_total}, profile {list(profile.values)}"
+    if verdict.status is not status:
+        raise VerificationError(f"{where}: expected {status.value}, got "
+                                f"{verdict.status.value} (sign sum {verdict.sign_sum})")
+    if key is not None and verdict.key != key:
+        raise VerificationError(f"{where}: witness outside the expected solution class")
+
+
 def verify_x1_family(k: int, m_values) -> list[int]:
     """Verify the single-variable perturbation of degree k is trivially
     balanced at every index 2**r * m + k - 1.
@@ -278,12 +271,7 @@ def verify_x1_family(k: int, m_values) -> list[int]:
         if m < 1:
             raise ValueError("family parameter m must be positive")
         n_total = spec.period * m + k - 1
-        verdict = classify(spec, profile, n_total)
-        if verdict.status is not BalanceStatus.TRIVIAL:
-            raise VerificationError(
-                f"degree {k}, index {n_total}: expected trivial balance, got "
-                f"{verdict.status.value} (sign sum {verdict.sign_sum})"
-            )
+        _expect_verdict(spec, profile, n_total, BalanceStatus.TRIVIAL)
         out.append(n_total)
     return out
 
@@ -307,12 +295,7 @@ def verify_even_linear_family(l: int, D: int, m: int) -> tuple[int, int]:
         raise ValueError("perturbation does not fit below the first index")
     profile = weight_profile(parity_function(j))
     for n_total, k in ((n1, 1 << l), (n2, (1 << l) + 1)):
-        verdict = classify(SymmetricSpec((k,)), profile, n_total)
-        if verdict.status is not BalanceStatus.TRIVIAL:
-            raise VerificationError(
-                f"degree {k}, index {n_total}, parity width {j}: expected trivial "
-                f"balance, got {verdict.status.value} (sign sum {verdict.sign_sum})"
-            )
+        _expect_verdict(SymmetricSpec((k,)), profile, n_total, BalanceStatus.TRIVIAL)
     return n1, n2
 
 
@@ -325,21 +308,9 @@ def periodic_propagation(spec: SymmetricSpec, profile: WeightProfile, n_total: i
     """
     if m_max < 0:
         raise ValueError("need m_max >= 0")
-    base = classify(spec, profile, n_total)
-    if base.status is not BalanceStatus.TRIVIAL:
-        raise VerificationError(
-            f"base index {n_total} is {base.status.value}, not trivially balanced"
-        )
-    out = [n_total]
-    for m in range(1, m_max + 1):
-        n = n_total + m * spec.period
-        verdict = classify(spec, profile, n)
-        if verdict.status is not BalanceStatus.TRIVIAL:
-            raise VerificationError(
-                f"propagated index {n}: expected trivial balance, got "
-                f"{verdict.status.value} (sign sum {verdict.sign_sum})"
-            )
-        out.append(n)
+    out = [n_total + m * spec.period for m in range(m_max + 1)]
+    for n in out:
+        _expect_verdict(spec, profile, n, BalanceStatus.TRIVIAL)
     return out
 
 

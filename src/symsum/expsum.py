@@ -167,17 +167,15 @@ class DeltaVector(Record):
         return self.values[l & (self.period - 1)]
 
 
-def delta_row(degrees, values, length: int, masks: list[int] | None = None) -> list[int]:
-    """sum over m of values[m] * sign(l + m) for l < length: the weights that
+def delta_row(signs, values, length: int) -> list[int]:
+    """sum over m of values[m] * signs[l + m] for l < length: the weights that
     the perturbation with weight profile ``values`` lays on the binomial row.
-    ``masks`` is ``_subset_masks`` of length + j - 1 or more (j = len(values)
-    - 1), of which only that prefix is read; None builds it.
+    ``signs`` is a ``sign_row`` of length + j - 1 or more weights (j =
+    len(values) - 1); the entries past that are not read.
 
     This is the one place where a profile meets the Lucas signs.
     """
     row = [0] * length
-    width = length + len(values) - 1
-    signs = sign_row(_subset_masks(width - 1) if masks is None else masks[:width], degrees)
     for m, c in enumerate(values):
         row = [x + c * s for x, s in zip(row, signs[m:])]
     return row
@@ -185,7 +183,8 @@ def delta_row(degrees, values, length: int, masks: list[int] | None = None) -> l
 
 def delta_vector(spec: SymmetricSpec, profile: WeightProfile) -> DeltaVector:
     """Periodic weight vector of a perturbation given by its weight profile."""
-    return DeltaVector(profile.j, spec.r, delta_row(spec.degrees, profile.values, spec.period))
+    signs = sign_row(_subset_masks(spec.period + profile.j - 1), spec.degrees)
+    return DeltaVector(profile.j, spec.r, delta_row(signs, profile.values, spec.period))
 
 
 def exp_sum_profile(spec: SymmetricSpec, profile: WeightProfile, inner_n: int) -> int:

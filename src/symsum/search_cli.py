@@ -15,19 +15,19 @@ import json
 import os
 import sys
 from math import comb
+from operator import add, sub
 from pathlib import Path
 
 from .balance import (
     BalanceStatus,
     BalanceVerdict,
     VerificationError,
-    classify,
+    _expect_verdict,
     classify_range,
     classify_zero,
     luca_szalay_gap,
     mirror_parity,
     periodic_propagation,
-    sign_bits_mirror,
     singmaster_gap,
     verify_even_linear_family,
     verify_x1_family,
@@ -49,6 +49,7 @@ from .expsum import (
     _subset_masks,
     delta_vector,
     periodic_binomial_sums,
+    sign_row,
 )
 
 DEFAULT_GAMMA_BUDGET = 3.2e8
@@ -59,11 +60,12 @@ DEFAULT_OMEGA_BUDGET = 1.5e8
 # n <= 8 and j <= 3.
 CROSS_CHECK_BUDGET = 2 * 10 ** 6
 CHECKPOINT_EVERY = 10 ** 6
-# Degrees that expsum, classify and conjecture-scan accept lie below this
-# bound. A degree set's sign row holds one subset mask per weight below its
-# period P = 2**r, about P**2 / 16 bytes in all: 16 MB at top degree 16383,
-# where expsum peaks near 32 MB.
-DEGREE_BOUND = 1 << 14
+# Degrees and variable counts that expsum, classify and conjecture-scan accept
+# lie below these bounds. A degree set's sign row holds one subset mask per
+# weight below its period P = 2**r, about P**2 / 16 bytes in all: 16 MB at top
+# degree 16383, where expsum peaks near 32 MB. README gives the cost of a
+# classify sweep up to N_BOUND.
+DEGREE_BOUND = N_BOUND = 1 << 14
 
 # The fixed grid that verify-families checks.
 X1_K_MAX, X1_M_MAX = 16, 4
@@ -112,8 +114,9 @@ SPORADIC_WITNESSES_N9_X1X2 = {
 }
 
 
-def _parse_range(text: str, flag: str, least: int | None = None) -> list[int]:
-    """The integers of '5' or '2..10', the value of ``flag``, none below ``least``."""
+def _parse_range(text: str, flag: str, least: int | None = None,
+                 below: int | None = None) -> list[int]:
+    """The integers of '5' or '2..10', the value of ``flag``, in [least, below)."""
     lo, dots, hi = text.partition("..")
     try:
         a, b = int(lo), int(hi if dots else lo)
@@ -123,7 +126,21 @@ def _parse_range(text: str, flag: str, least: int | None = None) -> list[int]:
         raise SystemExit2(f"{flag} needs lo <= hi, got {text!r}")
     if least is not None and a < least:
         raise SystemExit2(f"{flag} needs values >= {least}, got {text!r}")
+    if below is not None and b >= below:
+        raise SystemExit2(f"{flag} needs values below {below}, got {text!r}")
     return list(range(a, b + 1))
+
+
+@contextlib.contextmanager
+def _any_digits():
+    """Lift Python's limit of 4300 digits on int-to-text conversion while
+    output is printed; flags are converted before, so a longer one is still refused."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def _parse_ints(text: str, flag: str) -> tuple[int, ...]:
@@ -373,9 +390,14 @@ def _scan_leading_degree(campaign: Campaign, lead: int) -> tuple[ScanCounters, l
     the lex order of degree sets that the output format fixes.
 
     One ``_subset_masks`` list, for the largest variable count, serves every
-    cell (the list for n is a prefix of the list for any larger n).  With
-    ``sporadic_only``, a hit whose sign bits mirror (``sign_bits_mirror``)
-    under a reversal-symmetric profile is counted trivial without a witness.
+    cell (the list for n is a prefix of the list for any larger n).  Each hit
+    builds one ``sign_row`` s_0..s_N (N = n_total), which the mirror test and
+    the witness x_l = sum over m of c_m * s_(l+m) both read.  With
+    ``sporadic_only`` and a profile c on j variables whose reversal is eps * c
+    (``mirror_parity`` gives [eps = +1]), a hit whose signs mirror, s_(N-t) =
+    -eps * s_t for every t, is counted trivial without a witness: x_(N-j-l) =
+    sum over m of c_(j-m) * s_(N-l-m) = eps * sum over m of c_m * (-eps) *
+    s_(l+m) = -x_l, so the sign sum vanishes and the witness folds to zero.
     """
     counters = ScanCounters()
     masks = _subset_masks(max((n for _, values in campaign.perturbations
@@ -383,20 +405,21 @@ def _scan_leading_degree(campaign: Campaign, lead: int) -> tuple[ScanCounters, l
     findings = []
     for index, (desc, values) in enumerate(campaign.perturbations):
         j = len(values) - 1
-        parity = mirror_parity(values) if campaign.sporadic_only else None
+        mirror = {1: add, 0: sub}.get(mirror_parity(values)) if campaign.sporadic_only else None
         for n_total in campaign.n_totals(lead, j):
             top = campaign.top_degree(n_total, j)
             counters.candidates += 1 << (top - lead)
             for degs in _balanced_degree_sets(lead, top, values, n_total - j, masks):
                 counters.balanced += 1
-                if parity is not None and sign_bits_mirror(masks, degs, n_total, parity):
+                signs = sign_row(masks[:n_total + 1], degs)
+                if mirror and not any(map(mirror, signs, reversed(signs))):
                     counters.trivial += 1
                     continue
                 verdict = classify_zero(
                     degs, j, n_total, desc,
                     f"census engine and classifier disagree on degrees {list(degs)} "
                     f"at n={n_total} ({desc})",
-                    witness_row(degs, values, n_total - j + 1, masks),
+                    witness_row(signs, values, n_total - j + 1),
                 )
                 if verdict.status is BalanceStatus.SPORADIC:
                     counters.sporadic += 1
@@ -441,9 +464,6 @@ def run_search(campaign: Campaign, out_path: Path | None = None,
             state = json.loads(checkpoint_path.read_bytes())
         except (ValueError, RecursionError) as exc:  # a deep nest exhausts the decoder
             raise SystemExit2(f"checkpoint {checkpoint_path} is not JSON: {exc}") from None
-        if isinstance(state, dict) and "findings" in state:
-            raise SystemExit2("checkpoint holds findings, a format that can no longer "
-                              "be resumed; run the campaign again without --resume")
         kinds = {"digest": (str,), "chunks_done": (int,), "counters": (dict,),
                  "out_bytes": (int, type(None))}
         if (not isinstance(state, dict) or not kinds.keys() <= state.keys()
@@ -539,29 +559,31 @@ def _write_checkpoint(path: Path, digest: str, chunks_done: int,
 def cmd_expsum(args) -> int:
     spec = _parse_degrees(args.degrees)
     desc, profile = _perturbation_from_args(args)
-    n_values = _parse_range(args.n, "--n")  # ascending, so the first is the smallest
+    n_values = _parse_range(args.n, "--n", below=N_BOUND)  # ascending
     if n_values[0] <= profile.j:
         raise SystemExit2(f"n={n_values[0]} does not exceed the perturbed block j={profile.j}")
     sums = periodic_binomial_sums(
         delta_vector(spec, profile).values, n_values[0] - profile.j, n_values[-1] - profile.j
     )
-    for n_total, s in zip(n_values, sums):
-        if args.json:
-            print(json.dumps({"n": n_total, "degrees": list(spec.degrees),
-                              "perturbation": desc, "S": s}, sort_keys=True))
-        else:
-            print(f"{n_total} {s}")
+    with _any_digits():
+        for n_total, s in zip(n_values, sums):
+            if args.json:
+                print(json.dumps({"n": n_total, "degrees": list(spec.degrees),
+                                  "perturbation": desc, "S": s}, sort_keys=True))
+            else:
+                print(f"{n_total} {s}")
     return 0
 
 
 def cmd_classify(args) -> int:
     spec = _parse_degrees(args.degrees)
     desc, profile = _perturbation_from_args(args)
-    n_values = _parse_range(args.n, "--n")  # ascending, so the first is the smallest
+    n_values = _parse_range(args.n, "--n", below=N_BOUND)  # ascending
     if n_values[0] <= profile.j:
         raise SystemExit2(f"n={n_values[0]} does not exceed the perturbed block j={profile.j}")
-    for verdict in classify_range(spec, profile, n_values[0], n_values[-1], desc):
-        print(json.dumps(verdict.to_record(), sort_keys=True))
+    with _any_digits():
+        for verdict in classify_range(spec, profile, n_values[0], n_values[-1], desc):
+            print(json.dumps(verdict.to_record(), sort_keys=True))
     return 0
 
 
@@ -690,9 +712,9 @@ def _regenerate_witness_table(n_total: int, profile_values: tuple[int, ...]):
 
 def cmd_tables(args) -> int:
     # Every witness in both tables lies in one solution class on 7 points:
-    # the class of x_4 = 1, x_5 = -2, x_6 = 1.  Printed reference vectors are
-    # class representatives, so rows are compared by class, not verbatim.
-    shared_class = SolutionVector(7, (0, 0, 0, 0, 1, -2, 1, 0)).key
+    # the class of x_4 = 1, x_5 = -2, x_6 = 1, which every reference row
+    # folds to.  Printed reference vectors are class representatives, so rows
+    # are compared by class, not verbatim.
     failures = 0
     for label, n_total, prof, expected in (
         ("single flip, 8 variables", 8, X1_PROFILE, SPORADIC_WITNESSES_N8_X1),
@@ -702,20 +724,14 @@ def cmd_tables(args) -> int:
         got = _regenerate_witness_table(n_total, prof)
         print(f"# sporadic witnesses: {label}")
         for degs in sorted(got):
-            wit = ",".join(str(v) for v in got[degs])
-            print(f"degrees=[{','.join(map(str, degs))}] witness=({wit})")
-        problems: list[str] = []
-        missing = sorted(set(expected) - set(got))
-        extra = sorted(set(got) - set(expected))
-        if missing or extra:
-            problems.append(f"degree sets differ: missing={missing} extra={extra}")
+            print(f"degrees=[{','.join(map(str, degs))}] "
+                  f"witness=({','.join(map(str, got[degs]))})")
+        missing, extra = sorted(set(expected) - set(got)), sorted(set(got) - set(expected))
+        problems = ([f"degree sets differ: missing={missing} extra={extra}"]
+                    if missing or extra else [])
         for degs in sorted(set(got) & set(expected)):
-            key = SolutionVector(inner, got[degs]).key
-            want = SolutionVector(inner, expected[degs]).key
-            if key != want:
+            if SolutionVector(inner, got[degs]).key != SolutionVector(inner, expected[degs]).key:
                 problems.append(f"{list(degs)}: witness class differs from the reference row")
-            elif key != shared_class:
-                problems.append(f"{list(degs)}: witness outside the shared solution class")
         if problems:
             for line in problems:
                 print(f"MISMATCH {line}")
@@ -743,13 +759,12 @@ def cmd_verify_families(args) -> int:
         return f"{count} parameter triples"
 
     def propagation():
-        count = 0
-        for k in (2, 3, 4, 5, 8):
+        degrees = (2, 3, 4, 5, 8)
+        for k in degrees:
             spec = SymmetricSpec((k,))
             periodic_propagation(spec, WeightProfile(1, X1_PROFILE), spec.period + k - 1,
                                  PROPAGATION_M_MAX)
-            count += 1
-        return f"{count} base cases, {PROPAGATION_M_MAX} steps each"
+        return f"{len(degrees)} base cases, {PROPAGATION_M_MAX} steps each"
 
     def luca_szalay():
         for t in range(3, LUCA_SZALAY_T_MAX + 1):
@@ -757,9 +772,8 @@ def cmd_verify_families(args) -> int:
                 gap = luca_szalay_gap(signed)
                 if gap != 0:
                     raise VerificationError(f"identity gap {gap} at t={signed}")
-        v = classify(SymmetricSpec((15,)), WeightProfile(2, X1X2_PROFILE), 25)
-        if v.status is not BalanceStatus.SPORADIC:
-            raise VerificationError(f"square-index witness instance is {v.status.value}")
+        _expect_verdict(SymmetricSpec((15,)), WeightProfile(2, X1X2_PROFILE), 25,
+                        BalanceStatus.SPORADIC)
         return f"|t| in 3..{LUCA_SZALAY_T_MAX}, plus the degree-15 witness instance"
 
     def singmaster():
@@ -767,28 +781,13 @@ def cmd_verify_families(args) -> int:
             gap = singmaster_gap(i)
             if gap != 0:
                 raise VerificationError(f"identity gap {gap} at i={i}")
-        fixtures = [
-            (5, 6, 10, 12, 13),
-            (6, 8, 9, 10, 13),
-            (6, 7, 11, 12, 14),
-            (5, 6, 7, 8, 9, 11, 14),
-        ]
-        profile = WeightProfile(1, X1_PROFILE)
         # All four witnesses lie in the class of x_4 = x_5 = 1, x_6 = -1 on
         # 14 points.
-        row = [0] * 15
-        row[4], row[5], row[6] = 1, 1, -1
-        want = SolutionVector(14, tuple(row)).key
-        for degs in fixtures:
-            v = classify(SymmetricSpec(degs), profile, 15)
-            if v.status is not BalanceStatus.SPORADIC:
-                raise VerificationError(
-                    f"degrees {list(degs)}: expected sporadic, got {v.status.value}"
-                )
-            if v.key != want:
-                raise VerificationError(
-                    f"degrees {list(degs)}: witness outside the expected solution class"
-                )
+        want = SolutionVector(14, (0, 0, 0, 0, 1, 1, -1) + (0,) * 8).key
+        for degs in ((5, 6, 10, 12, 13), (6, 8, 9, 10, 13), (6, 7, 11, 12, 14),
+                     (5, 6, 7, 8, 9, 11, 14)):
+            _expect_verdict(SymmetricSpec(degs), WeightProfile(1, X1_PROFILE), 15,
+                            BalanceStatus.SPORADIC, want)
         return f"i in 1..{SINGMASTER_I_MAX}, plus 4 witness instances on 15 variables"
 
     checks = [
@@ -816,6 +815,8 @@ def cmd_conjecture_scan(args) -> int:
         raise SystemExit2(f"nothing to scan: degrees {args.k_min}..{args.k_max}, n 2..{args.n_max}")
     if args.k_max >= DEGREE_BOUND:
         raise SystemExit2(f"--k-max needs a degree below {DEGREE_BOUND}, got {args.k_max}")
+    if args.n_max >= N_BOUND:
+        raise SystemExit2(f"--n-max needs values below {N_BOUND}, got {args.n_max}")
     rows = []
     off_residue = 0
     profile = WeightProfile(1, X1_PROFILE)
@@ -826,15 +827,12 @@ def cmd_conjecture_scan(args) -> int:
             if v.balanced:
                 on_residue = v.n_total % spec.period == residue
                 off_residue += not on_residue
-                rows.append((k, v.n_total, v.status.value, on_residue))
-    for k, n_total, status, on_residue in rows:
-        marker = "" if on_residue else "  <-- OFF-RESIDUE"
-        print(f"k={k} n={n_total} status={status} "
-              f"residue={'on' if on_residue else 'off'}{marker}")
-    print(
-        f"balanced cases: {len(rows)}; off-residue: {off_residue} "
-        f"(degrees {args.k_min}..{args.k_max}, n up to {args.n_max})"
-    )
+                rows.append(f"k={k} n={v.n_total} status={v.status.value} "
+                            f"residue={'on' if on_residue else 'off  <-- OFF-RESIDUE'}")
+    for row in rows:
+        print(row)
+    print(f"balanced cases: {len(rows)}; off-residue: {off_residue} "
+          f"(degrees {args.k_min}..{args.k_max}, n up to {args.n_max})")
     return 0
 
 

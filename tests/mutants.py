@@ -72,6 +72,10 @@ MUTANTS = (
     Mutant("witness not halved", "src/symsum/balance.py",
            "[x // 2 for x in row] if len(values) > 1 else row", "row",
            ("tests/test_balance.py",)),
+    Mutant("status helper ignores the class key", "src/symsum/balance.py",
+           "if key is not None and verdict.key != key:", "if False:",
+           ("tests/test_balance.py::TestFamilies"
+            "::test_expected_verdict_checks_status_and_class_key",)),
     Mutant("engine ignores sign bits above t = 40", "src/symsum/search_cli.py",
            "range(top + 1, n_total + 1)", "range(top + 1, min(n_total, 40) + 1)",
            ("tests/test_census_engine.py"
@@ -81,6 +85,9 @@ MUTANTS = (
            ("tests/test_census_engine.py",)),
     Mutant("mirrored hit not counted trivial", "src/symsum/search_cli.py",
            "counters.trivial += 1\n                    continue", "continue",
+           ("tests/test_census_engine.py::test_mirror_counted_hits_are_zero_class_trivial",)),
+    Mutant("sign-row mirror test with the parity flipped", "src/symsum/search_cli.py",
+           "{1: add, 0: sub}", "{1: sub, 0: add}",
            ("tests/test_census_engine.py::test_mirror_counted_hits_are_zero_class_trivial",)),
     Mutant("chunk loop stops one lead early", "src/symsum/search_cli.py",
            "range(start_chunk + 1, last_lead + 1)", "range(start_chunk + 1, last_lead)",
@@ -98,6 +105,9 @@ MUTANTS = (
            "if args.k_max >= DEGREE_BOUND:", "if args.k_max > DEGREE_BOUND:",
            ("tests/test_search_cli.py::TestVerificationCommands"
             "::test_conjecture_scan_degree_past_the_bound_is_refused",)),
+    Mutant("variable-count bound compared one off", "src/symsum/search_cli.py",
+           "if below is not None and b >= below:", "if below is not None and b > below:",
+           ("tests/test_search_cli.py::test_variable_counts_past_the_bound_are_refused",)),
     Mutant("spaces deleted inside a list field", "src/symsum/search_cli.py",
            'text.split(",")', 'text.replace(" ", "").split(",")',
            ("tests/test_search_cli.py::test_malformed_degrees_field_is_a_usage_error",)),

@@ -391,6 +391,18 @@ class TestFamilies:
             # base is not balanced at all
             periodic_propagation(SymmetricSpec((4,)), weight_profile(parity_function(1)), 10, 1)
 
+    def test_expected_verdict_checks_status_and_class_key(self):
+        spec = SymmetricSpec.of(5, 6, 10, 12, 13)
+        key = classify(spec, X1, 15).key
+        balance._expect_verdict(spec, X1, 15, BalanceStatus.SPORADIC, key)
+        balance._expect_verdict(spec, X1, 15, BalanceStatus.SPORADIC)
+        with pytest.raises(VerificationError, match="index 15, profile .*: expected "
+                           "trivial, got sporadic"):
+            balance._expect_verdict(spec, X1, 15, BalanceStatus.TRIVIAL)
+        zero = SolutionVector(14, (1,) + (0,) * 13 + (-1,)).key
+        with pytest.raises(VerificationError, match="witness outside the expected solution class"):
+            balance._expect_verdict(spec, X1, 15, BalanceStatus.SPORADIC, zero)
+
     def test_helper_functions(self):
         assert parity_function(3).weight() == 4
         assert parity_function(1).weight() == 1

@@ -273,21 +273,21 @@ def test_oracle_is_not_vacuous(total_oracle, inner_oracle):
 @pytest.mark.parametrize("perturbation, parity", [(UNPERTURBED, 1), (X1, 0), (X1X2, 1)])
 def test_mirror_counted_hits_are_zero_class_trivial(monkeypatch, convention, perturbation,
                                                     parity):
-    # Under sporadic_only a hit whose sign bits mirror is counted trivial
-    # without a witness.  Each such hit must be a zero-class trivial verdict
-    # of classify, the counters must equal those of the campaign that
+    # Under sporadic_only a hit whose signs mirror is counted trivial
+    # without a witness, so it never reaches classify_zero; the mirrored hits
+    # are the hits of the full campaign that the sporadic one leaves
+    # unclassified.  Each such hit must be a zero-class trivial verdict of
+    # classify, the counters must equal those of the campaign that
     # classifies every hit, and the mirrored hits must be exactly the hits
     # whose witness folds to zero.
-    mirrored = []
-    real = search_cli.sign_bits_mirror
+    classified = []
+    real = search_cli.classify_zero
 
-    def recorded(masks, degrees, n_total, bit):
-        hit = real(masks, degrees, n_total, bit)
-        if hit:
-            mirrored.append((degrees, n_total))
-        return hit
+    def recorded(degrees, j, n_total, *rest):
+        classified.append((degrees, n_total))
+        return real(degrees, j, n_total, *rest)
 
-    monkeypatch.setattr(search_cli, "sign_bits_mirror", recorded)
+    monkeypatch.setattr(search_cli, "classify_zero", recorded)
     desc, values = perturbation
     assert mirror_parity(values) == parity
     full = Campaign(17, 17, convention, (perturbation,))
@@ -295,17 +295,20 @@ def test_mirror_counted_hits_are_zero_class_trivial(monkeypatch, convention, per
     count = 0
     for lead in range(1, 18):
         want, findings = _scan_leading_degree(full, lead)
-        assert not mirrored  # the mirror test runs only under sporadic_only
+        hits = sorted((rec.degrees, rec.n_total) for rec in findings)
+        assert sorted(classified) == hits  # the mirror test runs only under sporadic_only
+        classified.clear()
         got, _ = _scan_leading_degree(sporadic, lead)
         assert got == want, lead
+        mirrored = sorted(set(hits) - set(classified))
+        classified.clear()
         zero_class = [(rec.degrees, rec.n_total) for rec in findings if rec.key.is_zero]
-        assert sorted(mirrored) == sorted(zero_class), lead
+        assert mirrored == sorted(zero_class), lead
         for degrees, n_total in mirrored:
             verdict = classify(SymmetricSpec(degrees), WeightProfile(len(values) - 1, values),
                                n_total, desc)
             assert verdict.status is BalanceStatus.TRIVIAL and verdict.key.is_zero
         count += len(mirrored)
-        mirrored.clear()
     assert count > 100
 
 

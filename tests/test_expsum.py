@@ -26,7 +26,7 @@ from symsum import (
     shifted_identity_gap,
     weight_profile,
 )
-from symsum.expsum import delta_row
+from symsum.expsum import _subset_masks, delta_row, sign_row
 
 from conftest import (
     brute_force_sign_sum,
@@ -201,7 +201,8 @@ class TestDeltaVector:
         for degrees, prof in cases:
             spec = SymmetricSpec(degrees)
             dv = delta_vector(spec, prof)
-            row = delta_row(spec.degrees, prof.values, 4 * dv.period)
+            signs = sign_row(_subset_masks(4 * dv.period + prof.j - 1), spec.degrees)
+            row = delta_row(signs, prof.values, 4 * dv.period)
             assert len(row) == 4 * dv.period
             for a in range(4 * dv.period):
                 direct = sum(

@@ -22,6 +22,7 @@ from symsum import (
     all_functions,
     canonical_key,
     classify,
+    exp_sum_symmetric,
     weight_profile,
 )
 from symsum import balance, diophantine, expsum, search_cli
@@ -192,6 +193,61 @@ def test_range_below_its_flags_least_value_is_a_usage_error(capsys, argv, messag
     code, out, err = run_main(capsys, argv)
     assert (code, out) == (2, "")
     assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["expsum", "--degrees", "3", "--n", "16384"], "--n needs values below 16384, got '16384'"),
+    (["expsum", "--degrees", "3", "--n", "1..1000000000000"],
+     "--n needs values below 16384, got '1..1000000000000'"),
+    (["classify", "--degrees", "3", "--n", "16384"], "--n needs values below 16384, got '16384'"),
+    (["classify", "--degrees", "3", "--n", "2..16384", "--profile", "1,-1"],
+     "--n needs values below 16384, got '2..16384'"),
+    (["conjecture-scan", "--k-max", "3", "--n-max", "16384"],
+     "--n-max needs values below 16384, got 16384"),
+], ids=["expsum", "expsum-range", "classify", "classify-range", "conjecture-scan"])
+def test_variable_counts_past_the_bound_are_refused(capsys, monkeypatch, argv, message):
+    # classify_range over n = 2..16383 already takes about 40 s for one
+    # degree set, so a larger count is refused before any sweep starts
+    def refuse(*args):
+        raise AssertionError("sweep started")
+
+    monkeypatch.setattr(search_cli, "periodic_binomial_sums", refuse)
+    monkeypatch.setattr(search_cli, "classify_range", refuse)
+    code, out, err = run_main(capsys, argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: {message}\n"
+    assert search_cli.N_BOUND == 2 ** 14
+    assert search_cli._parse_range("16382..16383", "--n", below=16384) == [16382, 16383]
+
+
+@pytest.mark.parametrize("argv", [["expsum"], ["expsum", "--json"], ["classify"]],
+                         ids=["expsum", "expsum-json", "classify"])
+def test_sums_past_the_int_to_text_limit_print_in_full(capsys, argv):
+    # S at n = 14400 has more digits than Python converts to text by default
+    limit = sys.get_int_max_str_digits()
+    with search_cli._any_digits():
+        want = str(exp_sum_symmetric(14400, SymmetricSpec.of(3)))
+    assert len(want) > 4300
+    code, out, err = run_main(capsys, argv + ["--degrees", "3", "--n", "14400"])
+    assert (code, err) == (0, "")
+    if argv == ["expsum"]:
+        assert out == f"14400 {want}\n"
+    else:
+        assert f'"S": {want},' in out
+    assert sys.get_int_max_str_digits() == limit
+
+
+def test_flag_values_past_the_int_to_text_limit_are_still_refused(capsys, tmp_path):
+    # the limit is lifted only while output is printed, not while flags are read
+    digits = "9" * 5000
+    code, out, err = run_main(capsys, ["expsum", "--degrees", "3", "--n", digits])
+    assert (code, out) == (2, "")
+    assert err == f"error: --n needs an integer or a range lo..hi, got {digits!r}\n"
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"degrees = {digits}\nn = 5\n")
+    code, out, err = run_main(capsys, ["--config", str(cfg), "expsum"])
+    assert (code, out) == (2, "")
+    assert err == f"error: --degrees needs comma-separated integers, got {digits!r}\n"
 
 
 def test_internal_value_error_is_not_a_usage_error(monkeypatch):
@@ -713,10 +769,11 @@ class TestSearch:
     def test_resume_reads_checkpoints_that_carry_profiles(
         self, tmp_path, monkeypatch, chunks_before_crash
     ):
-        # Checkpoints used to store each finding with its profile.  Now they
-        # hold no profile at all: the campaign digest fixes every profile, so
-        # resume takes them from the campaign, and a checkpoint whose findings
-        # still carry profiles is refused with the --out file left as it was.
+        # Checkpoints used to store each finding with its profile, and no
+        # --out length.  Now they hold no profile at all: the campaign digest
+        # fixes every profile, so resume takes them from the campaign, and a
+        # checkpoint in the old format is refused with the --out file left as
+        # it was.
         campaign = self.small_campaign(
             k_max=6, n_max=10,
             perturbations=(("profile:1", (1,)),) + self.small_campaign().perturbations,
@@ -751,11 +808,12 @@ class TestSearch:
         findings = read_findings(out)
         assert {rec["perturbation"] for rec in findings} == set(profiles)
 
-        old = {**state, "findings": [
+        old = {k: v for k, v in state.items() if k != "out_bytes"}
+        old["findings"] = [
             {**rec, "profile": list(profiles[rec["perturbation"]])} for rec in findings
-        ]}
+        ]
         ck.write_text(json.dumps(old, sort_keys=True))
-        with pytest.raises(search_cli.SystemExit2, match="checkpoint holds findings"):
+        with pytest.raises(search_cli.SystemExit2, match="is not an object with keys"):
             run_search(campaign, out, ck, resume=True)
         assert out.read_bytes() == prefix
 
@@ -788,7 +846,7 @@ class TestSearch:
 
         # the format that kept every finding in the checkpoint
         old = {k: v for k, v in state.items() if k != "out_bytes"}
-        refused({**old, "findings": []}, out, body, "checkpoint holds findings")
+        refused({**old, "findings": []}, out, body, "is not an object with keys digest")
         refused({**state, "out_bytes": None}, out, body, "written without --out")
         refused(state, None, None, "written with --out")
         refused(state, tmp_path / "missing.jsonl", None, "No such file or directory")
@@ -1065,6 +1123,16 @@ class TestVerificationCommands:
         assert "8 rows" in oks[0]
         assert "19 rows" in oks[1]
         assert "MISMATCH" not in out
+
+    def test_every_reference_row_folds_to_the_shared_class(self):
+        # tables compares each witness with its reference row's class only;
+        # that this is the shared class, x_4 = 1, x_5 = -2, x_6 = 1 on 7
+        # points, is checked here
+        shared = SolutionVector(7, (0, 0, 0, 0, 1, -2, 1, 0)).key
+        rows = (list(search_cli.SPORADIC_WITNESSES_N8_X1.values())
+                + list(search_cli.SPORADIC_WITNESSES_N9_X1X2.values()))
+        assert len(rows) == 27
+        assert all(SolutionVector(7, row).key == shared for row in rows)
 
     def test_verify_families(self, capsys):
         code, out, _ = run_main(capsys, ["verify-families"])
