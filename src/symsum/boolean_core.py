@@ -175,23 +175,6 @@ class BooleanFunction(Record):
         """Truth table as a tuple of 0/1 values, input 0 first."""
         return tuple((self.table >> x) & 1 for x in range(self.size))
 
-    @classmethod
-    def from_bits(cls, values) -> "BooleanFunction":
-        values = tuple(map(index, values))
-        size = len(values)
-        if size < 2 or size & (size - 1):
-            raise ValueError("truth table length must be a power of two, at least 2")
-        if any(v not in (0, 1) for v in values):
-            raise ValueError("truth table entries must be 0 or 1")
-        table = 0
-        for x, v in enumerate(values):
-            table |= v << x
-        return cls(size.bit_length() - 1, table)
-
-    def weight(self) -> int:
-        """Number of inputs where the function is 1."""
-        return self.table.bit_count()
-
 
 def anf_to_function(expr: AnfExpression, j: int) -> BooleanFunction:
     """Evaluate an expression into a truth table on ``j`` variables."""

@@ -162,10 +162,6 @@ class DeltaVector(Record):
     def period(self) -> int:
         return 1 << self.r
 
-    def at(self, l: int) -> int:
-        """Entry at any index, folded into the period."""
-        return self.values[l & (self.period - 1)]
-
 
 def delta_row(signs, values, length: int) -> list[int]:
     """sum over m of values[m] * signs[l + m] for l < length: the weights that

@@ -318,12 +318,6 @@ class CyclotomicValue(Record):
 
         return Fraction(self.coeffs[0], self.denom)
 
-    def conjugate(self) -> "CyclotomicValue":
-        out = [0] * self.half
-        for i, c in enumerate(self.coeffs):
-            _add_xi_power(out, -i, c)
-        return CyclotomicValue(self.r, tuple(out), self.denom)
-
     def __complex__(self) -> complex:
         import cmath
 

@@ -60,11 +60,11 @@ DEFAULT_OMEGA_BUDGET = 1.5e8
 # n <= 8 and j <= 3.
 CROSS_CHECK_BUDGET = 2 * 10 ** 6
 CHECKPOINT_EVERY = 10 ** 6
-# Degrees and variable counts that expsum, classify and conjecture-scan accept
-# lie below these bounds. A degree set's sign row holds one subset mask per
-# weight below its period P = 2**r, about P**2 / 16 bytes in all: 16 MB at top
-# degree 16383, where expsum peaks near 32 MB. README gives the cost of a
-# classify sweep up to N_BOUND.
+# Degrees and variable counts that expsum, classify and conjecture-scan accept,
+# and the gamma and omega grid ranges, lie below these bounds. A degree set's
+# sign row holds one subset mask per weight below its period P = 2**r, about
+# P**2 / 16 bytes in all: 16 MB at top degree 16383, where expsum peaks near
+# 32 MB. README gives the cost of a classify sweep up to N_BOUND.
 DEGREE_BOUND = N_BOUND = 1 << 14
 
 # The fixed grid that verify-families checks.
@@ -604,8 +604,8 @@ def _print_grid(title: str, n_values: list[int], j_values: list[int],
 
 
 def cmd_gamma(args) -> int:
-    n_values = _parse_range(args.n, "--n", 1)
-    j_values = _parse_range(args.j, "--j", 0)
+    n_values = _parse_range(args.n, "--n", 1, below=N_BOUND)
+    j_values = _parse_range(args.j, "--j", 0, below=N_BOUND)
     if args.cross_check and min(j_values) < 1:
         raise SystemExit2("--cross-check needs j >= 1")
     cells = {
@@ -635,8 +635,8 @@ def cmd_gamma(args) -> int:
 
 
 def cmd_omega(args) -> int:
-    n_values = _parse_range(args.n, "--n", 1)
-    j_values = _parse_range(args.j, "--j", 1)
+    n_values = _parse_range(args.n, "--n", 1, below=N_BOUND)
+    j_values = _parse_range(args.j, "--j", 1, below=N_BOUND)
     if args.classes_out and (len(n_values) != 1 or len(j_values) != 1):
         raise SystemExit2("--classes-out needs a single n and a single j")
     cells = {

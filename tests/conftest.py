@@ -59,16 +59,14 @@ def function_from_profile(profile: WeightProfile) -> BooleanFunction:
     """
     j = profile.j
     flips_left = [(comb(j, m) - profile.values[m]) // 2 for m in range(j + 1)]
-    bits = []
+    table = 0
     for x in range(1 << j):
         m = bin(x).count("1")
         if flips_left[m] > 0:
             flips_left[m] -= 1
-            bits.append(1)
-        else:
-            bits.append(0)
+            table |= 1 << x
     assert all(v == 0 for v in flips_left)
-    return BooleanFunction.from_bits(bits)
+    return BooleanFunction(j, table)
 
 
 def random_profile(rng: random.Random, j: int) -> WeightProfile:

@@ -69,6 +69,13 @@ MUTANTS = (
            "src/symsum/diophantine.py",
            "zero and s == 0", "zero",
            ("tests/test_diophantine.py",)),
+    Mutant("sporadic fold's equation check dropped", "src/symsum/diophantine.py",
+           "if not key.is_trivial:", "if False:",
+           ("tests/test_diophantine.py::test_solution_check_matches_comb",)),
+    Mutant("odd-n fold counted trivial", "src/symsum/diophantine.py",
+           "return (self.n % 2 == 0 and", "return (self.n % 2 == 1 or",
+           ("tests/test_diophantine.py::TestCanonicalKey"
+            "::test_trivial_key_is_zero_or_alternating",)),
     Mutant("witness not halved", "src/symsum/balance.py",
            "[x // 2 for x in row] if len(values) > 1 else row", "row",
            ("tests/test_balance.py",)),
@@ -107,6 +114,10 @@ MUTANTS = (
             "::test_conjecture_scan_degree_past_the_bound_is_refused",)),
     Mutant("variable-count bound compared one off", "src/symsum/search_cli.py",
            "if below is not None and b >= below:", "if below is not None and b > below:",
+           ("tests/test_search_cli.py::test_variable_counts_past_the_bound_are_refused",)),
+    Mutant("grid range admits N_BOUND", "src/symsum/search_cli.py",
+           '_parse_range(args.j, "--j", 0, below=N_BOUND)',
+           '_parse_range(args.j, "--j", 0, below=N_BOUND + 1)',
            ("tests/test_search_cli.py::test_variable_counts_past_the_bound_are_refused",)),
     Mutant("spaces deleted inside a list field", "src/symsum/search_cli.py",
            'text.split(",")', 'text.replace(" ", "").split(",")',

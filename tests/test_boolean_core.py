@@ -168,14 +168,8 @@ class TestWeightProfile:
 
 
 # ---------------------------------------------------------------------------
-# serialization and enumeration helpers
+# enumeration helpers
 # ---------------------------------------------------------------------------
-
-class TestSerialization:
-    def test_from_bits_round_trip(self):
-        f = anf_to_function(anf_parse("x1*x2+x3"), 3)
-        assert BooleanFunction.from_bits(f.bits()) == f
-
 
 class TestEnumeration:
     @pytest.mark.parametrize("j", [1, 2, 3])

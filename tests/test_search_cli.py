@@ -204,10 +204,18 @@ def test_range_below_its_flags_least_value_is_a_usage_error(capsys, argv, messag
      "--n needs values below 16384, got '2..16384'"),
     (["conjecture-scan", "--k-max", "3", "--n-max", "16384"],
      "--n-max needs values below 16384, got 16384"),
-], ids=["expsum", "expsum-range", "classify", "classify-range", "conjecture-scan"])
+    (["gamma", "--n", "1..1000000000000", "--j", "1"],
+     "--n needs values below 16384, got '1..1000000000000'"),
+    (["gamma", "--n", "16384", "--j", "1"], "--n needs values below 16384, got '16384'"),
+    (["gamma", "--n", "1", "--j", "16384"], "--j needs values below 16384, got '16384'"),
+    (["omega", "--n", "2..16384", "--j", "1"], "--n needs values below 16384, got '2..16384'"),
+    (["omega", "--n", "1", "--j", "1..16384"], "--j needs values below 16384, got '1..16384'"),
+], ids=["expsum", "expsum-range", "classify", "classify-range", "conjecture-scan",
+        "gamma-range", "gamma-n", "gamma-j", "omega-n", "omega-j"])
 def test_variable_counts_past_the_bound_are_refused(capsys, monkeypatch, argv, message):
     # classify_range over n = 2..16383 already takes about 40 s for one
-    # degree set, so a larger count is refused before any sweep starts
+    # degree set, so a larger count is refused before any sweep starts; the
+    # gamma and omega grids list their whole ranges before the first cell
     def refuse(*args):
         raise AssertionError("sweep started")
 
@@ -1053,8 +1061,8 @@ class TestSearch:
 
     def test_witness_check_fault_exits_one(self, capsys, monkeypatch):
         # The engine builds its weights from math.comb, not from the half row
-        # the witness check uses, so a fault in that row trips the check.  The
-        # unperturbed profile has no alternating key check to stop it instead.
+        # the witness check uses, so a fault in that row trips the check.
+        # Only sporadic witnesses are checked, and these campaigns have some.
         real = diophantine._binomial_half_row
 
         def faulty(n):
@@ -1065,18 +1073,20 @@ class TestSearch:
         monkeypatch.setattr(diophantine, "_binomial_half_row", faulty)
         for profile in ([], ["--profile", "1"]):
             code, out, err = run_main(
-                capsys, ["search", "--k-max", "4", "--n-max", "8"] + profile
+                capsys, ["search", "--k-max", "7", "--n-max", "8"] + profile
             )
             assert code == 1, profile
             assert out == ""
             assert err.startswith("verification failed: census engine and classifier disagree")
 
-    @pytest.mark.parametrize("profile", ["1,-1", "1,-2,1"])
+    @pytest.mark.parametrize("profile, k_max, n_max", [("1,-1", "7", "8"),
+                                                       ("1,-2,1", "8", "9")],
+                             ids=["1,-1", "1,-2,1"])
     def test_witness_check_fault_exits_one_when_sporadic_only(self, capsys, monkeypatch,
-                                                               profile):
+                                                               profile, k_max, n_max):
         # Under --sporadic-only the mirrored hits are counted without a
-        # witness; the alternating trivial hits at n <= 4 still build one, so
-        # the faulty row is still caught.
+        # witness, and trivial witnesses are not checked; each campaign has
+        # sporadic hits, whose check reads the faulty row.
         real = diophantine._binomial_half_row
 
         def faulty(n):
@@ -1085,7 +1095,7 @@ class TestSearch:
             return row
 
         monkeypatch.setattr(diophantine, "_binomial_half_row", faulty)
-        code, out, err = run_main(capsys, ["search", "--k-max", "4", "--n-max", "4",
+        code, out, err = run_main(capsys, ["search", "--k-max", k_max, "--n-max", n_max,
                                            "--sporadic-only", "--profile", profile])
         assert code == 1
         assert out == ""
