@@ -77,30 +77,12 @@ class SolutionVector(Record):
         _bind(self, "key", canonical_key(self))
 
 
-def _normalize_components(comps: tuple[int, ...]) -> tuple[tuple[int, ...], bool]:
-    """Divide by the gcd and fix the first nonzero entry positive."""
-    if all(c == 0 for c in comps):
-        return comps, True
-    g = 0
-    for c in comps:
-        g = gcd(g, c)
-        if g == 1:
-            break
-    scaled = tuple(c // g for c in comps) if g > 1 else comps
-    for c in scaled:
-        if c:
-            if c < 0:
-                scaled = tuple(-x for x in scaled)
-            break
-    return scaled, False
-
-
 class FoldedKey(Record):
     """Canonical equivalence-class key: the normalized folded vector.
 
     ``half`` holds the normalized pair sums, ``center`` the normalized middle
     entry for even n (None for odd n), and ``is_zero`` marks the class of
-    vectors folding to zero everywhere.  Built only by ``canonical_key``.
+    vectors folding to zero everywhere.  Built only by ``_fold_key``.
     """
 
     _fields = ("n", "half", "center", "is_zero")
@@ -126,28 +108,37 @@ class FoldedKey(Record):
                 and self.half == ((2, -2) * half)[:half])
 
 
-def canonical_key(v: SolutionVector) -> FoldedKey:
-    """Class key of a solution under scaling, sign, and symmetric rearrangement.
+def _fold_key(n: int, fold: tuple[int, ...]) -> FoldedKey:
+    """Class key of a fold: pair sums x_l + x_(n-l), l < (n + 1) // 2, and the
+    center for even n, divided by their gcd and sign.
 
-    Folds ``v`` once into pair sums x_l + x_(n-l), l < (n + 1) // 2, and the
-    center for even n, and divides the fold by its gcd and sign.  A sporadic
-    fold is then checked against the equation (ValueError "not a solution:
-    ...").  A trivial one needs no check: a zero fold weighs 0 on any row, and
-    the alternating fold m * (2, -2, ...; (-1)**(n/2)) weighs m times the sum
-    of (-1)**l * C(n, l), which is 0 for n >= 1.
+    A sporadic fold is then checked against the equation (ValueError "not a
+    solution: ...").  A trivial one needs no check: a zero fold weighs 0 on
+    any row, and the alternating fold m * (2, -2, ...; (-1)**(n/2)) weighs m
+    times the sum of (-1)**l * C(n, l), which is 0 for n >= 1.
     """
-    n, x = v.n, v.entries
+    g = gcd(*fold)  # 0 only for the zero fold
+    if g and next(filter(None, fold)) < 0:
+        g = -g
+    norm = fold if g in (0, 1) else tuple(c // g for c in fold)
     hl = (n + 1) // 2
-    comps = tuple(map(add, x[:hl], reversed(x)))
-    if n % 2 == 0:
-        comps += (x[hl],)
-    norm, zero = _normalize_components(comps)
-    key = FoldedKey(n, norm[:hl], None if n % 2 else norm[hl], zero)
+    key = FoldedKey(n, norm[:hl], None if n % 2 else norm[hl], g == 0)
     if not key.is_trivial:
-        acc = sum(map(mul, comps, _binomial_half_row(n)))  # component l weighs C(n, l)
+        acc = sum(map(mul, fold, _binomial_half_row(n)))  # component l weighs C(n, l)
         if acc != 0:
             raise ValueError(f"not a solution: weighted sum is {acc}")
     return key
+
+
+def canonical_key(v: SolutionVector) -> FoldedKey:
+    """Class key of a solution under scaling, sign, and symmetric
+    rearrangement: ``_fold_key`` of its fold."""
+    n, x = v.n, v.entries
+    hl = (n + 1) // 2
+    fold = tuple(map(add, x[:hl], reversed(x)))
+    if n % 2 == 0:
+        fold += (x[hl],)
+    return _fold_key(n, fold)
 
 
 def _check_trivial_level(j: int) -> None:
@@ -326,8 +317,8 @@ def _mobius(d: int) -> int:
     return -mu if d > 1 else mu
 
 
-def enumerate_classes(n: int, j: int) -> dict[FoldedKey, SolutionVector]:
-    """Map each solution class to one realizable representative.
+def enumerate_classes(n: int, j: int) -> dict[FoldedKey, tuple[int, ...]]:
+    """Map each solution class to the entries of one realizable representative.
 
     Sweeps the folded space directly: pair sums range over |s| <= 2**j, the
     center (even n) over the alphabet, and the first pair sum is forced by
@@ -336,8 +327,9 @@ def enumerate_classes(n: int, j: int) -> dict[FoldedKey, SolutionVector]:
     classes of actual solutions.
 
     The free entries, the tail s_1, s_2, ... and then the center, are walked
-    in lexicographic order, and a class is represented by the first leaf
-    that reaches it, keyed by that leaf's ``key``.  A class {+-k * p} meets
+    in lexicographic order.  Each leaf's fold is keyed by ``_fold_key``, and
+    a class is represented by the first leaf that reaches it: only that
+    leaf's fold is unfolded into entries.  A class {+-k * p} meets
     its first leaf at a member whose first nonzero tail entry is negative
     (or at the zero vector, whose tail is all zero), so while the tail is
     zero so far only values <= 0 are tried: the leaves skipped that way,
@@ -359,17 +351,18 @@ def enumerate_classes(n: int, j: int) -> dict[FoldedKey, SolutionVector]:
         max_tail[i] = max_tail[i + 1] + fold_b * weights[i]
     slack = fold_b * weights[0] + (center_b * center_w if even else 0)
 
-    out: dict[FoldedKey, SolutionVector] = {}
+    out: dict[FoldedKey, tuple[int, ...]] = {}
 
-    def emit(half: tuple[int, ...], center: int | None) -> None:
-        entries = [0] * (n + 1)
-        for l, s in enumerate(half):
-            entries[l] = (s + 1) // 2
-            entries[n - l] = s // 2
-        if center is not None:
-            entries[n // 2] = center
-        rep = SolutionVector(n, tuple(entries))
-        out.setdefault(rep.key, rep)
+    def emit(fold: tuple[int, ...]) -> None:
+        key = _fold_key(n, fold)
+        if key not in out:
+            entries = [0] * (n + 1)
+            for l in range(hl):
+                entries[l] = (fold[l] + 1) // 2
+                entries[n - l] = fold[l] // 2
+            if even:
+                entries[hl] = fold[hl]
+            out[key] = tuple(entries)
 
     # Each loop runs over the range its bound allows, by floor division:
     # lo <= s <= hi exactly when |acc + s * w| <= lim (and likewise for the
@@ -381,9 +374,9 @@ def enumerate_classes(n: int, j: int) -> dict[FoldedKey, SolutionVector]:
                 lo = max(-center_b, -((fold_b + acc) // center_w))
                 hi = min(center_b, (fold_b - acc) // center_w)
                 for c in range(lo, (0 if zero else hi) + 1):
-                    emit((-(acc + c * center_w),) + chosen, c)
+                    emit((-(acc + c * center_w),) + chosen + (c,))
             elif -fold_b <= acc <= fold_b:
-                emit((-acc,) + chosen, None)
+                emit((-acc,) + chosen)
             return
         w = weights[idx]
         lim = max_tail[idx + 1] + slack

@@ -61,10 +61,11 @@ DEFAULT_OMEGA_BUDGET = 1.5e8
 CROSS_CHECK_BUDGET = 2 * 10 ** 6
 CHECKPOINT_EVERY = 10 ** 6
 # Degrees and variable counts that expsum, classify and conjecture-scan accept,
-# and the gamma and omega grid ranges, lie below these bounds. A degree set's
-# sign row holds one subset mask per weight below its period P = 2**r, about
-# P**2 / 16 bytes in all: 16 MB at top degree 16383, where expsum peaks near
-# 32 MB. README gives the cost of a classify sweep up to N_BOUND.
+# search's --n-max and the gamma and omega grid ranges lie below these bounds.
+# A degree set's sign row holds one subset mask per weight below its period
+# P = 2**r, about P**2 / 16 bytes in all: 16 MB at top degree 16383, where
+# expsum peaks near 32 MB. README gives the cost of a classify sweep up to
+# N_BOUND.
 DEGREE_BOUND = N_BOUND = 1 << 14
 
 # The fixed grid that verify-families checks.
@@ -652,6 +653,9 @@ def cmd_omega(args) -> int:
             raise SystemExit2(f"class metric {class_enumeration_metric(n, j)} "
                               f"exceeds budget {args.budget}")
         classes = enumerate_classes(n, j)
+        if len(classes) != cells[(n, j)]:
+            raise VerificationError(f"class sweep found {len(classes)} classes at n={n} "
+                                    f"j={j}, the Moebius count {cells[(n, j)]}")
         fh = Path(args.classes_out).open("w")
     _print_grid("class", n_values, j_values, cells, args.csv)
     if args.classes_out:
@@ -665,12 +669,14 @@ def cmd_omega(args) -> int:
                     "n": n,
                     "j": j,
                     "key": key.to_json(),
-                    "realizable_example": list(rep.entries),
+                    "realizable_example": list(rep),
                 }) + "\n")
     return 0
 
 
 def cmd_search(args) -> int:
+    if args.n_max >= N_BOUND:
+        raise SystemExit2(f"--n-max needs values below {N_BOUND}, got {args.n_max}")
     out_path = Path(args.out) if args.out else None
     checkpoint = Path(args.checkpoint) if args.checkpoint else None
     with _usage_error():

@@ -60,8 +60,15 @@ MUTANTS = (
            "k = prod(sizes).bit_length()", "k = prod(sizes).bit_length() - 1",
            ("tests/test_diophantine.py",)),
     Mutant("class key sign left negative", "src/symsum/diophantine.py",
-           "if c < 0:", "if c > 0:",
+           "if g and next(filter(None, fold)) < 0:", "if g and next(filter(None, fold)) > 0:",
            ("tests/test_diophantine.py",)),
+    Mutant("class key not divided by its gcd", "src/symsum/diophantine.py",
+           "norm = fold if g in (0, 1) else tuple(c // g for c in fold)", "norm = fold",
+           ("tests/test_diophantine.py",)),
+    Mutant("class sweep overwrites a class's first representative",
+           "src/symsum/diophantine.py",
+           "if key not in out:", "if True:",
+           ("tests/test_diophantine.py::TestClasses::test_sweep_equals_the_per_leaf_sweep",)),
     Mutant("box-count window shifts out one slot too many", "src/symsum/diophantine.py",
            "drop = target - rest - low", "drop = target - rest - low + 1",
            ("tests/test_diophantine.py",)),
@@ -112,6 +119,14 @@ MUTANTS = (
            "if args.k_max >= DEGREE_BOUND:", "if args.k_max > DEGREE_BOUND:",
            ("tests/test_search_cli.py::TestVerificationCommands"
             "::test_conjecture_scan_degree_past_the_bound_is_refused",)),
+    Mutant("search admits --n-max at its bound", "src/symsum/search_cli.py",
+           "def cmd_search(args) -> int:\n    if args.n_max >= N_BOUND:",
+           "def cmd_search(args) -> int:\n    if args.n_max > N_BOUND:",
+           ("tests/test_search_cli.py::test_search_n_max_past_the_bound_is_refused",)),
+    Mutant("class sweep not checked against the Moebius count", "src/symsum/search_cli.py",
+           "if len(classes) != cells[(n, j)]:", "if False:",
+           ("tests/test_search_cli.py::TestOmegaCommand"
+            "::test_classes_out_count_mismatch_is_a_verification_failure",)),
     Mutant("variable-count bound compared one off", "src/symsum/search_cli.py",
            "if below is not None and b >= below:", "if below is not None and b > below:",
            ("tests/test_search_cli.py::test_variable_counts_past_the_bound_are_refused",)),

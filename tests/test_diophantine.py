@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import itertools
 from collections import defaultdict
-from math import comb
+from math import comb, gcd
 
 import pytest
 from hypothesis import given, settings
@@ -32,7 +32,6 @@ from symsum.diophantine import (
     _binomial_row,
     _box_count,
     _check_class_cell,
-    _normalize_components,
 )
 from symsum.search_cli import DEFAULT_OMEGA_BUDGET
 
@@ -405,10 +404,11 @@ class TestEnumerateSolutions:
         assert [v.entries for v in enumerate_solutions(n, j)] == want
 
 
-def per_leaf_enumerate_classes(n: int, j: int) -> dict[FoldedKey, SolutionVector]:
-    """The class sweep with a filter loop at every slot and leaf, and each
-    key rebuilt by canonical_key: the sweep enumerate_classes replaced,
-    kept as its oracle."""
+def per_leaf_enumerate_classes(n: int, j: int) -> dict[FoldedKey, tuple[int, ...]]:
+    """The class sweep with a filter loop at every slot and leaf, each leaf
+    normalized here by its own gcd and sign, and each representative keyed
+    by canonical_key: the sweep enumerate_classes replaced, kept as its
+    oracle."""
     _check_class_cell(n, j)
     hl = (n + 1) // 2
     row = _binomial_half_row(n)
@@ -425,8 +425,10 @@ def per_leaf_enumerate_classes(n: int, j: int) -> dict[FoldedKey, SolutionVector
 
     def emit(half, center):
         comps = half if center is None else half + (center,)
-        norm, zero = _normalize_components(comps)
-        key = ("Z",) if zero else norm
+        g = gcd(*comps)
+        if g and next(c for c in comps if c) < 0:
+            g = -g
+        key = ("Z",) if g == 0 else tuple(c // g for c in comps)
         if key not in found:
             found[key] = (half, center)
 
@@ -458,8 +460,7 @@ def per_leaf_enumerate_classes(n: int, j: int) -> dict[FoldedKey, SolutionVector
             entries[n - l] = s // 2
         if center is not None:
             entries[n // 2] = center
-        rep = SolutionVector(n, tuple(entries))
-        out[canonical_key(rep)] = rep
+        out[canonical_key(SolutionVector(n, tuple(entries)))] = tuple(entries)
     return out
 
 
@@ -485,9 +486,9 @@ class TestClasses:
         for n, j in ((3, 1), (4, 2), (5, 2), (6, 1)):
             alphabet = GammaAlphabet(j)
             for key, rep in enumerate_classes(n, j).items():
-                assert rep.n == n
-                assert set(rep.entries) <= set(alphabet.members)
-                assert canonical_key(rep) == key
+                assert type(rep) is tuple and len(rep) == n + 1
+                assert set(rep) <= set(alphabet.members)
+                assert canonical_key(SolutionVector(n, rep)) == key
 
     def test_classes_cover_exactly_the_solutions(self):
         for n, j in ((3, 1), (4, 2), (5, 1), (6, 1)):

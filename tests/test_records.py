@@ -169,7 +169,7 @@ def test_every_key_is_canonical():
     for n in (4, 5, 8):
         for key, rep in enumerate_classes(n, 1).items():
             assert_canonical(key, n)
-            again = canonical_key(rep)
+            again = canonical_key(SolutionVector(n, rep))
             assert again == key and hash(again) == hash(key) and repr(again) == repr(key)
     # every solution and trivial solution of a small cell, beyond the class
     # representatives: non-primitive, negative-first and zero-fold vectors

@@ -228,6 +228,25 @@ def test_variable_counts_past_the_bound_are_refused(capsys, monkeypatch, argv, m
     assert search_cli._parse_range("16382..16383", "--n", below=16384) == [16382, 16383]
 
 
+@pytest.mark.parametrize("convention", ["total", "inner"])
+def test_search_n_max_past_the_bound_is_refused(capsys, monkeypatch, tmp_path, convention):
+    # Campaign.n_totals lists every variable count, so --n-max 10**9 ran out
+    # of memory; --k-max needs no bound, since chunks past the last top
+    # degree are skipped
+    def refuse(*args):
+        raise AssertionError("campaign started")
+
+    monkeypatch.setattr(search_cli, "_scan_leading_degree", refuse)
+    out_path, checkpoint = tmp_path / "out.jsonl", tmp_path / "ckpt.json"
+    code, out, err = run_main(capsys, [
+        "search", "--k-max", "1", "--n-max", "16384", "--n-convention", convention,
+        "--out", str(out_path), "--checkpoint", str(checkpoint),
+    ])
+    assert (code, out) == (2, "")
+    assert err == "error: --n-max needs values below 16384, got 16384\n"
+    assert not out_path.exists() and not checkpoint.exists()
+
+
 @pytest.mark.parametrize("argv", [["expsum"], ["expsum", "--json"], ["classify"]],
                          ids=["expsum", "expsum-json", "classify"])
 def test_sums_past_the_int_to_text_limit_print_in_full(capsys, argv):
@@ -437,6 +456,31 @@ class TestOmegaCommand:
         for rec in recs:
             v = SolutionVector(rec["n"], tuple(rec["realizable_example"]))
             assert canonical_key(v).to_json() == rec["key"]
+
+    def test_classes_out_at_n8_j4_is_pinned(self, capsys, tmp_path):
+        path = tmp_path / "classes.jsonl"
+        code, out, err = run_main(
+            capsys, ["omega", "--n", "8", "--j", "4", "--classes-out", str(path)]
+        )
+        assert (code, out, err) == (0, "class    n=8\nj=4     5076\n", "")
+        body = path.read_bytes()
+        assert body.count(b"\n") == 5076
+        assert hashlib.sha256(body).hexdigest() == (
+            "1ac826d0a580cd07f55c2a5aecd2e74082e86c79a36b7d64b28a25a34f554a7e")
+
+    def test_classes_out_count_mismatch_is_a_verification_failure(
+            self, capsys, monkeypatch, tmp_path):
+        # the sweep's class count is checked against the Moebius count
+        # before the file is opened or the grid printed
+        count = search_cli.count_classes
+        monkeypatch.setattr(search_cli, "count_classes", lambda n, j: count(n, j) + 1)
+        path = tmp_path / "classes.jsonl"
+        code, out, err = run_main(
+            capsys, ["omega", "--n", "4", "--j", "2", "--classes-out", str(path)]
+        )
+        assert (code, out) == (1, "")
+        assert err.startswith("verification failed: ")
+        assert not path.exists()
 
     def test_classes_out_needs_single_cell(self, capsys, tmp_path):
         path = tmp_path / "x"
