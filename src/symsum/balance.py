@@ -20,7 +20,6 @@ from .boolean_core import BooleanFunction, Record, WeightProfile, weight_profile
 from .diophantine import SolutionVector
 from .expsum import (
     SymmetricSpec,
-    _subset_masks,
     delta_row,
     delta_vector,
     periodic_binomial_sums,
@@ -111,8 +110,7 @@ def classify_range(spec: SymmetricSpec, profile: WeightProfile, n_lo: int, n_hi:
                                      BalanceStatus.NOT_BALANCED, None, None)
                 continue
             if row is None:
-                row = witness_row(sign_row(_subset_masks(n_hi), spec.degrees),
-                                  profile.values, n_hi - j + 1)
+                row = witness_row(sign_row(spec.degrees, n_hi), profile.values, n_hi - j + 1)
             inner_n = n_total - j
             yield classify_zero(
                 spec.degrees, j, n_total, perturbation,

@@ -30,24 +30,26 @@ def binom_parity(l: int, k: int) -> int:
     return 1 if k & ~l == 0 else 0
 
 
-def _subset_masks(n: int) -> list[int]:
-    """masks[t] has bit k set exactly when k is a bit-subset of t, t <= n.
+def _subset_xor(word: int, n: int) -> int:
+    """Bit t of the result, t <= n, is the XOR of ``word``'s bits at the
+    bit-subsets of t: the GF(2) zeta transform, its own inverse on n + 1 bits.
+    By Lucas' theorem (C(t, k) is odd exactly when k is a bit-subset of t) it
+    maps a degree mask to its sign word.  For each power of two s, highest
+    first, bit t - s is XORed onto every bit t that holds s."""
+    s = 1 << n.bit_length() >> 1
+    clear = (1 << s) - 1
+    while s:
+        word ^= (word & clear) << s
+        s >>= 1
+        clear ^= clear << s
+    return word & ((2 << n) - 1)
 
-    By Lucas' theorem that is when C(t, k) is odd.  The submasks of t are
-    those of t without its lowest bit p, together with the same shifted by p.
-    """
-    masks = [1]
-    for t in range(1, n + 1):
-        rest = masks[t & (t - 1)]
-        masks.append(rest | rest << (t & -t))
-    return masks
 
-
-def sign_row(masks: list[int], degrees) -> list[int]:
-    """The Lucas signs (-1)**parity(masks[t] & D), D the degree mask, at the
-    weights t of ``_subset_masks``: (-1) to the sum of C(t, k) over the degrees."""
-    degree_mask = sum(1 << k for k in degrees)
-    return [1 - 2 * ((mask & degree_mask).bit_count() & 1) for mask in masks]
+def sign_row(degrees, n: int) -> list[int]:
+    """The Lucas signs s_t = (-1) to the sum of C(t, k) over the degrees, for
+    t = 0..n."""
+    word = _subset_xor(sum(1 << k for k in degrees), n)
+    return [-1 if bit == "1" else 1 for bit in f"{word:0{n + 1}b}"[::-1]]
 
 
 class SymmetricSpec(Record):
@@ -86,7 +88,7 @@ class SymmetricSpec(Record):
     @property
     def sign_row(self) -> tuple[int, ...]:
         """One full period of the sign pattern, index 0 first."""
-        return tuple(sign_row(_subset_masks(self.period - 1), self.degrees))
+        return tuple(sign_row(self.degrees, self.period - 1))
 
     def __str__(self) -> str:
         return "[" + ",".join(str(k) for k in self.degrees) + "]"
@@ -179,7 +181,7 @@ def delta_row(signs, values, length: int) -> list[int]:
 
 def delta_vector(spec: SymmetricSpec, profile: WeightProfile) -> DeltaVector:
     """Periodic weight vector of a perturbation given by its weight profile."""
-    signs = sign_row(_subset_masks(spec.period + profile.j - 1), spec.degrees)
+    signs = sign_row(spec.degrees, spec.period + profile.j - 1)
     return DeltaVector(profile.j, spec.r, delta_row(signs, profile.values, spec.period))
 
 

@@ -15,7 +15,6 @@ import json
 import os
 import sys
 from math import comb
-from operator import add, sub
 from pathlib import Path
 
 from .balance import (
@@ -46,10 +45,9 @@ from .diophantine import (
 )
 from .expsum import (
     SymmetricSpec,
-    _subset_masks,
+    _subset_xor,
     delta_vector,
     periodic_binomial_sums,
-    sign_row,
 )
 
 DEFAULT_GAMMA_BUDGET = 3.2e8
@@ -62,10 +60,9 @@ CROSS_CHECK_BUDGET = 2 * 10 ** 6
 CHECKPOINT_EVERY = 10 ** 6
 # Degrees and variable counts that expsum, classify and conjecture-scan accept,
 # search's --n-max and the gamma and omega grid ranges lie below these bounds.
-# A degree set's sign row holds one subset mask per weight below its period
-# P = 2**r, about P**2 / 16 bytes in all: 16 MB at top degree 16383, where
-# expsum peaks near 32 MB. README gives the cost of a classify sweep up to
-# N_BOUND.
+# A degree set's sign row spans its period P = 2**r: at top degree 16383,
+# `expsum --degrees 16383 --n 1..10` peaks at 16.7 MB RSS (Python 3.11, 2-CPU
+# x86-64 VM). README gives the cost of a classify sweep up to N_BOUND.
 DEGREE_BOUND = N_BOUND = 1 << 14
 
 # The fixed grid that verify-families checks.
@@ -278,22 +275,24 @@ class Campaign(Record):
 
 
 def _balanced_degree_sets(lead: int, top: int, values: tuple[int, ...],
-                          inner: int, masks: list[int]) -> list[tuple[int, ...]]:
-    """Degree sets with least degree ``lead`` and top degree at most ``top``
-    whose sign sum on ``inner + j`` variables, perturbed by the weight
-    profile ``values``, vanishes; ``masks`` is ``_subset_masks`` of inner + j
-    or more.
+                          inner: int) -> list[int]:
+    """Degree masks (bit k set for each degree k) of the degree sets with
+    least degree ``lead`` and top degree at most ``top`` whose sign sum on
+    ``inner + j`` variables, perturbed by the weight profile ``values``,
+    vanishes.
 
     The search runs over sign bits, not degree sets.  The sign at weight t is
-    (-1)**b_t with b_t = XOR of C(t, k) mod 2 over the degrees k (Lucas), and
-    the sign sum is S = sum_t (-1)**b_t * W_t, W_t = sum_m c_m * C(inner, t-m).
+    (-1)**b_t with b_t = XOR of C(t, k) mod 2 over the degrees k, and the
+    sign sum is S = sum_t (-1)**b_t * W_t, W_t = sum_m c_m * C(inner, t-m).
     So S = 0 exactly when sum_t b_t * W_t = sum(W) / 2.
 
-    - The bits b_0..b_top are the GF(2) Moebius transform of the degree set,
-      and the transform is its own inverse: d_k = XOR of b_l over the
-      bit-subsets l of k.  Least degree ``lead`` fixes b_lead = 1 and zero
-      bits below it; b_{lead+1..top} are free, one pattern per degree set.
-    - Each bit above ``top`` is a GF(2)-linear form in the bits up to top.
+    - By Lucas the sign word b_0..b_N (N = inner + j) is ``_subset_xor`` of
+      the degree mask, and on b_0..b_top the transform is its own inverse.
+      Least degree ``lead`` fixes b_lead = 1 and zero bits below it;
+      b_{lead+1..top} are free, one pattern per degree set.
+    - The transform is linear: free bit t stands for the degree mask whose
+      sign bits up to top are t alone, and flips the bits above top of that
+      mask's sign word; a pattern's degree mask is the XOR of its bits'.
     - Meet in the middle (Horowitz-Sahni): the low half of the free bits is
       indexed by its partial sum and its share of the dependent bits'
       parities; every high-half pattern is joined against each parity
@@ -312,31 +311,26 @@ def _balanced_degree_sets(lead: int, top: int, values: tuple[int, ...],
     total = sum(weights)
     if total % 2:
         return []
-    # forms[i]: bit b_{top+1+i} is the parity of forms[i] & b
-    forms = []
-    for t in range(top + 1, n_total + 1):
-        form = 0
-        for k in range(lead, top + 1):
-            if masks[t] >> k & 1:
-                form ^= masks[k]
-        forms.append(form)
-    fixed = sum(1 << i for i, form in enumerate(forms) if form >> lead & 1)
+    # degree[t]: the degree mask whose sign bits up to top are t alone;
+    # column[t]: the dependent bits b_{top+1..N}, from bit 0, that it flips
+    degree = {t: _subset_xor(1 << t, top) for t in range(lead, top + 1)}
+    column = {t: _subset_xor(mask, n_total) >> (top + 1) for t, mask in degree.items()}
+    fixed = column[lead]
     dependent_weights = weights[top + 1:]
     target = total // 2 - weights[lead]
 
     def patterns(positions):
-        """(bits, partial sum, dependent parities) for every bit pattern."""
+        """(degree mask, partial sum, dependent parities) for every bit pattern."""
         out = [(0, 0, 0)]
         for t in positions:
-            column = sum(1 << i for i, form in enumerate(forms) if form >> t & 1)
-            out += [(bits | 1 << t, s + weights[t], p ^ column) for bits, s, p in out]
+            out += [(mask ^ degree[t], s + weights[t], p ^ column[t]) for mask, s, p in out]
         return out
 
     free = top - lead
-    split = lead + 1 + min(free, (free + len(forms) + 1) // 2)
+    split = lead + 1 + min(free, (free + n_total - top + 1) // 2)
     table: dict[int, dict[int, list[int]]] = {}
-    for bits, s, p in patterns(range(lead + 1, split)):
-        table.setdefault(p, {}).setdefault(s, []).append(bits)
+    for mask, s, p in patterns(range(lead + 1, split)):
+        table.setdefault(p, {}).setdefault(s, []).append(mask)
     hits = []
     # The dependent bits' weight depends only on their parity word, and many
     # (high pattern, parity group) pairs share a word.
@@ -350,10 +344,7 @@ def _balanced_degree_sets(lead: int, top: int, values: tuple[int, ...],
                     w for i, w in enumerate(dependent_weights) if dependent >> i & 1
                 )
             for low in by_sum.get(target - s_high - d_sum, ()):
-                b = 1 << lead | low | high
-                hits.append(tuple(
-                    k for k in range(lead, top + 1) if (masks[k] & b).bit_count() & 1
-                ))
+                hits.append(degree[lead] ^ low ^ high)
     return hits
 
 
@@ -390,37 +381,42 @@ def _scan_leading_degree(campaign: Campaign, lead: int) -> tuple[ScanCounters, l
     are kept, sorted into (degree set, variable count, perturbation) order,
     the lex order of degree sets that the output format fixes.
 
-    One ``_subset_masks`` list, for the largest variable count, serves every
-    cell (the list for n is a prefix of the list for any larger n).  Each hit
-    builds one ``sign_row`` s_0..s_N (N = n_total), which the mirror test and
-    the witness x_l = sum over m of c_m * s_(l+m) both read.  With
-    ``sporadic_only`` and a profile c on j variables whose reversal is eps * c
-    (``mirror_parity`` gives [eps = +1]), a hit whose signs mirror, s_(N-t) =
-    -eps * s_t for every t, is counted trivial without a witness: x_(N-j-l) =
-    sum over m of c_(j-m) * s_(N-l-m) = eps * sum over m of c_m * (-eps) *
-    s_(l+m) = -x_l, so the sign sum vanishes and the witness folds to zero.
+    Each hit's sign word b_0..b_N (N = n_total) is recomputed from its
+    degree mask with ``_subset_xor``, not copied from the engine's columns,
+    so the checks stay independent of them.  With ``sporadic_only`` and a
+    profile c on j variables whose reversal is eps * c (``mirror_parity``
+    gives [eps = +1]), a hit whose signs mirror, s_(N-t) = -eps * s_t for
+    every t, is counted trivial without a witness: the word XOR its reversal
+    on N + 1 bits is all ones when eps = +1 and 0 when eps = -1.  Then
+    x_(N-j-l) = sum over m of c_(j-m) * s_(N-l-m) = eps * sum over m of c_m *
+    (-eps) * s_(l+m) = -x_l, so the sign sum vanishes and the witness folds
+    to zero.  Every other hit decodes its degrees from the mask and reads its
+    signs s_t = (-1)**b_t off the word for the witness x_l = sum over m of
+    c_m * s_(l+m).
     """
     counters = ScanCounters()
-    masks = _subset_masks(max((n for _, values in campaign.perturbations
-                               for n in campaign.n_totals(lead, len(values) - 1)), default=0))
     findings = []
     for index, (desc, values) in enumerate(campaign.perturbations):
         j = len(values) - 1
-        mirror = {1: add, 0: sub}.get(mirror_parity(values)) if campaign.sporadic_only else None
+        mirror = mirror_parity(values) if campaign.sporadic_only else None
         for n_total in campaign.n_totals(lead, j):
             top = campaign.top_degree(n_total, j)
             counters.candidates += 1 << (top - lead)
-            for degs in _balanced_degree_sets(lead, top, values, n_total - j, masks):
+            mirrored = ((2 << n_total) - 1) * mirror if mirror is not None else None
+            for mask in _balanced_degree_sets(lead, top, values, n_total - j):
                 counters.balanced += 1
-                signs = sign_row(masks[:n_total + 1], degs)
-                if mirror and not any(map(mirror, signs, reversed(signs))):
+                word = _subset_xor(mask, n_total)
+                bits = f"{word:0{n_total + 1}b}"[::-1]  # b_0 first
+                if mirrored is not None and word ^ int(bits, 2) == mirrored:
                     counters.trivial += 1
                     continue
+                degs = tuple([k for k in range(lead, top + 1) if mask >> k & 1])
                 verdict = classify_zero(
                     degs, j, n_total, desc,
                     f"census engine and classifier disagree on degrees {list(degs)} "
                     f"at n={n_total} ({desc})",
-                    witness_row(signs, values, n_total - j + 1),
+                    witness_row([-1 if bit == "1" else 1 for bit in bits], values,
+                                n_total - j + 1),
                 )
                 if verdict.status is BalanceStatus.SPORADIC:
                     counters.sporadic += 1

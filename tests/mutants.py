@@ -53,6 +53,9 @@ MUTANTS = (
     Mutant("residue fold mirrors onto the wrong class", "src/symsum/expsum.py",
            "if 2 * l != n:", "if 2 * l != n - 1:",
            ("tests/test_expsum.py", "tests/test_recurrence.py")),
+    Mutant("subset-XOR transform steps past a bit", "src/symsum/expsum.py",
+           "clear ^= clear << s", "clear ^= clear << (s + 1)",
+           ("tests/test_expsum.py::TestSignRow::test_matches_binom_parity",)),
     Mutant("Moebius sign", "src/symsum/diophantine.py",
            "return -mu if d > 1 else mu", "return mu if d > 1 else mu",
            ("tests/test_diophantine.py",)),
@@ -91,7 +94,8 @@ MUTANTS = (
            ("tests/test_balance.py::TestFamilies"
             "::test_expected_verdict_checks_status_and_class_key",)),
     Mutant("engine ignores sign bits above t = 40", "src/symsum/search_cli.py",
-           "range(top + 1, n_total + 1)", "range(top + 1, min(n_total, 40) + 1)",
+           "_subset_xor(mask, n_total) >> (top + 1)",
+           "_subset_xor(mask, min(n_total, 40)) >> (top + 1)",
            ("tests/test_census_engine.py"
             "::test_engine_agrees_with_sweeps_where_most_bits_are_dependent",)),
     Mutant("findings not sorted", "src/symsum/search_cli.py",
@@ -100,8 +104,8 @@ MUTANTS = (
     Mutant("mirrored hit not counted trivial", "src/symsum/search_cli.py",
            "counters.trivial += 1\n                    continue", "continue",
            ("tests/test_census_engine.py::test_mirror_counted_hits_are_zero_class_trivial",)),
-    Mutant("sign-row mirror test with the parity flipped", "src/symsum/search_cli.py",
-           "{1: add, 0: sub}", "{1: sub, 0: add}",
+    Mutant("sign-word mirror test with the parity flipped", "src/symsum/search_cli.py",
+           "((2 << n_total) - 1) * mirror", "((2 << n_total) - 1) * (1 - mirror)",
            ("tests/test_census_engine.py::test_mirror_counted_hits_are_zero_class_trivial",)),
     Mutant("chunk loop stops one lead early", "src/symsum/search_cli.py",
            "range(start_chunk + 1, last_lead + 1)", "range(start_chunk + 1, last_lead)",

@@ -225,23 +225,29 @@ def test_unperturbed_oracle_is_not_vacuous(unperturbed_oracle):
     assert sum(c.sporadic for c in counters) == 10
 
 
-@pytest.mark.parametrize("perturbation, hits", [(X1, 1723), (X1X2, 1206)], ids=["x1", "x1x2"])
-def test_engine_agrees_with_sweeps_where_most_bits_are_dependent(perturbation, hits):
+@pytest.mark.parametrize(
+    "perturbation, k_max, n_max, hits",
+    [(X1, 10, 60, 1723), (X1X2, 10, 60, 1206), (X1X2, 6, 140, 903)],
+    ids=["x1", "x1x2", "x1x2-past-128-bits"],
+)
+def test_engine_agrees_with_sweeps_where_most_bits_are_dependent(perturbation, k_max, n_max,
+                                                                 hits):
     # The oracle pass above stops at 17 variables.  Here the top degree is at
-    # most 10 and the variable count reaches 60, so up to 50 sign bits of a
-    # cell are dependent; one classify_range sweep per degree set, whose sign
-    # sums come from the periodic delta vector, is the reference.
+    # most 10 and the variable count reaches 60, or at most 6 and 140, so up
+    # to 134 sign bits of a cell are dependent and the sign words span several
+    # machine words; one classify_range sweep per degree set, whose sign sums
+    # come from the periodic delta vector, is the reference.
     desc, values = perturbation
-    campaign = Campaign(10, 60, "total", (perturbation,))
+    campaign = Campaign(k_max, n_max, "total", (perturbation,))
     got = {
         (rec.degrees, rec.n_total, rec.status, rec.witness)
-        for lead in range(1, 11) for rec in _scan_leading_degree(campaign, lead)[1]
+        for lead in range(1, k_max + 1) for rec in _scan_leading_degree(campaign, lead)[1]
     }
     profile = WeightProfile(len(values) - 1, values)
     want = set()
-    for degs in iter_degree_sets(10):
+    for degs in iter_degree_sets(k_max):
         n_lo = max(degs[-1] + 1, profile.j + 1)
-        for verdict in classify_range(SymmetricSpec(degs), profile, n_lo, 60, desc):
+        for verdict in classify_range(SymmetricSpec(degs), profile, n_lo, n_max, desc):
             if verdict.status is not BalanceStatus.NOT_BALANCED:
                 want.add((verdict.degrees, verdict.n_total, verdict.status, verdict.witness))
     assert len(want) == hits

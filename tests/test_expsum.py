@@ -26,7 +26,7 @@ from symsum import (
     shifted_identity_gap,
     weight_profile,
 )
-from symsum.expsum import _subset_masks, delta_row, sign_row
+from symsum.expsum import _subset_xor, delta_row, sign_row
 
 from conftest import (
     brute_force_sign_sum,
@@ -60,6 +60,30 @@ class TestBinomParity:
         for l in range(64):
             for k in range(64):
                 assert binom_parity(l, k) == (comb(l, k) % 2 if k <= l else 0)
+
+
+class TestSignRow:
+    # n = 0..300 crosses the transform's word widths 64, 128, 256 and 512.
+
+    def test_matches_binom_parity(self, rng):
+        for n in range(301):
+            degrees = sorted(rng.sample(range(1, n + 17), rng.randint(1, 8)))
+            want = [(-1) ** sum(binom_parity(t, k) for k in degrees) for t in range(n + 1)]
+            assert sign_row(degrees, n) == want, (degrees, n)
+
+    def test_transform_is_its_own_inverse(self, rng):
+        for n in range(301):
+            word = rng.getrandbits(n + 1)
+            assert _subset_xor(_subset_xor(word, n), n) == word, n
+
+    def test_period_row_repeats(self, rng):
+        for _ in range(60):
+            spec = random_spec(rng, 40)
+            n = rng.randint(spec.period, 300)
+            period_row = spec.sign_row
+            assert sign_row(spec.degrees, n) == [
+                period_row[t % spec.period] for t in range(n + 1)
+            ], (spec, n)
 
 
 # ---------------------------------------------------------------------------
@@ -201,7 +225,7 @@ class TestDeltaVector:
         for degrees, prof in cases:
             spec = SymmetricSpec(degrees)
             dv = delta_vector(spec, prof)
-            signs = sign_row(_subset_masks(4 * dv.period + prof.j - 1), spec.degrees)
+            signs = sign_row(spec.degrees, 4 * dv.period + prof.j - 1)
             row = delta_row(signs, prof.values, 4 * dv.period)
             assert len(row) == 4 * dv.period
             for a in range(4 * dv.period):

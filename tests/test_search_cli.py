@@ -148,13 +148,12 @@ def test_malformed_degrees_field_is_a_usage_error(capsys, command, text):
 
 @pytest.mark.parametrize("command", ["expsum", "classify"])
 def test_degrees_past_the_bound_are_refused(capsys, monkeypatch, command):
-    # the sign row of a top degree near 10**8 would take gigabytes, so it
-    # must be refused before any subset mask is built
-    def refuse(n):
-        raise AssertionError(f"subset masks built up to {n}")
+    # the sign row of a top degree near 10**8 would take a period of 2**27
+    # weights, so it must be refused before any sign row is built
+    def refuse(word, n):
+        raise AssertionError(f"sign row built up to {n}")
 
-    monkeypatch.setattr(expsum, "_subset_masks", refuse)
-    monkeypatch.setattr(balance, "_subset_masks", refuse)
+    monkeypatch.setattr(expsum, "_subset_xor", refuse)
     code, out, err = run_main(capsys, [command, "--degrees", "100000000", "--n", "5"])
     assert (code, out) == (2, "")
     assert err == "error: --degrees needs degrees below 16384, got 100000000\n"
@@ -1044,10 +1043,10 @@ class TestSearch:
     def test_engine_classifier_disagreement_exits_one(self, capsys, monkeypatch):
         engine = search_cli._balanced_degree_sets
 
-        def with_false_hit(lead, top, values, inner, masks):
-            hits = engine(lead, top, values, inner, masks)
+        def with_false_hit(lead, top, values, inner):
+            hits = engine(lead, top, values, inner)
             if (lead, inner) == (2, 7):
-                hits.append((2,))  # S = -16 on 8 variables perturbed by x1
+                hits.append(1 << 2)  # degrees [2]: S = -16 on 8 variables perturbed by x1
             return hits
 
         monkeypatch.setattr(search_cli, "_balanced_degree_sets", with_false_hit)
