@@ -655,18 +655,21 @@ def cmd_omega(args) -> int:
         fh = Path(args.classes_out).open("w")
     _print_grid("class", n_values, j_values, cells, args.csv)
     if args.classes_out:
-        encode = json.JSONEncoder(sort_keys=True).encode  # json.dumps's bytes, built once
+        # json.dumps({"n", "j", "key": key.to_json(), "realizable_example"},
+        # sort_keys=True), written directly: the fields are ints, int lists,
+        # None and a bool, and str() of an int list is its JSON text
         with fh:
-            for key, rep in sorted(
-                classes.items(),
-                key=lambda kv: (kv[0].is_zero, kv[0].half, kv[0].center or 0),
-            ):
-                fh.write(encode({
-                    "n": n,
-                    "j": j,
-                    "key": key.to_json(),
-                    "realizable_example": list(rep),
-                }) + "\n")
+            fh.writelines(
+                f'{{"j": {j}, "key": {{"center": '
+                f'{"null" if key.center is None else key.center}, '
+                f'"half": {list(key.half)}, "n": {n}, '
+                f'"zero": {"true" if key.is_zero else "false"}}}, '
+                f'"n": {n}, "realizable_example": {list(rep)}}}\n'
+                for key, rep in sorted(
+                    classes.items(),
+                    key=lambda kv: (kv[0].is_zero, kv[0].half, kv[0].center or 0),
+                )
+            )
     return 0
 
 

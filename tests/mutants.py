@@ -59,6 +59,16 @@ MUTANTS = (
     Mutant("Moebius sign", "src/symsum/diophantine.py",
            "return -mu if d > 1 else mu", "return mu if d > 1 else mu",
            ("tests/test_diophantine.py",)),
+    Mutant("divisor run keeps only its last divisor's Moebius value",
+           "src/symsum/diophantine.py",
+           "runs[top // d] = runs.get(top // d, 0) + _mobius(d)",
+           "runs[top // d] = _mobius(d)",
+           ("tests/test_diophantine.py::TestClasses"
+            "::test_divisor_runs_equal_the_per_divisor_sum",)),
+    Mutant("divisor run's center bound rounded up", "src/symsum/diophantine.py",
+           "shrunk.append(c // 2)", "shrunk.append((c + 1) // 2)",
+           ("tests/test_diophantine.py::TestClasses"
+            "::test_divisor_runs_equal_the_per_divisor_sum",)),
     Mutant("box-count slot one bit narrow", "src/symsum/diophantine.py",
            "k = prod(sizes).bit_length()", "k = prod(sizes).bit_length() - 1",
            ("tests/test_diophantine.py",)),
@@ -131,6 +141,11 @@ MUTANTS = (
            "if len(classes) != cells[(n, j)]:", "if False:",
            ("tests/test_search_cli.py::TestOmegaCommand"
             "::test_classes_out_count_mismatch_is_a_verification_failure",)),
+    Mutant("odd-n center written as 0", "src/symsum/search_cli.py",
+           '{"null" if key.center is None else key.center}',
+           '{0 if key.center is None else key.center}',
+           ("tests/test_search_cli.py::TestOmegaCommand"
+            "::test_classes_out_lines_are_the_json_encoder_bytes",)),
     Mutant("variable-count bound compared one off", "src/symsum/search_cli.py",
            "if below is not None and b >= below:", "if below is not None and b > below:",
            ("tests/test_search_cli.py::test_variable_counts_past_the_bound_are_refused",)),

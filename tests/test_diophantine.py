@@ -32,6 +32,7 @@ from symsum.diophantine import (
     _binomial_row,
     _box_count,
     _check_class_cell,
+    _mobius,
 )
 from symsum.search_cli import DEFAULT_OMEGA_BUDGET
 
@@ -464,6 +465,22 @@ def per_leaf_enumerate_classes(n: int, j: int) -> dict[FoldedKey, tuple[int, ...
     return out
 
 
+def per_divisor_count_classes(n: int, j: int) -> int:
+    """The Moebius count with one box count per divisor d <= 2**j, its
+    bounds shrunk to 2**j // d and 2**(j-1) // d: the sum count_classes
+    replaced by one box count per run of divisors, kept as its oracle."""
+    hl = (n + 1) // 2
+    weights = _binomial_half_row(n)
+    bounds = [1 << j] * hl + ([1 << (j - 1)] if n % 2 == 0 else [])
+    primitive = 0
+    for d in range(1, (1 << j) + 1):
+        shrunk = [c // d for c in bounds]
+        z = _box_count(weights, [2 * c + 1 for c in shrunk],
+                       sum(c * w for c, w in zip(shrunk, weights)))
+        primitive += _mobius(d) * (z - 1)
+    return 1 + primitive // 2
+
+
 class TestClasses:
     def test_reference_counts(self):
         assert count_classes(4, 2) == 5
@@ -515,6 +532,25 @@ class TestClasses:
                 assert len(got) == count_classes(n, j), (n, j)
                 cells += 1
         assert cells == 39  # all but (10, 4)
+
+    def test_divisor_runs_equal_the_per_divisor_sum(self):
+        cells = {(n, j) for n in range(1, 13) for j in range(1, 6)}
+        default_grid = {(n, j) for n in range(1, 11) for j in range(1, 8)
+                        if class_enumeration_metric(n, j) <= DEFAULT_OMEGA_BUDGET}
+        assert len(default_grid) == 57
+        for n, j in sorted(cells | default_grid):
+            assert count_classes(n, j) == per_divisor_count_classes(n, j), (n, j)
+
+    def test_one_box_count_per_divisor_run(self, monkeypatch):
+        calls = []
+        box_count = diophantine._box_count
+        monkeypatch.setattr(diophantine, "_box_count",
+                            lambda *args: calls.append(args) or box_count(*args))
+        assert count_classes(8, 4) == 5076
+        # runs 2**4 // d = 16, 8, 5, 3 and 1; the runs 4 (d = 4) and 2
+        # (d = 6, 7, 8) have Moebius sum 0
+        assert [sizes[0] // 2 for _, sizes, _ in calls] == [16, 8, 5, 3, 1]
+        assert [sizes[-1] // 2 for _, sizes, _ in calls] == [8, 4, 2, 1, 0]
 
     def test_level_zero_rejected(self):
         # {-1, 1} has no zero: at n = 6 the only solutions are the two

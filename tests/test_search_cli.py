@@ -22,6 +22,7 @@ from symsum import (
     all_functions,
     canonical_key,
     classify,
+    enumerate_classes,
     exp_sum_symmetric,
     weight_profile,
 )
@@ -466,6 +467,26 @@ class TestOmegaCommand:
         assert body.count(b"\n") == 5076
         assert hashlib.sha256(body).hexdigest() == (
             "1ac826d0a580cd07f55c2a5aecd2e74082e86c79a36b7d64b28a25a34f554a7e")
+
+    def test_classes_out_lines_are_the_json_encoder_bytes(self, capsys, tmp_path):
+        # each line is json.dumps(sort_keys=True) of the record dict, in the
+        # order of (zero class last, half, center)
+        path = tmp_path / "classes.jsonl"
+        cells = [(n, j) for n in range(1, 10) for j in range(1, 4)] + [(8, 4)]
+        for n, j in cells:
+            code, _, _ = run_main(
+                capsys, ["omega", "--n", str(n), "--j", str(j), "--classes-out", str(path)]
+            )
+            assert code == 0
+            want = "".join(
+                json.dumps({"n": n, "j": j, "key": key.to_json(),
+                            "realizable_example": list(rep)}, sort_keys=True) + "\n"
+                for key, rep in sorted(
+                    enumerate_classes(n, j).items(),
+                    key=lambda kv: (kv[0].is_zero, kv[0].half, kv[0].center or 0),
+                )
+            )
+            assert path.read_text() == want, (n, j)
 
     def test_classes_out_count_mismatch_is_a_verification_failure(
             self, capsys, monkeypatch, tmp_path):
