@@ -19,7 +19,6 @@ from pathlib import Path
 
 from .balance import (
     BalanceStatus,
-    BalanceVerdict,
     VerificationError,
     _expect_verdict,
     classify_range,
@@ -209,6 +208,50 @@ class SystemExit2(Exception):
 # search campaigns
 # ---------------------------------------------------------------------------
 
+# SHA-256 round constants (FIPS 180-4, 4.2.2): the first 32 bits of the
+# fractional parts of the cube roots of the first 64 primes.
+_SHA256_K = (
+    0x428a2f98, 0x71374491, 0xb5c0fbcf, 0xe9b5dba5, 0x3956c25b, 0x59f111f1,
+    0x923f82a4, 0xab1c5ed5, 0xd807aa98, 0x12835b01, 0x243185be, 0x550c7dc3,
+    0x72be5d74, 0x80deb1fe, 0x9bdc06a7, 0xc19bf174, 0xe49b69c1, 0xefbe4786,
+    0x0fc19dc6, 0x240ca1cc, 0x2de92c6f, 0x4a7484aa, 0x5cb0a9dc, 0x76f988da,
+    0x983e5152, 0xa831c66d, 0xb00327c8, 0xbf597fc7, 0xc6e00bf3, 0xd5a79147,
+    0x06ca6351, 0x14292967, 0x27b70a85, 0x2e1b2138, 0x4d2c6dfc, 0x53380d13,
+    0x650a7354, 0x766a0abb, 0x81c2c92e, 0x92722c85, 0xa2bfe8a1, 0xa81a664b,
+    0xc24b8b70, 0xc76c51a3, 0xd192e819, 0xd6990624, 0xf40e3585, 0x106aa070,
+    0x19a4c116, 0x1e376c08, 0x2748774c, 0x34b0bcb5, 0x391c0cb3, 0x4ed8aa4a,
+    0x5b9cca4f, 0x682e6ff3, 0x748f82ee, 0x78a5636f, 0x84c87814, 0x8cc70208,
+    0x90befffa, 0xa4506ceb, 0xbef9a3f7, 0xc67178f2,
+)
+
+
+def _sha256_hex(data: bytes) -> str:
+    """SHA-256 of ``data`` (FIPS 180-4) in hex.  ``hashlib`` would load
+    OpenSSL, 3.6 MB of peak RSS in every ``search`` for one short digest."""
+    mask = 0xFFFFFFFF
+
+    def rotr(x: int, n: int) -> int:
+        return (x >> n | x << (32 - n)) & mask
+
+    # pad with 0x80, zeros to 56 mod 64 bytes, and the length in bits
+    msg = data + b"\x80" + bytes(-(len(data) + 9) % 64) + (8 * len(data)).to_bytes(8, "big")
+    state = (0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a,
+             0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19)
+    for i in range(0, len(msg), 64):
+        w = [int.from_bytes(msg[i + t:i + t + 4], "big") for t in range(0, 64, 4)]
+        for t in range(16, 64):
+            s0 = rotr(w[t - 15], 7) ^ rotr(w[t - 15], 18) ^ w[t - 15] >> 3
+            s1 = rotr(w[t - 2], 17) ^ rotr(w[t - 2], 19) ^ w[t - 2] >> 10
+            w.append((w[t - 16] + s0 + w[t - 7] + s1) & mask)
+        a, b, c, d, e, f, g, h = state
+        for k, word in zip(_SHA256_K, w):
+            t1 = h + (rotr(e, 6) ^ rotr(e, 11) ^ rotr(e, 25)) + (e & f ^ ~e & g) + k + word
+            t2 = (rotr(a, 2) ^ rotr(a, 13) ^ rotr(a, 22)) + (a & b ^ a & c ^ b & c)
+            a, b, c, d, e, f, g, h = (t1 + t2) & mask, a, b, c, (d + t1) & mask, e, f, g
+        state = tuple((x + y) & mask for x, y in zip(state, (a, b, c, d, e, f, g, h)))
+    return "".join(f"{x:08x}" for x in state)
+
+
 class Campaign(Record):
     """An exhaustive sweep over degree sets and variable counts.
 
@@ -253,11 +296,7 @@ class Campaign(Record):
         }
 
     def digest(self) -> str:
-        import hashlib  # only search needs it, and it loads OpenSSL
-
-        return hashlib.sha256(
-            json.dumps(self.to_json(), sort_keys=True).encode()
-        ).hexdigest()[:16]
+        return _sha256_hex(json.dumps(self.to_json(), sort_keys=True).encode())[:16]
 
     def n_totals(self, top_degree: int, j: int) -> list[int]:
         """Variable counts scanned for a degree set with the given top degree."""
@@ -372,14 +411,17 @@ class ScanCounters(Record):
         self.sporadic += other.sporadic
 
 
-def _scan_leading_degree(campaign: Campaign, lead: int) -> tuple[ScanCounters, list[BalanceVerdict]]:
-    """Evaluate the campaign over the degree sets with least degree ``lead``.
+def _scan_leading_degree(campaign: Campaign, lead: int) -> tuple[ScanCounters, list[bytes]]:
+    """Evaluate the campaign over the degree sets with least degree ``lead``;
+    returns the counters and the findings as ``--out`` lines.
 
     Each (perturbation, variable count) cell covers the 2**(top - lead)
     degree sets whose top degree that count admits.  Each hit is counted and
     mirror-tested or classified as the engine yields it; only the findings
-    are kept, sorted into (degree set, variable count, perturbation) order,
-    the lex order of degree sets that the output format fixes.
+    are kept, each encoded to its line where it is classified (a line is a
+    fraction of its verdict's size), and sorted into (degree set, variable
+    count, perturbation) order, the lex order of degree sets that the output
+    format fixes.
 
     Each hit's sign word b_0..b_N (N = n_total) is recomputed from its
     degree mask with ``_subset_xor``, not copied from the engine's columns,
@@ -424,9 +466,10 @@ def _scan_leading_degree(campaign: Campaign, lead: int) -> tuple[ScanCounters, l
                     counters.trivial += 1
                     if campaign.sporadic_only:
                         continue
-                findings.append((degs, n_total, index, verdict))
+                line = json.dumps(verdict.to_record(), sort_keys=True).encode() + b"\n"
+                findings.append((degs, n_total, index, line))
     findings.sort()  # the first three entries differ between any two findings
-    return counters, [verdict for *_, verdict in findings]
+    return counters, [line for *_, line in findings]
 
 
 def run_search(campaign: Campaign, out_path: Path | None = None,
@@ -508,11 +551,10 @@ def run_search(campaign: Campaign, out_path: Path | None = None,
         # n_max variables for j = 0: j cancels out of both conventions.
         last_lead = campaign.top_degree(campaign.n_max, 0)
         for lead in range(start_chunk + 1, last_lead + 1):
-            chunk_counters, findings = _scan_leading_degree(campaign, lead)
+            chunk_counters, lines = _scan_leading_degree(campaign, lead)
             counters.add(chunk_counters)
             if out is not None:
-                out.writelines(json.dumps(rec.to_record(), sort_keys=True).encode() + b"\n"
-                               for rec in findings)
+                out.writelines(lines)
             if checkpoint_path is not None and lead < last_lead and (
                     counters.candidates - last_checkpoint >= CHECKPOINT_EVERY):
                 _write_checkpoint(checkpoint_path, digest, lead, counters, out)
@@ -708,11 +750,14 @@ def cmd_search(args) -> int:
 
 def _regenerate_witness_table(n_total: int, profile_values: tuple[int, ...]):
     """Sporadic degree sets and witnesses at one variable count, top degree
-    below the variable count: the sporadic findings of a census campaign."""
+    below the variable count: the sporadic findings of a census campaign,
+    decoded from their ``--out`` lines."""
     perturbation = _perturbation(profile_values, None, None)
     campaign = Campaign(n_total - 1, n_total, "total", (perturbation,), True)
-    chunks = (_scan_leading_degree(campaign, lead)[1] for lead in range(1, n_total))
-    return {rec.degrees: rec.witness for recs in chunks for rec in recs if rec.n_total == n_total}
+    records = (json.loads(line) for lead in range(1, n_total)
+               for line in _scan_leading_degree(campaign, lead)[1])
+    return {tuple(rec["degrees"]): tuple(rec["witness"])
+            for rec in records if rec["n_total"] == n_total}
 
 
 def cmd_tables(args) -> int:

@@ -117,6 +117,19 @@ MUTANTS = (
     Mutant("sign-word mirror test with the parity flipped", "src/symsum/search_cli.py",
            "((2 << n_total) - 1) * mirror", "((2 << n_total) - 1) * (1 - mirror)",
            ("tests/test_census_engine.py::test_mirror_counted_hits_are_zero_class_trivial",)),
+    Mutant("chunk lines encoded without sort_keys", "src/symsum/search_cli.py",
+           "line = json.dumps(verdict.to_record(), sort_keys=True).encode()",
+           "line = json.dumps(verdict.to_record()).encode()",
+           ("tests/test_census_engine.py::test_engine_agrees_with_oracle_total",
+            "tests/test_search_cli.py::TestSearch::test_sporadic_census_out_body_is_pinned")),
+    Mutant("SHA-256 round constant changed", "src/symsum/search_cli.py",
+           "0x428a2f98", "0x428a2f99",
+           ("tests/test_search_cli.py::test_campaign_sha256_matches_hashlib",
+            "tests/test_records.py::test_cli_import_loads_no_hashlib_fractions_or_typing")),
+    Mutant("SHA-256 length field in bytes, not bits", "src/symsum/search_cli.py",
+           '(8 * len(data)).to_bytes(8, "big")', 'len(data).to_bytes(8, "big")',
+           ("tests/test_search_cli.py::test_campaign_sha256_matches_hashlib",
+            "tests/test_records.py::test_cli_import_loads_no_hashlib_fractions_or_typing")),
     Mutant("chunk loop stops one lead early", "src/symsum/search_cli.py",
            "range(start_chunk + 1, last_lead + 1)", "range(start_chunk + 1, last_lead)",
            ("tests/test_search_cli.py::TestSearch"

@@ -197,12 +197,14 @@ def test_cached_sign_row_leaves_equality_alone():
     assert repr(spec) == "SymmetricSpec(degrees=(2, 3))"
 
 
-def _loaded_by_cli_import(names: set[str]) -> str:
+def _loaded_by_cli_import(names: set[str], argv: list[str] | None = None) -> str:
     """The sorted list of ``names`` found in sys.modules after a fresh
-    interpreter imports symsum.search_cli, as printed."""
+    interpreter imports symsum.search_cli, and runs ``main(argv)`` when argv
+    is given, as printed (the command's own stdout comes before it)."""
     # -S keeps the site-packages .pth files, and whatever they import, out.
+    run = "" if argv is None else f"assert symsum.search_cli.main({argv!r}) == 0; "
     code = (
-        f"import sys; sys.path.insert(0, {str(SRC)!r}); import symsum.search_cli; "
+        f"import sys; sys.path.insert(0, {str(SRC)!r}); import symsum.search_cli; {run}"
         f"print(sorted({set(names)!r} & set(sys.modules)))"
     )
     proc = subprocess.run([sys.executable, "-S", "-c", code],
@@ -215,10 +217,17 @@ def test_cli_import_loads_neither_dataclasses_nor_inspect():
     assert _loaded_by_cli_import({"dataclasses", "inspect"}) == "[]\n"
 
 
-def test_cli_import_loads_no_hashlib_fractions_or_typing():
-    # hashlib (with OpenSSL) is imported by Campaign.digest, fractions (with
-    # decimal) by the functions that return a Fraction
+def test_cli_import_loads_no_hashlib_fractions_or_typing(tmp_path):
+    # fractions (with decimal) is imported by the functions that return a
+    # Fraction.  Campaign.digest has its own SHA-256, so not even a search
+    # that writes the digest to --out and --checkpoint loads hashlib, which
+    # loads OpenSSL.
     assert _loaded_by_cli_import({"hashlib", "fractions", "decimal", "typing"}) == "[]\n"
+    out, checkpoint = tmp_path / "out.jsonl", tmp_path / "ckpt.json"
+    argv = ["search", "--k-max", "6", "--n-max", "6", "--out", str(out),
+            "--checkpoint", str(checkpoint)]
+    assert _loaded_by_cli_import({"hashlib", "_hashlib"}, argv).endswith("}\n[]\n")
+    assert out.read_bytes().startswith(b'{"digest": ') and checkpoint.exists()
     campaign = Campaign(17, 17, "total", (("x1", (1, -1)), ("x1x2", (1, -2, 1))), True)
     assert campaign.digest() == "d29640b9dd8f5bfb"
     assert type(d0(SymmetricSpec.of(2, 3), X1)) is Fraction

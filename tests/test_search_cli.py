@@ -6,6 +6,7 @@ import hashlib
 import itertools
 import json
 import os
+import random
 import signal
 import subprocess
 import sys
@@ -1182,6 +1183,24 @@ class TestSearch:
         )
         assert code == 2  # digest mismatch
         assert "different campaign" in err
+
+
+def test_campaign_sha256_matches_hashlib():
+    # Campaign.digest hashes with search_cli's own SHA-256, so that search
+    # never loads OpenSSL.  Lengths 0..300 cross every padding edge: 55/56
+    # bytes (the length field still fits in the block), 63/64 and 119/120.
+    rng = random.Random(35)
+    for size in range(301):
+        data = rng.randbytes(size)
+        assert search_cli._sha256_hex(data) == hashlib.sha256(data).hexdigest(), size
+    for campaign in (
+        Campaign(17, 17, "total", (("profile:1,-1", (1, -1)),), True),
+        Campaign(15, 15, "inner", (("anf:x1 + x1*x3", (1, 1, 1, 1)),)),
+        Campaign(40, 200, "total", (("profile:1,-1", (1, -1)),
+                                    ("profile:1,-2,1", (1, -2, 1))), True),
+    ):
+        text = json.dumps(campaign.to_json(), sort_keys=True).encode()
+        assert campaign.digest() == hashlib.sha256(text).hexdigest()[:16]
 
 
 # ---------------------------------------------------------------------------
