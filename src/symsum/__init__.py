@@ -26,12 +26,9 @@ from .boolean_core import (
     AnfSyntaxError,
     BooleanFunction,
     WeightProfile,
-    all_functions,
     all_profiles,
     anf_parse,
     anf_to_function,
-    exp_sum_bruteforce,
-    function_to_anf,
     weight_profile,
 )
 from .diophantine import (
@@ -44,18 +41,14 @@ from .diophantine import (
     count_solutions,
     direct_enumeration_metric,
     enumerate_classes,
-    enumerate_solutions,
-    enumerate_trivial_solutions,
     gamma_integral_metric,
     gamma_via_integral,
-    trivial_count,
 )
 from .expsum import (
     DeltaVector,
     SymmetricSpec,
     binom_parity,
     delta_vector,
-    exp_sum_perturbation_decomposed,
     exp_sum_profile,
     exp_sum_symmetric,
     periodic_binomial_sums,

@@ -193,28 +193,6 @@ def anf_to_function(expr: AnfExpression, j: int) -> BooleanFunction:
     return BooleanFunction(j, table)
 
 
-def function_to_anf(f: BooleanFunction) -> AnfExpression:
-    """Recover the canonical XOR-of-monomials form from a truth table."""
-    coeffs = list(f.bits())
-    for i in range(f.j):
-        bit = 1 << i
-        for x in range(f.size):
-            if x & bit:
-                coeffs[x] ^= coeffs[x ^ bit]
-    terms = frozenset(
-        frozenset(i + 1 for i in range(f.j) if x & (1 << i))
-        for x in range(f.size)
-        if coeffs[x]
-    )
-    return AnfExpression(terms)
-
-
-def exp_sum_bruteforce(f: BooleanFunction) -> int:
-    """Sign sum of F over all inputs, by direct enumeration."""
-    ones = f.table.bit_count()
-    return f.size - 2 * ones
-
-
 class WeightProfile(Record):
     """Signed counts of a function by input weight.
 
@@ -251,14 +229,6 @@ def weight_profile(f: BooleanFunction) -> WeightProfile:
     for x in range(f.size):
         values[x.bit_count()] += 1 - 2 * ((f.table >> x) & 1)
     return WeightProfile(f.j, tuple(values))
-
-
-def all_functions(j: int):
-    """Yield every Boolean function on j variables (use only for tiny j)."""
-    if j > 4:
-        raise ValueError("refusing to enumerate more than 2**16 functions")
-    for table in range(1 << (1 << j)):
-        yield BooleanFunction(j, table)
 
 
 def all_profiles(j: int):

@@ -11,7 +11,6 @@ those moves, so a normalized folded vector is a canonical class key.
 
 from __future__ import annotations
 
-import itertools
 from math import comb, gcd, prod
 from operator import add, index, mul
 
@@ -144,46 +143,8 @@ def canonical_key(v: SolutionVector) -> FoldedKey:
     return _fold_key(n, fold)
 
 
-def _check_trivial_level(j: int) -> None:
-    """Level 0 is {-1, 1}, with no zero for the centre that an antisymmetric
-    vector needs at even n, so the trivial families start at level 1."""
-    if j < 1:
-        raise ValueError("need j >= 1: level 0 has no zero entry, so the trivial "
-                         "families and their count are defined for j >= 1")
-
-
-def trivial_count(n: int, j: int) -> int:
-    """Closed-form count of trivial solutions over the level-j alphabet."""
-    if n < 1:
-        raise ValueError("need n >= 1")
-    _check_trivial_level(j)
-    size = (1 << j) + 1
-    if n % 2 == 1:
-        return size ** ((n + 1) // 2)
-    return size ** (n // 2) + (1 << j)
-
-
-def enumerate_trivial_solutions(n: int, j: int):
-    """All trivial solutions over the level-j alphabet, each yielded once.
-
-    For even n the zero vector is both antisymmetric and alternating, so the
-    alternating sweep skips m = 0.
-    """
-    _check_trivial_level(j)
-    members = GammaAlphabet(j).members
-    if n % 2 == 1:
-        for combo in itertools.product(members, repeat=(n + 1) // 2):
-            yield SolutionVector(n, combo + tuple(-c for c in reversed(combo)))
-        return
-    for combo in itertools.product(members, repeat=n // 2):
-        yield SolutionVector(n, combo + (0,) + tuple(-c for c in reversed(combo)))
-    for m in members:
-        if m:
-            yield SolutionVector(n, tuple((-1) ** l * m for l in range(n + 1)))
-
-
 # ---------------------------------------------------------------------------
-# exact counting and enumeration of all solutions
+# exact counting of all solutions
 # ---------------------------------------------------------------------------
 
 def direct_enumeration_metric(n: int, j: int) -> int:
@@ -263,33 +224,6 @@ def count_solutions(n: int, j: int) -> int:
     if j == 0:
         return _box_count(weights, [2] * (n + 1), 1 << (n - 1))
     return _box_count(weights, [2 * b + 1] * (n + 1), b << n)
-
-
-def enumerate_solutions(n: int, j: int):
-    """Yield every solution over the level-j alphabet in lexicographic order.
-
-    A depth-first sweep over the positions, pruned wherever the remaining
-    positions can no longer bring the partial sum back to zero.
-    """
-    members = GammaAlphabet(j).members
-    weights = _binomial_row(n)
-    big = max(abs(x) for x in members)
-    suffix = [0] * (n + 2)
-    for l in range(n, -1, -1):
-        suffix[l] = suffix[l + 1] + big * weights[l]
-
-    def walk(depth: int, acc: int, prefix: tuple[int, ...]):
-        if depth == n + 1:
-            if acc == 0:
-                yield SolutionVector(n, prefix)
-            return
-        lim = suffix[depth + 1]
-        for x in members:
-            a2 = acc + x * weights[depth]
-            if -lim <= a2 <= lim:
-                yield from walk(depth + 1, a2, prefix + (x,))
-
-    yield from walk(0, 0, ())
 
 
 # ---------------------------------------------------------------------------

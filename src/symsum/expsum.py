@@ -193,43 +193,6 @@ def exp_sum_profile(spec: SymmetricSpec, profile: WeightProfile, inner_n: int) -
     return periodic_binomial_sums(delta_vector(spec, profile).values, inner_n, inner_n)[0]
 
 
-def exp_sum_perturbation_decomposed(spec: SymmetricSpec, profile: WeightProfile,
-                                     inner_n: int) -> int:
-    """Sign sum via the weight-layer decomposition; inner_n >= 1 counts the
-    variables beyond the perturbed block.
-
-    Each weight layer m of the perturbation contributes profile[m] times the
-    sign sum on the inner variables of the XOR of shifted degree sets
-    {k - i : C(m, i) odd, k in degrees}; degree drops below zero vanish and
-    degree zero flips the sign.  Must agree with exp_sum_profile.
-    """
-    total = 0
-    for m, c in enumerate(profile.values):
-        if c == 0:
-            continue
-        flips = 0
-        degs: set[int] = set()
-        for i in range(m + 1):
-            if not binom_parity(m, i):
-                continue
-            for k in spec.degrees:
-                d = k - i
-                if d < 0:
-                    continue
-                if d == 0:
-                    flips ^= 1
-                elif d in degs:
-                    degs.remove(d)
-                else:
-                    degs.add(d)
-        if degs:
-            inner = exp_sum_symmetric(inner_n, SymmetricSpec(tuple(sorted(degs))))
-            total += c * (-inner if flips else inner)
-        else:
-            total += c * (-1 if flips else 1) * (1 << inner_n)
-    return total
-
-
 def _shift_degrees(k: int, t: int, offset: int) -> SymmetricSpec:
     """Degrees {k + offset - i : C(t, i) odd}, all required positive."""
     degs = sorted(k + offset - i for i in range(t + 1) if binom_parity(t, i))

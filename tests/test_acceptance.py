@@ -27,7 +27,6 @@ from symsum import (
     direct_enumeration_metric,
     enumerate_classes,
     epsilon,
-    exp_sum_perturbation_decomposed,
     exp_sum_profile,
     exp_sum_symmetric,
     gamma_via_integral,
@@ -53,6 +52,7 @@ from symsum.search_cli import (
 
 from conftest import (
     brute_force_sign_sum,
+    exp_sum_perturbation_decomposed,
     function_from_profile,
     random_balanced_profile,
     random_profile,

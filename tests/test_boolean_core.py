@@ -13,17 +13,14 @@ from symsum import (
     AnfSyntaxError,
     BooleanFunction,
     WeightProfile,
-    all_functions,
     all_profiles,
     anf_parse,
     anf_to_function,
-    exp_sum_bruteforce,
-    function_to_anf,
     main,
     weight_profile,
 )
 
-from conftest import function_from_profile
+from conftest import all_functions, exp_sum_bruteforce, function_from_profile, function_to_anf
 
 ROTATION = "x1*x2 + x2*x3 + x3*x4 + x4*x5 + x5*x1"
 

@@ -20,11 +20,8 @@ from symsum import (
     count_solutions,
     direct_enumeration_metric,
     enumerate_classes,
-    enumerate_solutions,
-    enumerate_trivial_solutions,
     gamma_integral_metric,
     gamma_via_integral,
-    trivial_count,
 )
 from symsum import diophantine
 from symsum.diophantine import (
@@ -35,6 +32,8 @@ from symsum.diophantine import (
     _mobius,
 )
 from symsum.search_cli import DEFAULT_OMEGA_BUDGET
+
+from conftest import enumerate_solutions, enumerate_trivial_solutions, trivial_count
 
 EQUIVALENT_TO_ALTERNATING_N12 = (0, 0, 0, -2, 2, 0, 1, -2, 0, 0, 2, -2, 2)
 
@@ -363,6 +362,7 @@ class TestBoxCount:
         assert _box_count([], [], 0) == 1
         assert _box_count([], [], 1) == 0
         assert _box_count([0, 1], [4, 2], 1) == 4
+        assert _box_count([0], [2], 0) == 2  # (0,) and (1,): the count 2 needs a 2-bit slot
 
 
 @given(

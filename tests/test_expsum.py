@@ -19,7 +19,6 @@ from symsum import (
     binom_parity,
     classify,
     delta_vector,
-    exp_sum_perturbation_decomposed,
     exp_sum_profile,
     exp_sum_symmetric,
     periodic_binomial_sums,
@@ -29,7 +28,9 @@ from symsum import (
 from symsum.expsum import _subset_xor, delta_row, sign_row
 
 from conftest import (
+    all_functions,
     brute_force_sign_sum,
+    exp_sum_perturbation_decomposed,
     function_from_profile,
     random_balanced_profile,
     random_profile,
@@ -299,8 +300,6 @@ class TestExpSumPerturbation:
     def test_exhaustive_three_variable_functions(self):
         # the sum depends on the function only through its weight sums
         spec = SymmetricSpec((3, 6))
-        from symsum import all_functions
-
         for f in all_functions(3):
             assert exp_sum_profile(spec, weight_profile(f), 6) == brute_force_sign_sum((3, 6), 9, f)
 

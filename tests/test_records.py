@@ -26,12 +26,12 @@ from symsum.diophantine import (
     SolutionVector,
     canonical_key,
     enumerate_classes,
-    enumerate_solutions,
-    enumerate_trivial_solutions,
 )
 from symsum.expsum import DeltaVector, SymmetricSpec, delta_vector
 from symsum.recurrence import CyclotomicValue, RecurrencePoly, d0
 from symsum.search_cli import Campaign, ScanCounters
+
+from conftest import enumerate_solutions, enumerate_trivial_solutions
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 

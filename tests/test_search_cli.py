@@ -20,7 +20,6 @@ from symsum import (
     SolutionVector,
     SymmetricSpec,
     WeightProfile,
-    all_functions,
     canonical_key,
     classify,
     enumerate_classes,
@@ -30,7 +29,7 @@ from symsum import (
 from symsum import balance, diophantine, expsum, search_cli
 from symsum.search_cli import Campaign, main, run_search
 
-from conftest import brute_force_sign_sum, read_findings
+from conftest import all_functions, brute_force_sign_sum, read_findings
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import ast
+import sys
 from pathlib import Path
 
 import pytest
@@ -11,6 +12,24 @@ PACKAGE = Path(__file__).resolve().parent.parent / "src" / "symsum"
 
 # __init__.py imports only to re-export, so it is left out.
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_imports_only_the_package_and_the_standard_library(path):
+    # pyproject.toml declares no dependencies, and the test oracles stay out
+    # of the library: no conftest, tests, numpy, pytest or hypothesis
+    outside = {}
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            modules = [node.module]
+        else:
+            continue
+        for module in modules:
+            if module.split(".")[0] not in sys.stdlib_module_names:
+                outside[module] = node.lineno
+    assert not outside, f"{path.name}: imports outside the package and stdlib (module: line) {outside}"
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
@@ -72,15 +91,11 @@ def _public_definitions(body, prefix: str = ""):
 TEST_ONLY = {
     "balance.py:BalanceVerdict.raw_witness": "the acceptance tests read witnesses at raw scale",
     "balance.py:balance_window_report": "README example of the eventual-balance window",
-    "boolean_core.py:function_to_anf": "inverse of anf_to_function, the round-trip reference",
-    "boolean_core.py:exp_sum_bruteforce": "truth-table oracle for the sign sums",
-    "boolean_core.py:all_functions": "every small function, the exhaustive test reference",
+    "boolean_core.py:BooleanFunction.bits": "the truth table bit by bit, which the brute-force oracles read",
     "boolean_core.py:all_profiles": "every profile on j variables, for exhaustive profile sweeps",
-    "diophantine.py:trivial_count": "closed form that the trivial enumeration is checked against",
-    "diophantine.py:enumerate_trivial_solutions": "the trivial families, entry by entry",
-    "diophantine.py:enumerate_solutions": "brute-force oracle for the counts and classes",
+    "diophantine.py:GammaAlphabet.members": "the level-j alphabet Gamma_j, which the enumeration oracles and class tests sweep",
     "expsum.py:SymmetricSpec.of": "the README's and acceptance tests' spelling of a degree set",
-    "expsum.py:exp_sum_perturbation_decomposed": "independent route to the perturbed sum",
+    "expsum.py:exp_sum_symmetric": "the README's unperturbed sign sum, and the decomposition oracle's inner sums",
     "expsum.py:shifted_identity_gap": "the degree-shift identity of an acceptance criterion",
     "recurrence.py:RecurrencePoly.divides": "README and acceptance test of minimality",
     "recurrence.py:master_recurrence": "the period recurrence of an acceptance criterion",
