@@ -12,12 +12,12 @@ residue is balanced.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from enum import Enum
 from math import comb
 
 from .boolean_core import BooleanFunction, Record, WeightProfile, weight_profile
-from .diophantine import SolutionVector
+from .diophantine import _fold, _fold_key
 from .expsum import (
     SymmetricSpec,
     delta_row,
@@ -63,17 +63,6 @@ class BalanceVerdict(Record):
             return self.witness
         return tuple(2 * w for w in self.witness)
 
-    def to_record(self) -> dict:
-        return {
-            "n_total": self.n_total,
-            "degrees": list(self.degrees),
-            "perturbation": self.perturbation,
-            "S": self.sign_sum,
-            "status": self.status.value,
-            "witness": None if self.witness is None else list(self.witness),
-            "key": None if self.key is None else self.key.to_json(),
-        }
-
 
 def classify(spec: SymmetricSpec, profile: WeightProfile, n_total: int,
              perturbation: str | None = None) -> BalanceVerdict:
@@ -114,9 +103,9 @@ def classify_range(spec: SymmetricSpec, profile: WeightProfile, n_lo: int, n_hi:
             inner_n = n_total - j
             yield classify_zero(
                 spec.degrees, j, n_total, perturbation,
-                f"sign-sum sweep gives 0 at n_total={n_total} (inner n={inner_n}, "
-                f"degrees {list(spec.degrees)}) for profile {list(profile.values)} "
-                f"but its witness fails its equation",
+                lambda: f"sign-sum sweep gives 0 at n_total={n_total} (inner n={inner_n}, "
+                        f"degrees {list(spec.degrees)}) for profile {list(profile.values)} "
+                        f"but its witness fails its equation",
                 row[:inner_n + 1],
             )
 
@@ -133,22 +122,25 @@ def witness_row(signs: list[int], values: tuple[int, ...], length: int) -> list[
 
 
 def classify_zero(degrees: tuple[int, ...], j: int, n_total: int, perturbation: str,
-                  context: str, witness: list[int]) -> BalanceVerdict:
+                  context: Callable[[], str], witness: list[int]) -> BalanceVerdict:
     """Verdict of a zero sign sum: trivial or sporadic, with witness and key.
 
     ``witness`` is the ``witness_row`` along indices 0..inner_n = n_total - j
-    of a profile on j variables.  Its equation sum over l of
+    (inner_n >= 1) of a profile on j variables.  Its equation sum over l of
     x_l * C(inner_n, l) = 0 is the sign sum S / 2 (S itself at j = 0), so a
-    claimed zero that is false fails it: VerificationError "<context>: <reason>".
+    claimed zero that is false fails it, as does a witness of another length:
+    VerificationError "<context()>: <reason>", the context formatted only then.
     """
     inner_n = n_total - j
+    entries = tuple(witness)
     try:
-        vector = SolutionVector(inner_n, witness)
+        if len(entries) != inner_n + 1:
+            raise ValueError(f"expected {inner_n + 1} entries, got {len(entries)}")
+        key = _fold_key(inner_n, _fold(entries))
     except ValueError as exc:
-        raise VerificationError(f"{context}: {exc}") from exc
-    key = vector.key
+        raise VerificationError(f"{context()}: {exc}") from exc
     status = BalanceStatus.TRIVIAL if key.is_trivial else BalanceStatus.SPORADIC
-    return BalanceVerdict(n_total, degrees, j, perturbation, 0, status, vector.entries, key)
+    return BalanceVerdict(n_total, degrees, j, perturbation, 0, status, entries, key)
 
 
 def mirror_parity(values: tuple[int, ...]) -> int | None:

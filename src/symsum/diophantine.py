@@ -86,14 +86,6 @@ class FoldedKey(Record):
 
     _fields = ("n", "half", "center", "is_zero")
 
-    def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "half": list(self.half),
-            "center": self.center,
-            "zero": self.is_zero,
-        }
-
     @property
     def is_trivial(self) -> bool:
         """Whether the class holds an always-present family: the zero class, of
@@ -132,15 +124,18 @@ def _fold_key(n: int, fold: tuple[int, ...], row: list[int] | None = None) -> Fo
     return key
 
 
+def _fold(x: tuple[int, ...]) -> tuple[int, ...]:
+    """The fold ``_fold_key`` takes of entries x_0..x_n: the pair sums
+    x_l + x_(n-l), l < (n + 1) // 2, then the center for even n."""
+    hl = len(x) // 2
+    fold = tuple(map(add, x[:hl], reversed(x)))
+    return fold + (x[hl],) if len(x) % 2 else fold
+
+
 def canonical_key(v: SolutionVector) -> FoldedKey:
     """Class key of a solution under scaling, sign, and symmetric
     rearrangement: ``_fold_key`` of its fold."""
-    n, x = v.n, v.entries
-    hl = (n + 1) // 2
-    fold = tuple(map(add, x[:hl], reversed(x)))
-    if n % 2 == 0:
-        fold += (x[hl],)
-    return _fold_key(n, fold)
+    return _fold_key(v.n, _fold(v.entries))
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@ from pathlib import Path
 
 from .balance import (
     BalanceStatus,
+    BalanceVerdict,
     VerificationError,
     _expect_verdict,
     classify_range,
@@ -441,6 +442,7 @@ def _scan_leading_degree(campaign: Campaign, lead: int) -> tuple[ScanCounters, l
     for index, (desc, values) in enumerate(campaign.perturbations):
         j = len(values) - 1
         mirror = mirror_parity(values) if campaign.sporadic_only else None
+        escaped = json.dumps(desc)
         for n_total in campaign.n_totals(lead, j):
             top = campaign.top_degree(n_total, j)
             counters.candidates += 1 << (top - lead)
@@ -455,8 +457,8 @@ def _scan_leading_degree(campaign: Campaign, lead: int) -> tuple[ScanCounters, l
                 degs = tuple([k for k in range(lead, top + 1) if mask >> k & 1])
                 verdict = classify_zero(
                     degs, j, n_total, desc,
-                    f"census engine and classifier disagree on degrees {list(degs)} "
-                    f"at n={n_total} ({desc})",
+                    lambda: f"census engine and classifier disagree on degrees {list(degs)} "
+                            f"at n={n_total} ({desc})",
                     witness_row([-1 if bit == "1" else 1 for bit in bits], values,
                                 n_total - j + 1),
                 )
@@ -466,7 +468,7 @@ def _scan_leading_degree(campaign: Campaign, lead: int) -> tuple[ScanCounters, l
                     counters.trivial += 1
                     if campaign.sporadic_only:
                         continue
-                line = json.dumps(verdict.to_record(), sort_keys=True).encode() + b"\n"
+                line = f"{_verdict_line(verdict, escaped)}\n".encode()
                 findings.append((degs, n_total, index, line))
     findings.sort()  # the first three entries differ between any two findings
     return counters, [line for *_, line in findings]
@@ -595,6 +597,21 @@ def _write_checkpoint(path: Path, digest: str, chunks_done: int,
 # subcommands
 # ---------------------------------------------------------------------------
 
+def _verdict_line(verdict: BalanceVerdict, escaped: str) -> str:
+    """The line ``search --out`` writes and ``classify`` prints for a verdict:
+    its fields but j as a JSON object with sorted keys, written directly as
+    the ``omega --classes-out`` lines are.  ``escaped`` is ``json.dumps`` of
+    its perturbation descriptor."""
+    k = verdict.key
+    key = "null" if k is None else (
+        f'{{"center": {"null" if k.center is None else k.center}, "half": {list(k.half)}, '
+        f'"n": {k.n}, "zero": {"true" if k.is_zero else "false"}}}')
+    return (f'{{"S": {verdict.sign_sum}, "degrees": {list(verdict.degrees)}, "key": {key}, '
+            f'"n_total": {verdict.n_total}, "perturbation": {escaped}, '
+            f'"status": "{verdict.status.value}", '
+            f'"witness": {"null" if verdict.witness is None else list(verdict.witness)}}}')
+
+
 def cmd_expsum(args) -> int:
     spec = _parse_degrees(args.degrees)
     desc, profile = _perturbation_from_args(args)
@@ -620,9 +637,10 @@ def cmd_classify(args) -> int:
     n_values = _parse_range(args.n, "--n", below=N_BOUND)  # ascending
     if n_values[0] <= profile.j:
         raise SystemExit2(f"n={n_values[0]} does not exceed the perturbed block j={profile.j}")
+    escaped = json.dumps(desc)
     with _any_digits():
         for verdict in classify_range(spec, profile, n_values[0], n_values[-1], desc):
-            print(json.dumps(verdict.to_record(), sort_keys=True))
+            print(_verdict_line(verdict, escaped))
     return 0
 
 
@@ -697,9 +715,9 @@ def cmd_omega(args) -> int:
         fh = Path(args.classes_out).open("w")
     _print_grid("class", n_values, j_values, cells, args.csv)
     if args.classes_out:
-        # json.dumps({"n", "j", "key": key.to_json(), "realizable_example"},
-        # sort_keys=True), written directly: the fields are ints, int lists,
-        # None and a bool, and str() of an int list is its JSON text
+        # json.dumps({"n", "j", "key", "realizable_example"}, sort_keys=True),
+        # the key an object of n, half, center and zero, written directly: the
+        # fields are ints, int lists, None and bools, and str() of an int list is JSON
         with fh:
             fh.writelines(
                 f'{{"j": {j}, "key": {{"center": '
@@ -730,14 +748,7 @@ def cmd_search(args) -> int:
     counters, recorded = run_search(
         campaign, out_path, checkpoint, args.resume, log=lambda s: print(s, file=sys.stderr)
     )
-    summary = {
-        "convention": args.n_convention,
-        "candidates": counters.candidates,
-        "balanced": counters.balanced,
-        "trivial": counters.trivial,
-        "sporadic": counters.sporadic,
-        "recorded": recorded,
-    }
+    summary = {"convention": args.n_convention, **counters.to_json(), "recorded": recorded}
     print(json.dumps(summary, sort_keys=True))
     if args.expect_sporadic is not None and counters.sporadic != args.expect_sporadic:
         print(

@@ -25,7 +25,9 @@ import pytest
 
 from symsum import (
     AnfExpression,
+    BalanceVerdict,
     BooleanFunction,
+    FoldedKey,
     GammaAlphabet,
     SolutionVector,
     SymmetricSpec,
@@ -203,6 +205,28 @@ def enumerate_solutions(n: int, j: int):
                 yield from walk(depth + 1, a2, prefix + (x,))
 
     yield from walk(0, 0, ())
+
+
+def key_record(key: FoldedKey) -> dict:
+    """A class key as the verdict lines and the ``omega --classes-out`` lines
+    hold it: their key must equal ``json.dumps`` of this record with sorted
+    keys."""
+    return {"n": key.n, "half": list(key.half), "center": key.center, "zero": key.is_zero}
+
+
+def verdict_record(verdict: BalanceVerdict) -> dict:
+    """A verdict's fields but j, as ``search --out`` and ``classify`` write
+    them: ``search_cli._verdict_line`` must equal ``json.dumps`` of this
+    record with sorted keys."""
+    return {
+        "n_total": verdict.n_total,
+        "degrees": list(verdict.degrees),
+        "perturbation": verdict.perturbation,
+        "S": verdict.sign_sum,
+        "status": verdict.status.value,
+        "witness": None if verdict.witness is None else list(verdict.witness),
+        "key": None if verdict.key is None else key_record(verdict.key),
+    }
 
 
 def read_findings(path) -> list[dict]:

@@ -103,6 +103,9 @@ MUTANTS = (
     Mutant("witness not halved", "src/symsum/balance.py",
            "[x // 2 for x in row] if len(values) > 1 else row", "row",
            ("tests/test_balance.py",)),
+    Mutant("zero's witness length unchecked", "src/symsum/balance.py",
+           "if len(entries) != inner_n + 1:", "if False:",
+           ("tests/test_balance.py::TestClassify::test_zero_witness_of_another_length_is_refused",)),
     Mutant("status helper ignores the class key", "src/symsum/balance.py",
            "if key is not None and verdict.key != key:", "if False:",
            ("tests/test_balance.py::TestFamilies"
@@ -121,10 +124,9 @@ MUTANTS = (
     Mutant("sign-word mirror test with the parity flipped", "src/symsum/search_cli.py",
            "((2 << n_total) - 1) * mirror", "((2 << n_total) - 1) * (1 - mirror)",
            ("tests/test_census_engine.py::test_mirror_counted_hits_are_zero_class_trivial",)),
-    Mutant("chunk lines encoded without sort_keys", "src/symsum/search_cli.py",
-           "line = json.dumps(verdict.to_record(), sort_keys=True).encode()",
-           "line = json.dumps(verdict.to_record()).encode()",
-           ("tests/test_census_engine.py::test_engine_agrees_with_oracle_total",
+    Mutant("verdict line writes the witness as a tuple", "src/symsum/search_cli.py",
+           "else list(verdict.witness)", "else tuple(verdict.witness)",
+           ("tests/test_search_cli.py::test_verdict_lines_are_the_json_encoder_bytes",
             "tests/test_search_cli.py::TestSearch::test_sporadic_census_out_body_is_pinned")),
     Mutant("SHA-256 round constant changed", "src/symsum/search_cli.py",
            "0x428a2f98", "0x428a2f99",

@@ -59,6 +59,7 @@ from conftest import (
     random_spec,
     random_unbalanced_profile,
     read_findings,
+    verdict_record,
 )
 
 X1 = WeightProfile(1, (1, -1))
@@ -306,11 +307,11 @@ def test_criterion_10_exhaustive_census(tmp_path):
         assert counters.balanced == counters.trivial + counters.sporadic
         assert len(findings) == recorded == want
         for rec in random.Random(0xCE25).sample(findings, 12):
-            assert rec == classify(
+            assert rec == verdict_record(classify(
                 SymmetricSpec(tuple(rec["degrees"])),
                 WeightProfile(len(perturbation[1]) - 1, perturbation[1]),
                 rec["n_total"], rec["perturbation"],
-            ).to_record()
+            ))
     assert time.monotonic() - start < 1200.0
 
 

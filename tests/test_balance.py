@@ -36,7 +36,7 @@ from symsum import (
 )
 from symsum import balance, diophantine
 
-from conftest import random_profile, random_spec
+from conftest import enumerate_solutions, random_profile, random_spec, verdict_record
 
 X1 = WeightProfile(1, (1, -1))
 X1X2 = WeightProfile(2, (1, -2, 1))
@@ -131,7 +131,7 @@ class TestClassify:
         assert v1.witness == v2.witness
 
     def test_to_record(self):
-        rec = classify(SymmetricSpec.of(14), X1X2, 24).to_record()
+        rec = verdict_record(classify(SymmetricSpec.of(14), X1X2, 24))
         assert rec["n_total"] == 24
         assert rec["degrees"] == [14]
         assert rec["S"] == 0
@@ -218,6 +218,47 @@ class TestClassify:
             match=r"n_total=8 \(inner n=8, degrees \[1, 2, 3, 5, 7\]\).*weighted sum is -2$",
         ):
             classify(SymmetricSpec((1, 2, 3, 5, 7)), UNPERTURBED, 8)
+
+    def test_zero_key_equals_the_solution_vector_key(self, rng):
+        # classify_zero keys the witness's fold without a SolutionVector; the
+        # vector's key, and its refusal of a non-solution, are the reference:
+        # every solution on up to 13 points at level 1 and 8 at level 2, and
+        # random vectors, most of them no solution
+        cases = [(n, j, v.entries) for j, n_max in ((1, 12), (2, 7))
+                 for n in range(1, n_max + 1) for v in enumerate_solutions(n, j)]
+        cases += [(n, 1, tuple(rng.randint(-2, 2) for _ in range(n + 1)))
+                  for n in rng.choices(range(1, 30), k=3000)]
+        refused = 0
+        for n, j, entries in cases:
+            try:
+                want = SolutionVector(n, entries).key
+            except ValueError as exc:
+                refused += 1
+                with pytest.raises(VerificationError) as info:
+                    balance.classify_zero((1,), j, n + j, "d", lambda: "ctx", list(entries))
+                assert str(info.value) == f"ctx: {exc}"
+                continue
+            v = balance.classify_zero((1,), j, n + j, "d", lambda: "ctx", list(entries))
+            assert (v.key, v.witness, v.status) == (want, entries, BalanceStatus.TRIVIAL
+                                                    if want.is_trivial else BalanceStatus.SPORADIC)
+        assert 2000 < refused < len(cases) - 5000
+
+    def test_zero_witness_of_another_length_is_refused(self):
+        # the fold of a short or long witness could pass the equation, so the
+        # length is checked first; the context is formatted only for a refusal
+        calls = []
+
+        def context():
+            calls.append(1)
+            return "ctx"
+
+        for witness in ([0] * 8, [0] * 10, [1, -1] * 4, [1, 0, -1] * 3 + [0]):
+            with pytest.raises(VerificationError, match=f"^ctx: expected 9 entries, "
+                                                        f"got {len(witness)}$"):
+                balance.classify_zero((1,), 1, 9, "d", context, witness)
+        assert len(calls) == 4
+        v = balance.classify_zero((1,), 1, 9, "d", context, [1, -1] * 4 + [1])
+        assert (v.status, v.witness, len(calls)) == (BalanceStatus.TRIVIAL, (1, -1) * 4 + (1,), 4)
 
 
 # ---------------------------------------------------------------------------

@@ -38,6 +38,8 @@ from symsum.search_cli import (
     _scan_leading_degree,
 )
 
+from conftest import verdict_record
+
 X1 = ("profile:1,-1", (1, -1))
 X1X2 = ("profile:1,-2,1", (1, -2, 1))
 UNPERTURBED = ("profile:1", (1,))
@@ -179,7 +181,7 @@ def inner_oracle() -> OracleCensus:
 def encoded(verdict: BalanceVerdict) -> bytes:
     """The --out line of a verdict.  It holds every field but j, and its key
     holds the inner count n_total - j, so equal lines mean equal verdicts."""
-    return json.dumps(verdict.to_record(), sort_keys=True).encode() + b"\n"
+    return json.dumps(verdict_record(verdict), sort_keys=True).encode() + b"\n"
 
 
 def assert_engine_matches(oracle: OracleCensus, k_max: int, n_max: int) -> None:

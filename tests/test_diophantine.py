@@ -33,7 +33,12 @@ from symsum.diophantine import (
 )
 from symsum.search_cli import DEFAULT_OMEGA_BUDGET
 
-from conftest import enumerate_solutions, enumerate_trivial_solutions, trivial_count
+from conftest import (
+    enumerate_solutions,
+    enumerate_trivial_solutions,
+    key_record,
+    trivial_count,
+)
 
 EQUIVALENT_TO_ALTERNATING_N12 = (0, 0, 0, -2, 2, 0, 1, -2, 0, 0, 2, -2, 2)
 
@@ -197,7 +202,7 @@ class TestCanonicalKey:
 
     def test_to_json(self):
         key = canonical_key(SolutionVector(4, (1, 1, -1, 0, 1)))
-        assert key.to_json() == {"n": 4, "half": [2, 1], "center": -1, "zero": False}
+        assert key_record(key) == {"n": 4, "half": [2, 1], "center": -1, "zero": False}
 
 
 # ---------------------------------------------------------------------------

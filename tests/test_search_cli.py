@@ -29,7 +29,13 @@ from symsum import (
 from symsum import balance, diophantine, expsum, search_cli
 from symsum.search_cli import Campaign, main, run_search
 
-from conftest import all_functions, brute_force_sign_sum, read_findings
+from conftest import (
+    all_functions,
+    brute_force_sign_sum,
+    key_record,
+    read_findings,
+    verdict_record,
+)
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -362,6 +368,39 @@ class TestClassifyCommand:
         assert "weighted sum is -2" in err
 
 
+def test_verdict_lines_are_the_json_encoder_bytes():
+    # search --out and classify write each verdict with _verdict_line, whose
+    # bytes must be json.dumps(sort_keys=True) of the verdict's record: for
+    # every status, odd and even inner counts (center null and an int), the
+    # zero class, profiles on 0..3 variables, --profile and --anf
+    # descriptors, one that JSON escapes, and a sign sum past 4300 digits
+    perturbations = [search_cli._perturbation(values, None, None)
+                     for values in ((1,), (1, -1), (1, -2, 1))]
+    perturbations += [search_cli._perturbation(None, "x1*x2 + x3", None),
+                      ('anf:"x1" \\ é', (1, -1))]
+    verdicts = [
+        v for desc, values in perturbations
+        for degs in itertools.chain.from_iterable(
+            itertools.combinations(range(1, 8), size) for size in range(1, 8))
+        for v in search_cli.classify_range(
+            SymmetricSpec(degs), WeightProfile(len(values) - 1, values), len(values), 13, desc)
+    ]
+    assert {(v.j, v.status) for v in verdicts} == set(itertools.product(range(4), BalanceStatus))
+    # the zero class at both parities, the alternating class at even n
+    assert {(v.status.value, v.inner_n % 2, v.key.is_zero) for v in verdicts if v.key} == {
+        ("trivial", 0, True), ("trivial", 1, True), ("trivial", 0, False),
+        ("sporadic", 0, False), ("sporadic", 1, False)}
+    for v in verdicts:
+        escaped = json.dumps(v.perturbation)
+        assert search_cli._verdict_line(v, escaped) == json.dumps(verdict_record(v),
+                                                                  sort_keys=True), v
+    huge = classify(SymmetricSpec.of(8191), WeightProfile(0, (1,)), 15000, "f=0")
+    with search_cli._any_digits():
+        assert len(str(huge.sign_sum)) > 4300
+        assert search_cli._verdict_line(huge, '"f=0"') == json.dumps(verdict_record(huge),
+                                                                      sort_keys=True)
+
+
 # ---------------------------------------------------------------------------
 # count tables
 # ---------------------------------------------------------------------------
@@ -448,14 +487,14 @@ class TestOmegaCommand:
             (2, -1, 0, 0, 2),
         )
         want_json = {
-            json.dumps(canonical_key(SolutionVector(4, r)).to_json(), sort_keys=True)
+            json.dumps(key_record(canonical_key(SolutionVector(4, r))), sort_keys=True)
             for r in reps
         }
         got_json = {json.dumps(r["key"], sort_keys=True) for r in recs}
         assert got_json == want_json
         for rec in recs:
             v = SolutionVector(rec["n"], tuple(rec["realizable_example"]))
-            assert canonical_key(v).to_json() == rec["key"]
+            assert key_record(canonical_key(v)) == rec["key"]
 
     def test_classes_out_at_n8_j4_is_pinned(self, capsys, tmp_path):
         path = tmp_path / "classes.jsonl"
@@ -479,7 +518,7 @@ class TestOmegaCommand:
             )
             assert code == 0
             want = "".join(
-                json.dumps({"n": n, "j": j, "key": key.to_json(),
+                json.dumps({"n": n, "j": j, "key": key_record(key),
                             "realizable_example": list(rep)}, sort_keys=True) + "\n"
                 for key, rep in sorted(
                     enumerate_classes(n, j).items(),
@@ -598,7 +637,7 @@ class TestSearch:
                         )
                         if not v.balanced:
                             continue
-                        recount.append(v.to_record())
+                        recount.append(verdict_record(v))
                         balanced += 1
                         if v.status is BalanceStatus.SPORADIC:
                             sporadic += 1
@@ -623,10 +662,10 @@ class TestSearch:
         profiles = dict(campaign.perturbations)
         for rec in findings:
             values = profiles[rec["perturbation"]]
-            assert rec == classify(
+            assert rec == verdict_record(classify(
                 SymmetricSpec(tuple(rec["degrees"])), WeightProfile(len(values) - 1, values),
                 rec["n_total"], rec["perturbation"],
-            ).to_record()
+            ))
 
     def test_sporadic_only_filters_findings_not_counters(self, tmp_path):
         full_out, out = tmp_path / "full.jsonl", tmp_path / "sporadic.jsonl"
@@ -731,6 +770,18 @@ class TestSearch:
         assert code == 0
         body = out.read_bytes().split(b"\n", 1)[1]
         assert hashlib.sha256(body).hexdigest() == body_sha256
+
+    def test_square_census_at_24_variables_is_pinned(self, capsys, tmp_path):
+        # the smallest pinned campaign of tests/pinned_campaigns.py, so that
+        # the --out lines are checked at 24 variables on every run
+        out = tmp_path / "findings.jsonl"
+        code, _, _ = run_main(
+            capsys, ["search", "--k-max", "24", "--n-max", "24", "--profile", "1,-1",
+                     "--profile", "1,-2,1", "--sporadic-only", "--out", str(out)]
+        )
+        assert code == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "afb254ff88bd7a5d6be120065c871ba9799515b4f5e2f617506f4ebd6d373a3c")
 
     def test_expect_sporadic_gate(self, capsys):
         argv = ["search", "--k-max", "4", "--n-max", "8", "--profile", "1,-1"]

@@ -62,16 +62,51 @@ def test_every_private_function_is_referenced():
     assert not defined - used, f"private functions never referenced: {sorted(defined - used)}"
 
 
+SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+
+
+def _locals(scope) -> set[str]:
+    """The names a function binds in its own scope: its parameters and what
+    it stores or defines, outside the scopes nested in it, less its globals."""
+    args = scope.args
+    bound = {a.arg for a in (*args.posonlyargs, *args.args, *args.kwonlyargs,
+                             args.vararg, args.kwarg) if a}
+    declared_global = set()
+    todo = [*scope.body] if isinstance(scope.body, list) else [scope.body]
+    while todo:
+        node = todo.pop()
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Load):
+            bound.add(node.id)
+        elif isinstance(node, ast.Global):
+            declared_global.update(node.names)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            bound.add(node.name)
+        elif not isinstance(node, ast.Lambda):
+            todo.extend(ast.iter_child_nodes(node))
+    return bound - declared_global
+
+
 def _names(path: Path) -> set[str]:
-    """Every name a file uses or imports (a definition does not name itself)."""
+    """Every name a file reads as a global, reads as an attribute or imports.
+    A definition does not name itself, and a local variable that shares a
+    definition's name, such as a ``total`` in some function, does not name
+    it either."""
     names = set()
-    for node in ast.walk(ast.parse(path.read_text())):
-        if isinstance(node, ast.Name):
-            names.add(node.id)
-        elif isinstance(node, ast.Attribute):
+
+    def visit(node, local: frozenset) -> None:
+        if isinstance(node, SCOPES):
+            local = local | _locals(node)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            if node.id not in local:
+                names.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
             names.add(node.attr)
         elif isinstance(node, ast.ImportFrom):
             names.update(alias.name for alias in node.names)
+        for child in ast.iter_child_nodes(node):
+            visit(child, local)
+
+    visit(ast.parse(path.read_text()), frozenset())
     return names
 
 
@@ -93,6 +128,7 @@ TEST_ONLY = {
     "balance.py:balance_window_report": "README example of the eventual-balance window",
     "boolean_core.py:BooleanFunction.bits": "the truth table bit by bit, which the brute-force oracles read",
     "boolean_core.py:all_profiles": "every profile on j variables, for exhaustive profile sweeps",
+    "boolean_core.py:WeightProfile.total": "the perturbation's own sign sum, which the degree-shift gap at n = 0 and the balanced-profile generators read",
     "diophantine.py:GammaAlphabet.members": "the level-j alphabet Gamma_j, which the enumeration oracles and class tests sweep",
     "expsum.py:SymmetricSpec.of": "the README's and acceptance tests' spelling of a degree set",
     "expsum.py:exp_sum_symmetric": "the README's unperturbed sign sum, and the decomposition oracle's inner sums",
@@ -117,6 +153,27 @@ def test_every_public_definition_is_named_somewhere():
     assert not TEST_ONLY.keys() - defined, f"stale entries: {sorted(TEST_ONLY.keys() - defined)}"
     unnamed = sorted(q for q, name in defined.items() if name not in named and q not in TEST_ONLY)
     assert not unnamed, f"public definitions named only by tests, or never: {unnamed}"
+
+
+def test_a_local_variable_names_no_definition(tmp_path):
+    # a local that shares a method's name, loaded or stored, is not a use of
+    # it; a global read, an attribute read and an import are
+    path = tmp_path / "m.py"
+    path.write_text(
+        "from a import imported\n"
+        "def f(arg, total=0):\n"
+        "    count = [x for x in arg]\n"
+        "    g = lambda size: size\n"
+        "    def inner():\n"
+        "        nonlocal count\n"
+        "        return count, total, arg.attr\n"
+        "    return count, g, inner, helper\n"
+        "def h():\n"
+        "    global state\n"
+        "    state = 1\n"
+        "    return state\n"
+    )
+    assert _names(path) == {"imported", "attr", "helper", "state"}
 
 
 def test_every_mutant_still_applies():
