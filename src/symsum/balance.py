@@ -17,7 +17,7 @@ from enum import Enum
 from math import comb
 
 from .boolean_core import BooleanFunction, Record, WeightProfile, weight_profile
-from .diophantine import _fold, _fold_key
+from .diophantine import _entries_key
 from .expsum import (
     SymmetricSpec,
     delta_row,
@@ -134,9 +134,7 @@ def classify_zero(degrees: tuple[int, ...], j: int, n_total: int, perturbation: 
     inner_n = n_total - j
     entries = tuple(witness)
     try:
-        if len(entries) != inner_n + 1:
-            raise ValueError(f"expected {inner_n + 1} entries, got {len(entries)}")
-        key = _fold_key(inner_n, _fold(entries))
+        key = _entries_key(inner_n, entries)
     except ValueError as exc:
         raise VerificationError(f"{context()}: {exc}") from exc
     status = BalanceStatus.TRIVIAL if key.is_trivial else BalanceStatus.SPORADIC

@@ -61,8 +61,8 @@ class GammaAlphabet(Record):
 
 class SolutionVector(Record):
     """Entries x_0..x_n with sum of x_l * C(n, l) equal to zero, and ``key``,
-    their class key from ``canonical_key``: not a field, so vectors in one
-    class share a key but stay unequal."""
+    their class key from ``canonical_key`` (which refuses entries of another
+    length): not a field, so vectors in one class share a key but stay unequal."""
 
     _fields = ("n", "entries")
 
@@ -70,8 +70,6 @@ class SolutionVector(Record):
         entries = tuple(map(index, entries))
         if n < 1:
             raise ValueError("need n >= 1")
-        if len(entries) != n + 1:
-            raise ValueError(f"expected {n + 1} entries, got {len(entries)}")
         super().__init__(n, entries)
         _bind(self, "key", canonical_key(self))
 
@@ -124,18 +122,20 @@ def _fold_key(n: int, fold: tuple[int, ...], row: list[int] | None = None) -> Fo
     return key
 
 
-def _fold(x: tuple[int, ...]) -> tuple[int, ...]:
-    """The fold ``_fold_key`` takes of entries x_0..x_n: the pair sums
-    x_l + x_(n-l), l < (n + 1) // 2, then the center for even n."""
+def _entries_key(n: int, x: tuple[int, ...]) -> FoldedKey:
+    """``_fold_key`` of entries x_0..x_n folded to the pair sums x_l + x_(n-l),
+    l < (n + 1) // 2, then the center for even n; another length is refused."""
+    if len(x) != n + 1:
+        raise ValueError(f"expected {n + 1} entries, got {len(x)}")
     hl = len(x) // 2
     fold = tuple(map(add, x[:hl], reversed(x)))
-    return fold + (x[hl],) if len(x) % 2 else fold
+    return _fold_key(n, fold + (x[hl],) if len(x) % 2 else fold)
 
 
 def canonical_key(v: SolutionVector) -> FoldedKey:
     """Class key of a solution under scaling, sign, and symmetric
-    rearrangement: ``_fold_key`` of its fold."""
-    return _fold_key(v.n, _fold(v.entries))
+    rearrangement: ``_entries_key`` of its entries."""
+    return _entries_key(v.n, v.entries)
 
 
 # ---------------------------------------------------------------------------

@@ -34,6 +34,7 @@ from .balance import (
 )
 from .boolean_core import Record, WeightProfile, anf_parse, anf_to_function, weight_profile
 from .diophantine import (
+    FoldedKey,
     SolutionVector,
     class_enumeration_metric,
     count_classes,
@@ -112,9 +113,8 @@ SPORADIC_WITNESSES_N9_X1X2 = {
 }
 
 
-def _parse_range(text: str, flag: str, least: int | None = None,
-                 below: int | None = None) -> list[int]:
-    """The integers of '5' or '2..10', the value of ``flag``, in [least, below)."""
+def _parse_range(text: str, flag: str, least: int | None = None) -> list[int]:
+    """The integers of '5' or '2..10', the value of ``flag``, in [least, N_BOUND)."""
     lo, dots, hi = text.partition("..")
     try:
         a, b = int(lo), int(hi if dots else lo)
@@ -124,8 +124,8 @@ def _parse_range(text: str, flag: str, least: int | None = None,
         raise SystemExit2(f"{flag} needs lo <= hi, got {text!r}")
     if least is not None and a < least:
         raise SystemExit2(f"{flag} needs values >= {least}, got {text!r}")
-    if below is not None and b >= below:
-        raise SystemExit2(f"{flag} needs values below {below}, got {text!r}")
+    if b >= N_BOUND:
+        raise SystemExit2(f"{flag} needs values below {N_BOUND}, got {text!r}")
     return list(range(a, b + 1))
 
 
@@ -187,18 +187,24 @@ def _perturbation(values: tuple[int, ...] | None, anf: str | None,
     return f"anf:{expr}", weight_profile(anf_to_function(expr, j)).values
 
 
-def _perturbation_from_args(args) -> tuple[str, WeightProfile]:
-    """Build (descriptor, profile) from --anf/--profile flags; default empty."""
+def _sweep(args) -> tuple[SymmetricSpec, str, WeightProfile, list[int]]:
+    """expsum's and classify's degree set, descriptor and profile of --anf or
+    --profile (unperturbed without either), and ascending --n values past j."""
+    spec = _parse_degrees(args.degrees)
     if args.anf is not None and args.profile is not None:
         raise SystemExit2("give either --anf or --profile, not both")
     if args.vars is not None and args.anf is None:
         raise SystemExit2("--vars needs --anf")
-    if args.anf is not None or args.profile is not None:
-        values = None if args.profile is None else _parse_profile(args.profile)
-        with _usage_error():
+    desc, values = "f=0", (1,)
+    with _usage_error():
+        if args.anf is not None or args.profile is not None:
+            values = None if args.profile is None else _parse_profile(args.profile)
             desc, values = _perturbation(values, args.anf, args.vars)
-            return desc, WeightProfile(len(values) - 1, values)
-    return "f=0", WeightProfile(0, (1,))
+        profile = WeightProfile(len(values) - 1, values)
+    n_values = _parse_range(args.n, "--n")
+    if n_values[0] <= profile.j:
+        raise SystemExit2(f"n={n_values[0]} does not exceed the perturbed block j={profile.j}")
+    return spec, desc, profile, n_values
 
 
 class SystemExit2(Exception):
@@ -597,15 +603,19 @@ def _write_checkpoint(path: Path, digest: str, chunks_done: int,
 # subcommands
 # ---------------------------------------------------------------------------
 
+def _key_json(key: FoldedKey) -> str:
+    """``json.dumps`` with sorted keys of a class key's n, half, center and zero,
+    written directly: str() of an int list is JSON, None and bools are mapped."""
+    return (f'{{"center": {"null" if key.center is None else key.center}, '
+            f'"half": {list(key.half)}, "n": {key.n}, '
+            f'"zero": {"true" if key.is_zero else "false"}}}')
+
+
 def _verdict_line(verdict: BalanceVerdict, escaped: str) -> str:
     """The line ``search --out`` writes and ``classify`` prints for a verdict:
-    its fields but j as a JSON object with sorted keys, written directly as
-    the ``omega --classes-out`` lines are.  ``escaped`` is ``json.dumps`` of
-    its perturbation descriptor."""
-    k = verdict.key
-    key = "null" if k is None else (
-        f'{{"center": {"null" if k.center is None else k.center}, "half": {list(k.half)}, '
-        f'"n": {k.n}, "zero": {"true" if k.is_zero else "false"}}}')
+    its fields but j as a JSON object with sorted keys, the key by
+    ``_key_json``.  ``escaped`` is ``json.dumps`` of its perturbation descriptor."""
+    key = "null" if verdict.key is None else _key_json(verdict.key)
     return (f'{{"S": {verdict.sign_sum}, "degrees": {list(verdict.degrees)}, "key": {key}, '
             f'"n_total": {verdict.n_total}, "perturbation": {escaped}, '
             f'"status": "{verdict.status.value}", '
@@ -613,11 +623,7 @@ def _verdict_line(verdict: BalanceVerdict, escaped: str) -> str:
 
 
 def cmd_expsum(args) -> int:
-    spec = _parse_degrees(args.degrees)
-    desc, profile = _perturbation_from_args(args)
-    n_values = _parse_range(args.n, "--n", below=N_BOUND)  # ascending
-    if n_values[0] <= profile.j:
-        raise SystemExit2(f"n={n_values[0]} does not exceed the perturbed block j={profile.j}")
+    spec, desc, profile, n_values = _sweep(args)
     sums = periodic_binomial_sums(
         delta_vector(spec, profile).values, n_values[0] - profile.j, n_values[-1] - profile.j
     )
@@ -632,11 +638,7 @@ def cmd_expsum(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    spec = _parse_degrees(args.degrees)
-    desc, profile = _perturbation_from_args(args)
-    n_values = _parse_range(args.n, "--n", below=N_BOUND)  # ascending
-    if n_values[0] <= profile.j:
-        raise SystemExit2(f"n={n_values[0]} does not exceed the perturbed block j={profile.j}")
+    spec, desc, profile, n_values = _sweep(args)
     escaped = json.dumps(desc)
     with _any_digits():
         for verdict in classify_range(spec, profile, n_values[0], n_values[-1], desc):
@@ -661,8 +663,8 @@ def _print_grid(title: str, n_values: list[int], j_values: list[int],
 
 
 def cmd_gamma(args) -> int:
-    n_values = _parse_range(args.n, "--n", 1, below=N_BOUND)
-    j_values = _parse_range(args.j, "--j", 0, below=N_BOUND)
+    n_values = _parse_range(args.n, "--n", 1)
+    j_values = _parse_range(args.j, "--j", 0)
     if args.cross_check and min(j_values) < 1:
         raise SystemExit2("--cross-check needs j >= 1")
     cells = {
@@ -692,8 +694,8 @@ def cmd_gamma(args) -> int:
 
 
 def cmd_omega(args) -> int:
-    n_values = _parse_range(args.n, "--n", 1, below=N_BOUND)
-    j_values = _parse_range(args.j, "--j", 1, below=N_BOUND)
+    n_values = _parse_range(args.n, "--n", 1)
+    j_values = _parse_range(args.j, "--j", 1)
     if args.classes_out and (len(n_values) != 1 or len(j_values) != 1):
         raise SystemExit2("--classes-out needs a single n and a single j")
     cells = {
@@ -716,14 +718,10 @@ def cmd_omega(args) -> int:
     _print_grid("class", n_values, j_values, cells, args.csv)
     if args.classes_out:
         # json.dumps({"n", "j", "key", "realizable_example"}, sort_keys=True),
-        # the key an object of n, half, center and zero, written directly: the
-        # fields are ints, int lists, None and bools, and str() of an int list is JSON
+        # written directly as _key_json writes the key
         with fh:
             fh.writelines(
-                f'{{"j": {j}, "key": {{"center": '
-                f'{"null" if key.center is None else key.center}, '
-                f'"half": {list(key.half)}, "n": {n}, '
-                f'"zero": {"true" if key.is_zero else "false"}}}, '
+                f'{{"j": {j}, "key": {_key_json(key)}, '
                 f'"n": {n}, "realizable_example": {list(rep)}}}\n'
                 for key, rep in sorted(
                     classes.items(),
@@ -743,7 +741,7 @@ def cmd_search(args) -> int:
                          for text in args.profile or []]
         perturbations += [_perturbation(None, text, None) for text in args.anf or []]
         campaign = Campaign(args.k_max, args.n_max, args.n_convention,
-                            tuple(perturbations) or (("profile:1,-1", X1_PROFILE),),
+                            tuple(perturbations) or (_perturbation(X1_PROFILE, None, None),),
                             args.sporadic_only)
     counters, recorded = run_search(
         campaign, out_path, checkpoint, args.resume, log=lambda s: print(s, file=sys.stderr)
@@ -880,11 +878,12 @@ def cmd_conjecture_scan(args) -> int:
         raise SystemExit2(f"--n-max needs values below {N_BOUND}, got {args.n_max}")
     rows = []
     off_residue = 0
-    profile = WeightProfile(1, X1_PROFILE)
+    desc, values = _perturbation(X1_PROFILE, None, None)
+    profile = WeightProfile(1, values)
     for k in range(args.k_min, args.k_max + 1):
         spec = SymmetricSpec((k,))
         residue = (k - 1) % spec.period
-        for v in classify_range(spec, profile, 2, args.n_max, "profile:1,-1"):
+        for v in classify_range(spec, profile, 2, args.n_max, desc):
             if v.balanced:
                 on_residue = v.n_total % spec.period == residue
                 off_residue += not on_residue

@@ -103,8 +103,8 @@ MUTANTS = (
     Mutant("witness not halved", "src/symsum/balance.py",
            "[x // 2 for x in row] if len(values) > 1 else row", "row",
            ("tests/test_balance.py",)),
-    Mutant("zero's witness length unchecked", "src/symsum/balance.py",
-           "if len(entries) != inner_n + 1:", "if False:",
+    Mutant("zero's witness length unchecked", "src/symsum/diophantine.py",
+           "if len(x) != n + 1:", "if False:",
            ("tests/test_balance.py::TestClassify::test_zero_witness_of_another_length_is_refused",)),
     Mutant("status helper ignores the class key", "src/symsum/balance.py",
            "if key is not None and verdict.key != key:", "if False:",
@@ -164,13 +164,10 @@ MUTANTS = (
            '{"null" if key.center is None else key.center}',
            '{0 if key.center is None else key.center}',
            ("tests/test_search_cli.py::TestOmegaCommand"
-            "::test_classes_out_lines_are_the_json_encoder_bytes",)),
+            "::test_classes_out_lines_are_the_json_encoder_bytes",
+            "tests/test_search_cli.py::test_verdict_lines_are_the_json_encoder_bytes")),
     Mutant("variable-count bound compared one off", "src/symsum/search_cli.py",
-           "if below is not None and b >= below:", "if below is not None and b > below:",
-           ("tests/test_search_cli.py::test_variable_counts_past_the_bound_are_refused",)),
-    Mutant("grid range admits N_BOUND", "src/symsum/search_cli.py",
-           '_parse_range(args.j, "--j", 0, below=N_BOUND)',
-           '_parse_range(args.j, "--j", 0, below=N_BOUND + 1)',
+           "if b >= N_BOUND:", "if b > N_BOUND:",
            ("tests/test_search_cli.py::test_variable_counts_past_the_bound_are_refused",)),
     Mutant("spaces deleted inside a list field", "src/symsum/search_cli.py",
            'text.split(",")', 'text.replace(" ", "").split(",")',

@@ -87,19 +87,22 @@ class TestExpsumCommand:
         values = [int(line.split()[1]) for line in out.strip().splitlines()]
         assert values == [2, 8, 20, 40]
 
-    def test_no_room_for_perturbation(self, capsys):
-        code, _, err = run_main(
-            capsys, ["expsum", "--degrees", "4", "--n", "2", "--profile", "1,-2,1"]
+    @pytest.mark.parametrize("command", ["expsum", "classify"])
+    def test_no_room_for_perturbation(self, capsys, command):
+        code, out, err = run_main(
+            capsys, [command, "--degrees", "4", "--n", "2", "--profile", "1,-2,1"]
         )
-        assert code == 2
-        assert "error:" in err
+        assert (code, out) == (2, "")
+        assert err == "error: n=2 does not exceed the perturbed block j=2\n"
 
-    def test_both_perturbation_flags_rejected(self, capsys):
-        code, _, err = run_main(
+    @pytest.mark.parametrize("command", ["expsum", "classify"])
+    def test_both_perturbation_flags_rejected(self, capsys, command):
+        code, out, err = run_main(
             capsys,
-            ["expsum", "--degrees", "4", "--n", "5", "--anf", "x1", "--profile", "1,-1"],
+            [command, "--degrees", "4", "--n", "5", "--anf", "x1", "--profile", "1,-1"],
         )
-        assert code == 2
+        assert (code, out) == (2, "")
+        assert err == "error: give either --anf or --profile, not both\n"
 
     def test_bad_range(self, capsys):
         code, _, err = run_main(capsys, ["expsum", "--degrees", "4", "--n", "9..2"])
@@ -231,7 +234,7 @@ def test_variable_counts_past_the_bound_are_refused(capsys, monkeypatch, argv, m
     assert (code, out) == (2, "")
     assert err == f"error: {message}\n"
     assert search_cli.N_BOUND == 2 ** 14
-    assert search_cli._parse_range("16382..16383", "--n", below=16384) == [16382, 16383]
+    assert search_cli._parse_range("16382..16383", "--n") == [16382, 16383]
 
 
 @pytest.mark.parametrize("convention", ["total", "inner"])

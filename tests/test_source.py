@@ -186,3 +186,14 @@ def test_every_mutant_still_applies():
     assert all(count == 1 for count in counts.values()), counts
     missing = [t for m in MUTANTS for t in m.tests if not (ROOT / t.split("::")[0]).is_file()]
     assert not missing, missing
+
+
+def test_each_cli_decision_has_one_owner():
+    # The class-key JSON (_key_json), the witness-length check
+    # (diophantine._entries_key) and the default descriptor (_perturbation)
+    # are each written once; a second copy drifts from the first.
+    text = {path.name: path.read_text() for path in PACKAGE.glob("*.py")}
+    assert sum(t.count('"center": ') for t in text.values()) == 1
+    assert text["diophantine.py"].count("entries, got {len(") == 1
+    assert "entries, got {len(" not in text["balance.py"]
+    assert not [name for name, t in text.items() if '"profile:1,-1"' in t]
